@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .machine import eval_stream, parse_machine_text
+from .machine import eval_stream, parse_machine_text, parse_natural
 from .operators import (
     LoopInstance,
     classify_run,
@@ -25,7 +25,7 @@ from .operators import (
     star,
     validate_run,
 )
-from .problems import CONSISTENT, REFUTED
+from .problems import CONSISTENT, REFUTED, parse_plan
 from .reductions import simulate_limit_machine, witness_library
 from .streams import Fuel, NeedMoreFuel, PlanStream, pair_stream, project
 from .transform import const_transformer_name, injective_recursion, injection, quine, recursion_T, smn
@@ -50,23 +50,21 @@ class CliError(Exception):
 
 def parse_input_spec(tokens) -> PlanStream:
     """Literal prefix plus a tail rule: `zeros` or `cycle w`."""
-    head = []
-    i = 0
-    while i < len(tokens) and tokens[i] not in ("zeros", "cycle"):
-        if tokens[i] != "eps":
-            try:
-                head.append(int(tokens[i]))
-            except ValueError:
-                raise CliError(f"input spec: not a natural: {tokens[i]!r}")
-        i += 1
-    if i >= len(tokens):
-        raise CliError("input spec needs a tail rule: `zeros` or `cycle w`")
-    if tokens[i] == "zeros":
-        return PlanStream(tuple(head), ("zeros",))
-    cyc = tuple(int(t) for t in tokens[i + 1 :])
-    if not cyc:
-        raise CliError("cycle tail needs at least one symbol")
-    return PlanStream(tuple(head), ("cycle", cyc))
+    try:
+        return parse_plan(tokens)
+    except ValueError as exc:
+        raise CliError(f"input spec: {exc}")
+
+
+def read_file(path: str, parse, what: str):
+    """Parse a machine or loop file; unreadable or malformed files are usage errors."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise CliError(f"cannot read {what} file: {exc}")
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}")
 
 
 def seeded_input(seed: int) -> PlanStream:
@@ -78,6 +76,8 @@ def seeded_input(seed: int) -> PlanStream:
 
 def determined_report(stream, depth: int, fuel_per_index: int):
     """Per-index reads with a fresh budget each; fuel shortfalls are noted."""
+    # not a read_prefix: every index gets its own tank, and the printed
+    # fuel is the sum over those tanks
     symbols = []
     spent = 0
     note = ""
@@ -102,13 +102,7 @@ def emit(out, line=""):
 
 
 def cmd_eval(args, cfg: Config, out) -> int:
-    try:
-        with open(args.machine) as fh:
-            name = parse_machine_text(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read machine file: {exc}")
-    except ValueError as exc:
-        raise CliError(f"{args.machine}: {exc}")
+    name = read_file(args.machine, parse_machine_text, "machine")
     source = parse_input_spec(args.input)
     stream = eval_stream(name, source)
     symbols, spent, note = determined_report(stream, cfg.depth, cfg.fuel)
@@ -155,11 +149,7 @@ def cmd_transform(args, cfg: Config, out) -> int:
     elif kind in ("smn", "fix", "inject", "extract"):
         if not args.machine:
             raise CliError(f"transform {kind} needs --machine FILE")
-        try:
-            with open(args.machine) as fh:
-                file_name = parse_machine_text(fh.read())
-        except ValueError as exc:
-            raise CliError(f"{args.machine}: {exc}")
+        file_name = read_file(args.machine, parse_machine_text, "machine")
         argument = (
             parse_input_spec(args.input) if args.input else seeded_input(cfg.seed)
         )
@@ -225,6 +215,7 @@ def cmd_transform(args, cfg: Config, out) -> int:
 
 
 def parse_loop_file(text: str) -> LoopInstance:
+    """Parse the loop file format; raises ValueError naming a bad line."""
     kind = None
     seed = 0
     params = {}
@@ -233,18 +224,22 @@ def parse_loop_file(text: str) -> LoopInstance:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "problem":
-            kind, seed = tokens[1], int(tokens[3])
-        elif tokens[0] == "public:":
-            it = iter(tokens[1:])
-            for key in it:
-                params[key] = int(next(it))
-        elif tokens[0] == "witness:":
-            continue
-        else:
-            raise CliError(f"loop file line {lineno}: unrecognized record {tokens[0]}")
+        try:
+            if tokens[0] == "problem":
+                kind, seed = tokens[1], parse_natural(tokens[3])
+            elif tokens[0] == "public:":
+                keys, values = tokens[1::2], tokens[2::2]
+                if len(keys) != len(values):
+                    raise ValueError("public: takes `key value` pairs")
+                params.update(zip(keys, map(parse_natural, values)))
+            elif tokens[0] != "witness:":
+                raise ValueError(f"unrecognized record {tokens[0]}")
+        except IndexError:
+            raise ValueError(f"line {lineno}: expected `problem <kind> seed <n>`") from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if kind is None:
-        raise CliError("loop file needs a `problem <kind> seed <n>` line")
+        raise ValueError("loop file needs a `problem <kind> seed <n>` line")
     steps = params.get("steps", 5)
     if kind == "countdown":
         return countdown_loop(params.get("n", 3), seed)
@@ -256,15 +251,11 @@ def parse_loop_file(text: str) -> LoopInstance:
         return problem_loop("id", seed, steps)
     if kind == "limnat-loop":
         return limnat_loop(seed, steps)
-    raise CliError(f"unknown loop kind: {kind}")
+    raise ValueError(f"unknown loop kind: {kind}")
 
 
 def cmd_loop(args, cfg: Config, out) -> int:
-    try:
-        with open(args.instance) as fh:
-            loop = parse_loop_file(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read instance file: {exc}")
+    loop = read_file(args.instance, parse_loop_file, "instance")
     op = args.op
     status = 0
     if op == "power":
@@ -332,11 +323,7 @@ def cmd_check(args, cfg: Config, out) -> int:
 
 
 def cmd_limsim(args, cfg: Config, out) -> int:
-    try:
-        with open(args.instance) as fh:
-            loop = parse_loop_file(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read instance file: {exc}")
+    loop = read_file(args.instance, parse_loop_file, "instance")
     result = simulate_limit_machine(loop, min(cfg.steps, loop.steps), scan_depth=cfg.depth)
     for line in result.trace_lines():
         emit(out, line)

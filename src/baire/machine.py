@@ -268,7 +268,6 @@ class MachineName(BufferedStream):
         self.head = tuple(head)
         self.label = label or machine.label
         self.transformer = None  # set when this name denotes a transformer
-        self.step_fn = None  # set on loop programs: answer stream -> next state
         self.entries = None  # explicit finite graph, when known
         self.graph_complete = False
         self._raw_apply = raw_apply or machine.apply
@@ -306,7 +305,6 @@ class ExplicitName(MachineName):
         super().__init__(WordMachine(apply, label or "table"), head, label)
         self.entries = entries
         self.graph_complete = True
-        self._pending = deque(self.head)
         for e in entries:
             self._pending.extend(encode_entry_block(e))
 
@@ -350,7 +348,36 @@ def _raw_schedule(k: int) -> int:
 # identity transformer, say) would otherwise recurse without consuming fuel
 _DEPTH_LIMIT = 64
 _DEPTH_EDGE = Fuel(0)
-_depth = [0]
+
+
+class _NestingGuard:
+    """Context manager counting nested evaluations on one shared counter.
+
+    Entering past the limit signals "not yet" with the _DEPTH_EDGE tank and
+    `what` as the message.  `check` is the same test without entering, for
+    leaf evaluations that cannot nest further.
+    """
+
+    __slots__ = ("what",)
+    depth = [0]  # shared by every guard; a list, so entering never writes the class
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def check(self) -> None:
+        if self.depth[0] >= _DEPTH_LIMIT:
+            raise NeedMoreFuel(_DEPTH_EDGE, self.what)
+
+    def __enter__(self):
+        self.check()
+        self.depth[0] += 1
+
+    def __exit__(self, *exc_info):
+        self.depth[0] -= 1
+
+
+_EVAL_NESTING = _NestingGuard("evaluation nesting limit")
+_STRUCTURE_NESTING = _NestingGuard("structure nesting limit")
 
 
 def apply_name(name: NameLike, input_prefix: Word, fuel: FuelLike = None) -> Word:
@@ -362,19 +389,17 @@ def apply_name(name: NameLike, input_prefix: Word, fuel: FuelLike = None) -> Wor
     """
     fuel = as_fuel(fuel)
     fuel.tick()
-    _depth[0] += 1
-    try:
-        if _depth[0] > _DEPTH_LIMIT:
-            raise NeedMoreFuel(_DEPTH_EDGE, "evaluation nesting limit")
-        if isinstance(name, tuple):
-            return eval_name(name, input_prefix)
+    if isinstance(name, tuple):
+        # decoding a word never nests, and a `with` would double the cost
+        # of this, the hottest call
+        _EVAL_NESTING.check()
+        return eval_name(name, input_prefix)
+    with _EVAL_NESTING:
         machine = getattr(name, "machine", None)
         if machine is not None:
             return machine.apply(input_prefix, fuel)
         pfx = name.prefix(_raw_schedule(len(input_prefix)), fuel)
         return eval_name(pfx, input_prefix)
-    finally:
-        _depth[0] -= 1
 
 
 class MachineStream(BufferedStream):
@@ -465,6 +490,14 @@ def eval_stream(name: NameLike, source: Stream) -> Stream:
             return as_stream(transformer.apply(source))
         except NeedMoreFuel:
             pass  # unresolvable structure (self-referential); use the faces
+    return generic_universal(name, source)
+
+
+def generic_universal(name: NameLike, source: Stream) -> Stream:
+    """Universal application through the machine or decode face only.
+
+    Validation uses this to re-derive steps without structured shortcuts.
+    """
     if isinstance(name, tuple):
         return MachineStream(
             WordMachine(lambda w, fuel: eval_name(name, w), "literal"), source
@@ -484,13 +517,8 @@ def apply_name_structured(name: NameLike, argument, fuel: FuelLike = None):
     """
     transformer = getattr(name, "transformer", None)
     if transformer is not None:
-        _depth[0] += 1
-        try:
-            if _depth[0] > _DEPTH_LIMIT:
-                raise NeedMoreFuel(_DEPTH_EDGE, "structure nesting limit")
+        with _STRUCTURE_NESTING:
             return transformer.apply(argument)
-        finally:
-            _depth[0] -= 1
     if isinstance(argument, tuple):
         return apply_name(name, argument, fuel)
     return eval_stream(name, argument)
@@ -514,11 +542,23 @@ def identity_name(head: Word = ()) -> MachineName:
 # machine text format: one entry per line, `w -> v`, `eps` for the empty word
 
 
+def parse_natural(token: str) -> int:
+    """A natural number written in decimal; raises ValueError otherwise."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise ValueError(f"not a natural: {token!r}")
+    return value
+
+
 def parse_word_text(text: str) -> Word:
+    """Space-separated naturals, or `eps` for the empty word."""
     text = text.strip()
     if text == "eps" or not text:
         return ()
-    return tuple(int(tok) for tok in text.split())
+    return tuple(parse_natural(tok) for tok in text.split())
 
 
 def parse_machine_text(text: str) -> ExplicitName:

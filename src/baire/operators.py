@@ -24,17 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from collections import deque
-
 from .machine import (
-    GraphEntry,
+    MachineName,
     MachineStream,
-    RawEvalStream,
     WordMachine,
     apply_name,
-    candidate_word,
-    encode_entry_block,
     eval_stream,
+    generic_universal,
     memoized_machine,
 )
 from .problems import (
@@ -46,7 +42,6 @@ from .problems import (
     get_realizer,
 )
 from .streams import (
-    BufferedStream,
     Fuel,
     FuelLike,
     NeedMoreFuel,
@@ -121,7 +116,7 @@ def machine_oracle(machine: WordMachine) -> StepOracle:
     )
 
 
-class ProgramName(BufferedStream):
+class ProgramName(MachineName):
     """A loop program as a name: maps an answer y to <next program, data'>.
 
     `next_program(answer_head)` builds the successor lazily; programs whose
@@ -129,7 +124,8 @@ class ProgramName(BufferedStream):
     first symbol, others ignore it.  `data_word(y_prefix, fuel)` is the
     monotone word-level approximation of `data(y)`, which is what the raw
     and machine faces emit; the structured transformer face returns the
-    real pair so loop running stays linear.
+    real pair so loop running stays linear.  The head is the flag followed
+    by `pad`, dummy symbols the decoder skips.
     """
 
     def __init__(
@@ -139,18 +135,21 @@ class ProgramName(BufferedStream):
         data: Callable[[Stream], Stream],
         data_word: Callable[[Word, Fuel], Word],
         label: str = "prog",
+        pad: Word = (),
     ):
-        super().__init__()
         self.flag = flag
-        self.head = flag_head(flag)
-        self.label = label
         self._next_program = next_program
         self._data = data
         self._data_word = data_word
-        self.machine = memoized_machine(self._apply, label)
+        # the raw face calls _apply directly: going through the memo would
+        # skip the ticks a fresh block costs
+        super().__init__(
+            memoized_machine(self._apply, label),
+            flag_head(flag) + pad,
+            label,
+            raw_apply=self._apply,
+        )
         self.transformer = _ProgramStep(self)
-        self._cand = 0
-        self._pending = deque(self.head)
 
     # faces ---------------------------------------------------------------
 
@@ -172,16 +171,6 @@ class ProgramName(BufferedStream):
         successor = self._next_program(head)
         left = successor.prefix(len(y), fuel)
         return interleave_word(left, self._data_word(y, fuel))
-
-    def _extend(self, fuel: Fuel) -> None:
-        if self._pending:
-            self._buf.append(self._pending.popleft())
-            return
-        u = candidate_word(self._cand)
-        v = self._apply(u, fuel)
-        self._cand += 1
-        if v:
-            self._pending.extend(encode_entry_block(GraphEntry(u, v)))
 
 
 class _ProgramStep:
@@ -229,10 +218,7 @@ def chain_program(
         def data_word(y, fuel, _i=i):
             return data_streams(_i + 1).prefix(len(y), fuel)
 
-        prog = ProgramName(flag, next_program, data, data_word, f"{label}[{i}]")
-        if pad:
-            prog.head = flag_head(flag) + pad
-            prog._pending = deque(prog.head)
+        prog = ProgramName(flag, next_program, data, data_word, f"{label}[{i}]", pad)
         memo[key] = prog
         return prog
 
@@ -359,15 +345,22 @@ def _provably_stalled(state: Stream, budget: int) -> bool:
     return True
 
 
-def generic_universal(name, source: Stream) -> Stream:
-    """Universal application through the machine or decode face only.
+def check_step(
+    got: Stream, want: Stream, depth: int, got_fuel: Fuel, want_fuel: Fuel
+) -> tuple:
+    """The one step validator: a state against its re-derivation.
 
-    Validation uses this to re-derive steps without structured shortcuts.
+    Compares the prefixes of `got` and `want` determined within `depth`
+    symbols under the given tanks (which may be one shared tank) and
+    returns (verdict, number of symbols compared).  Disagreement on the
+    common part refutes; agreement on nothing leaves the step undetermined.
     """
-    machine = getattr(name, "machine", None)
-    if machine is not None:
-        return MachineStream(machine, source)
-    return RawEvalStream(name, source)
+    a = got.determined_prefix(depth, got_fuel)
+    b = want.determined_prefix(depth, want_fuel)
+    short = min(len(a), len(b))
+    if a[:short] != b[:short]:
+        return REFUTED, short
+    return (CONSISTENT if short else UNDETERMINED), short
 
 
 def validate_run(
@@ -377,17 +370,11 @@ def validate_run(
     verdicts = []
     for i in range(len(run.states) - 1):
         program, data = unpair_stream(run.states[i])
-        answer = oracle.answer(data, i)
-        expected = generic_universal(program, answer)
-        got = run.states[i + 1].determined_prefix(depth, Fuel(budget))
-        want = expected.determined_prefix(depth, Fuel(budget))
-        short = min(len(got), len(want))
-        if got[:short] != want[:short]:
-            verdicts.append(REFUTED)
-        elif short == 0:
-            verdicts.append(UNDETERMINED)
-        else:
-            verdicts.append(CONSISTENT)
+        expected = generic_universal(program, oracle.answer(data, i))
+        verdict, _ = check_step(
+            run.states[i + 1], expected, depth, Fuel(budget), Fuel(budget)
+        )
+        verdicts.append(verdict)
     return verdicts
 
 

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .machine import parse_natural, parse_word_text
 from .streams import (
     FuelLike,
     FunctionStream,
@@ -71,10 +72,6 @@ def _rng(problem: str, seed: int) -> random.Random:
     return random.Random(f"{problem}:{seed}")
 
 
-def _scan(stream: Stream, depth: int, fuel: FuelLike) -> Word:
-    return stream.prefix(depth, as_fuel(fuel))
-
-
 # ---------------------------------------------------------------------------
 # negative information
 
@@ -119,7 +116,7 @@ def problem_id() -> Problem:
     def check(instance, output, depth, fuel=None):
         if not output:
             return UNDETERMINED
-        want = _scan(instance.public_name, min(depth, len(output)), fuel)
+        want = instance.public_name.prefix(min(depth, len(output)), fuel)
         if output[: len(want)] != want:
             return REFUTED
         return CONSISTENT
@@ -202,10 +199,6 @@ def problem_llpo() -> Problem:
 
 def realizer_llpo() -> OracleRealizer:
     return OracleRealizer("llpo", lambda inst: value_stream(inst.hidden[1]))
-
-
-problem_c2 = problem_llpo
-realizer_c2 = realizer_llpo
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +376,6 @@ def realizer_path_choice() -> OracleRealizer:
     return OracleRealizer("wkl", solve)
 
 
-problem_c_cantor = problem_path_choice
-realizer_c_cantor = realizer_path_choice
-
-
 # ---------------------------------------------------------------------------
 # registry and instance file format
 
@@ -445,17 +434,37 @@ def instance_text(instance: Instance) -> str:
     return "\n".join(lines)
 
 
-def _parse_plan(tokens) -> PlanStream:
-    head = []
-    i = 0
-    while i < len(tokens) and tokens[i] not in ("zeros", "cycle"):
-        if tokens[i] != "eps":
-            head.append(int(tokens[i]))
-        i += 1
-    if i >= len(tokens) or tokens[i] == "zeros":
-        return PlanStream(tuple(head), ("zeros",))
-    cyc = tuple(int(t) for t in tokens[i + 1 :])
-    return PlanStream(tuple(head), ("cycle", cyc))
+def parse_plan(tokens) -> PlanStream:
+    """The plan syntax: literal prefix, then `zeros` or `cycle w`.
+
+    The prefix is naturals, with `eps` standing for the empty word; the
+    cycled word w must be nonempty.  Raises ValueError on anything else.
+    """
+    tokens = list(tokens)
+    tails = [i for i, tok in enumerate(tokens) if tok in ("zeros", "cycle")]
+    if not tails:
+        raise ValueError("needs a tail rule: `zeros` or `cycle w`")
+    i = tails[0]
+    head = parse_word_text(" ".join(tok for tok in tokens[:i] if tok != "eps"))
+    if tokens[i] == "zeros":
+        return PlanStream(head, ("zeros",))
+    return PlanStream(head, ("cycle", parse_word_text(" ".join(tokens[i + 1 :]))))
+
+
+def _parse_witness(kind: str, rest) -> tuple:
+    if kind in ("copy", "allzero"):
+        return (kind,)
+    if kind in ("nonzero", "value"):
+        return (kind, parse_natural(rest[0]), parse_natural(rest[1]))
+    if kind == "choice":
+        return ("choice", parse_natural(rest[0]))
+    if kind == "limit":
+        return ("limit", parse_word_text(" ".join(rest)))
+    if kind == "path":
+        split = rest.index("cycle")
+        head, cycle = " ".join(rest[:split]), " ".join(rest[split + 1 :])
+        return ("path", parse_word_text(head), parse_word_text(cycle))
+    raise ValueError(f"unknown witness kind {kind}")
 
 
 def parse_instance(text: str) -> Instance:
@@ -471,40 +480,25 @@ def parse_instance(text: str) -> Instance:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "problem":
-            problem, seed = tokens[1], int(tokens[3])
-        elif tokens[0] == "public:":
-            if tokens[1:] != ["commits"]:
-                public_plan = _parse_plan(tokens[1:])
-        elif tokens[0] == "witness:":
-            kind = tokens[1]
-            if kind == "copy":
-                hidden = ("copy",)
-            elif kind == "allzero":
-                hidden = ("allzero",)
-            elif kind == "nonzero":
-                hidden = ("nonzero", int(tokens[2]), int(tokens[3]))
-            elif kind == "choice":
-                hidden = ("choice", int(tokens[2]))
-            elif kind == "value":
-                hidden = ("value", int(tokens[2]), int(tokens[3]))
-            elif kind == "limit":
-                hidden = ("limit", tuple(int(t) for t in tokens[2:]))
-            elif kind == "path":
-                split = tokens.index("cycle")
-                hidden = (
-                    "path",
-                    tuple(int(t) for t in tokens[2:split]),
-                    tuple(int(t) for t in tokens[split + 1 :]),
-                )
+        try:
+            if tokens[0] == "problem":
+                problem, seed = tokens[1], parse_natural(tokens[3])
+            elif tokens[0] == "public:":
+                if tokens[1:] != ["commits"]:
+                    public_plan = parse_plan(tokens[1:])
+            elif tokens[0] == "witness:":
+                hidden = _parse_witness(tokens[1], tokens[2:])
+            elif tokens[0] in ("commit", "noise"):
+                row = parse_word_text(" ".join(tokens[1:]))
+                if len(row) != 3:
+                    raise ValueError(f"{tokens[0]} takes three naturals")
+                (commits if tokens[0] == "commit" else noise).append(row)
             else:
-                raise ValueError(f"line {lineno}: unknown witness kind {kind}")
-        elif tokens[0] == "commit":
-            commits.append((int(tokens[1]), int(tokens[2]), int(tokens[3])))
-        elif tokens[0] == "noise":
-            noise.append((int(tokens[1]), int(tokens[2]), int(tokens[3])))
-        else:
-            raise ValueError(f"line {lineno}: unrecognized record {tokens[0]}")
+                raise ValueError(f"unrecognized record {tokens[0]}")
+        except IndexError:
+            raise ValueError(f"line {lineno}: {tokens[0]} is missing a field") from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if problem is None or hidden is None:
         raise ValueError("instance file needs `problem` and `witness:` lines")
     spec = {}

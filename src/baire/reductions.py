@@ -27,6 +27,7 @@ from .operators import (
     Run,
     StepOracle,
     StepRecord,
+    check_step,
     generic_universal,
     inverse_limit,
     lift_reduction_to_inverse_limit,
@@ -42,6 +43,7 @@ from .problems import (
     UNDETERMINED,
     get_problem,
     get_realizer,
+    sierpinski_value,
     value_stream,
 )
 from .streams import (
@@ -190,12 +192,12 @@ def check_loop_run(
             return REFUTED
         program, _ = unpair_stream(run.states[i])
         expected = generic_universal(program, record.answer)
-        got = run.states[i + 1].determined_prefix(depth, Fuel(budget))
-        want = expected.determined_prefix(depth, Fuel(budget))
-        short = min(len(got), len(want))
-        if got[:short] != want[:short]:
+        verdict, _ = check_step(
+            run.states[i + 1], expected, depth, Fuel(budget), Fuel(budget)
+        )
+        if verdict == REFUTED:
             return REFUTED
-        if short:
+        if verdict == CONSISTENT:
             any_checked = True
     return CONSISTENT if any_checked else UNDETERMINED
 
@@ -228,10 +230,10 @@ def check_lifted_reduction(
         try:
             for i in range(steps + 1):
                 extracted = lift.h_components([translated.states[i]])[0]
-                got = extracted.determined_prefix(depth, budget)
-                want = reference.states[i].determined_prefix(depth, budget)
-                short = min(len(got), len(want))
-                if got[:short] != want[:short]:
+                step_verdict, short = check_step(
+                    extracted, reference.states[i], depth, budget, budget
+                )
+                if step_verdict == REFUTED:
                     verdict = REFUTED
                     break
                 compared += short
@@ -274,13 +276,15 @@ class NonDetWitness:
 
 
 def nonzero_within(stream: Stream, depth: int, fuel: Fuel) -> Optional[int]:
-    for k in range(depth):
-        try:
-            if stream.at(k, fuel) != 0:
-                return k
-        except NeedMoreFuel:
-            return None
-    return None
+    """Position of the first nonzero symbol within depth, None if unseen.
+
+    Not a read_prefix: the scan must stop at the first nonzero symbol,
+    since reading further would change the fuel the reports print.
+    """
+    try:
+        return sierpinski_value(stream, depth, fuel)[1]
+    except NeedMoreFuel:
+        return None
 
 
 def check_nondet(

@@ -11,6 +11,7 @@ query with more fuel simply resumes.
 from __future__ import annotations
 
 import math
+from itertools import count
 from typing import Callable, Iterable, Optional, Union
 
 Word = tuple  # finite word over the naturals
@@ -144,19 +145,13 @@ class Stream:
 
     def prefix(self, k: int, fuel: FuelLike = None) -> Word:
         """First k symbols; raises NeedMoreFuel if any is undetermined."""
+        # kept apart from read_prefix: this strict read is the hot path
         fuel = as_fuel(fuel)
         return tuple(self.at(i, fuel) for i in range(k))
 
     def determined_prefix(self, k: int, fuel: FuelLike = None) -> Word:
         """Longest prefix of length <= k computable before fuel runs out."""
-        fuel = as_fuel(fuel)
-        out = []
-        for i in range(k):
-            try:
-                out.append(self.at(i, fuel))
-            except NeedMoreFuel:
-                break
-        return tuple(out)
+        return read_prefix(self, k, as_fuel(fuel), None)
 
     def __repr__(self):
         tag = self.label or type(self).__name__
@@ -325,6 +320,30 @@ class WordStream(Stream):
 
 
 WORD_EDGE = Fuel(0)
+
+
+def read_prefix(source, k: Optional[int], fuel: Fuel, stop: Optional[tuple]) -> Word:
+    """The one budgeted-prefix reader: symbols 0, 1, ... of a word or stream.
+
+    Reads at most k symbols (no limit when k is None) under `fuel`.  The
+    stop signals are the tanks in `stop`: a NeedMoreFuel raised for one of
+    them ends the read quietly with what was determined so far, and any
+    other NeedMoreFuel propagates.  `stop=None` ends quietly on every
+    signal; `stop=()` on none, which makes the read strict.  The usual
+    stop signals are WORD_EDGE (a finite approximation ends) and a tank
+    the caller made for this read alone.  Words just truncate.
+    """
+    if isinstance(source, tuple):
+        return source[:k]
+    out = []
+    for i in range(k) if k is not None else count():
+        try:
+            out.append(source.at(i, fuel))
+        except NeedMoreFuel as blocked:
+            if stop is None or blocked.tank in stop:
+                break
+            raise
+    return tuple(out)
 
 
 def as_stream(value) -> Stream:

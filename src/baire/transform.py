@@ -20,6 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .machine import (
+    ENTRY_BEGIN,
+    ENTRY_END,
+    ENTRY_SEP,
+    PAYLOAD_BASE,
     GraphEntry,
     MachineName,
     MachineStream,
@@ -48,40 +52,18 @@ from .streams import (
     interleave_word,
     odd_part,
     pair_stream,
+    read_prefix,
     unpair_stream,
 )
 
 
-def prefix_of(source, k: int, fuel: Fuel) -> Word:
-    """First k symbols of a word or stream source; words just truncate."""
-    if isinstance(source, tuple):
-        return source[:k]
-    return source.prefix(k, fuel)
-
-
-def available_prefix(source, k: int, fuel: Fuel) -> Word:
+def available_prefix(source, k: Optional[int], fuel: Fuel) -> Word:
     """Prefix up to length k, stopping quietly at the source's edge.
 
     Fuel shortages still propagate; only the permanent end of a finite
     approximation is treated as "no more symbols here".
     """
-    if isinstance(source, tuple):
-        return source[:k]
-    out = []
-    for i in range(k):
-        try:
-            out.append(source.at(i, fuel))
-        except NeedMoreFuel as blocked:
-            if blocked.tank is WORD_EDGE:
-                break
-            raise
-    return tuple(out)
-
-
-def value_prefix(value, k: int, fuel: Fuel) -> Word:
-    if isinstance(value, tuple):
-        return value[:k]
-    return value.prefix(k, fuel)
+    return read_prefix(source, k, fuel, (WORD_EDGE,))
 
 
 def bounded_value_prefix(value, k: int, fuel: Fuel, step_cap: int) -> Word:
@@ -92,18 +74,8 @@ def bounded_value_prefix(value, k: int, fuel: Fuel, step_cap: int) -> Word:
     the result a function of the inputs alone, so word-level faces built
     from it stay monotone and budget-independent.
     """
-    if isinstance(value, tuple):
-        return value[:k]
     tank = Fuel(step_cap, parent=fuel)
-    out = []
-    for i in range(k):
-        try:
-            out.append(value.at(i, tank))
-        except NeedMoreFuel as blocked:
-            if blocked.tank is tank or blocked.tank is WORD_EDGE:
-                break
-            raise
-    return tuple(out)
+    return read_prefix(value, k, tank, (tank, WORD_EDGE))
 
 
 class SliceSource(Stream):
@@ -443,15 +415,7 @@ class _InjectionFunctional(PairFunctional):
     label = "inject"
 
     def apply(self, s, p_word, fuel):
-        out = InjectionOutput(s, WordStream(p_word))
-        collected = []
-        while True:
-            try:
-                collected.append(out.at(len(collected), fuel))
-            except NeedMoreFuel as blocked:
-                if blocked.tank is WORD_EDGE:
-                    return tuple(collected)
-                raise
+        return available_prefix(InjectionOutput(s, WordStream(p_word)), None, fuel)
 
     def apply_structured(self, s, p):
         return InjectionOutput(s, p, label="inj")
@@ -568,18 +532,12 @@ class _NamePrefixFunctional(PairFunctional):
         return got[0]
 
     def apply(self, s, q_word, fuel):
-        target = self._target(s, q_word)
         length_cap = (len(q_word) + 2) * (len(q_word) + 2)
-        tank = Fuel(64 * length_cap, parent=fuel)  # deterministic sweep budget
-        out = []
-        for j in range(length_cap):
-            try:
-                out.append(target.at(j, tank))
-            except NeedMoreFuel as blocked:
-                if blocked.tank is tank or blocked.tank is WORD_EDGE:
-                    break  # this approximation of s/q determines no more
-                raise
-        return tuple(out)
+        # deterministic sweep budget; stops where this approximation of s/q
+        # determines no more
+        return bounded_value_prefix(
+            self._target(s, q_word), length_cap, fuel, 64 * length_cap
+        )
 
     def apply_structured(self, s, q):
         return self._target(s, q)
@@ -651,7 +609,7 @@ def pair_specializer() -> NameTransformer:
     return S
 
 
-class SelfPairingName(BufferedStream):
+class SelfPairingName(MachineName):
     """A name q with U_q(p) = <q, p>: the fixed point solved by laziness.
 
     Entry for a word u is (u, <q, u>), where the output quotes the name's
@@ -662,34 +620,25 @@ class SelfPairingName(BufferedStream):
     """
 
     def __init__(self, transform=None, head: Word = (), label: str = "quine"):
-        super().__init__()
-        self.label = label
-        self.head = tuple(head)
         self._transform = transform or (lambda w: w)
-        self._cand = 0
         self._header_done = False
-        self._pending = deque(self.head)
-        self.machine = memoized_machine(self._apply, label)
-        self.transformer = None
+        super().__init__(memoized_machine(self._apply, label), head, label)
 
     def _apply(self, x: Word, fuel: Fuel) -> Word:
         return interleave_word(self.prefix(len(x), fuel), self._transform(x))
 
-    def _extend(self, fuel: Fuel) -> None:
-        if self._pending:
-            self._buf.append(self._pending.popleft())
-            return
+    def _next_block(self, fuel: Fuel) -> None:
         u = candidate_word(self._cand)
         if not self._header_done:
-            self._pending.append(3)
-            self._pending.extend(s + 6 for s in u)
-            self._pending.append(4)
+            self._pending.append(ENTRY_BEGIN)
+            self._pending.extend(s + PAYLOAD_BASE for s in u)
+            self._pending.append(ENTRY_SEP)
             self._header_done = True
             return
         assert len(u) <= len(self._buf) or not u, "self reference outran buffer"
         v = self._apply(u, fuel)
-        self._pending.extend(s + 6 for s in v)
-        self._pending.append(5)
+        self._pending.extend(s + PAYLOAD_BASE for s in v)
+        self._pending.append(ENTRY_END)
         self._cand += 1
         self._header_done = False
 
@@ -721,7 +670,7 @@ def const_transformer_name(value: NameLike, label: str = "const") -> MachineName
     """Name of the transformer sending every name to `value`."""
 
     def apply(w, fuel):
-        return value_prefix(value, len(w), fuel)
+        return read_prefix(value, len(w), fuel, ())
 
     n = encode_machine(WordMachine(apply, label), label=label)
     n.transformer = _ConstantApplication(value)

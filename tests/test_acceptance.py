@@ -73,10 +73,11 @@ class Budget:
 
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.perf_counter() - self.start
-        verdict = "PASS" if exc_type is None else "FAIL"
-        print(f"criterion {self.number} {self.name}: {verdict} ({elapsed:.1f}s < {self.seconds}s)")
+        in_time = elapsed < self.seconds
+        verdict = "PASS" if exc_type is None and in_time else "FAIL"
+        print(f"criterion {self.number} {self.name}: {verdict} ({elapsed:.1f}s, budget {self.seconds}s)")
         if exc_type is None:
-            assert elapsed < self.seconds, f"criterion {self.number} over budget: {elapsed:.1f}s"
+            assert in_time, f"criterion {self.number} over budget: {elapsed:.1f}s"
 
 
 def det(stream, depth, budget=400_000):

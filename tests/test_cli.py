@@ -71,6 +71,29 @@ def test_eval_malformed_machine_names_line(tmp_path):
     assert "line 2" in text
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["1", "cycle", "x"],  # a bad cycle symbol used to escape as a traceback
+        ["-3", "zeros"],  # used to read (-3, 0, ...): -3 encodes as an entry marker
+        ["1", "cycle", "-2"],
+        ["1", "2"],
+    ],
+)
+def test_eval_rejects_bad_input_spec(identity_machine_file, spec):
+    code, text = run_cli("eval", identity_machine_file, *spec)
+    assert code == 2
+    assert text.startswith("error: input spec: ")
+
+
+def test_eval_rejects_negative_machine_output(tmp_path):
+    path = tmp_path / "negative.machine"
+    path.write_text("eps -> -3\n")
+    code, text = run_cli("eval", str(path), "zeros")
+    assert code == 2
+    assert text.startswith("error: ") and "line 1" in text
+
+
 def test_eval_is_byte_deterministic(identity_machine_file):
     runs = {
         run_cli("--depth", "7", "--fuel", "40000", "eval", identity_machine_file, "1", "2", "zeros")
@@ -152,6 +175,12 @@ def test_transform_smn_verify(identity_machine_file):
     assert "DISAGREE" not in text
 
 
+def test_transform_missing_machine_file_exits_two(tmp_path):
+    code, text = run_cli("transform", "smn", "--machine", str(tmp_path / "missing"))
+    assert code == 2
+    assert text.startswith("error: cannot read machine file")
+
+
 def test_transform_needs_machine_file():
     code, text = run_cli("transform", "smn")
     assert code == 2
@@ -194,6 +223,25 @@ def test_loop_unknown_kind(tmp_path):
     code, text = run_cli("loop", "diamond", str(path))
     assert code == 2
     assert "unknown loop kind" in text
+
+
+@pytest.mark.parametrize("command", ["loop", "limsim"])
+@pytest.mark.parametrize(
+    "body",
+    [
+        "problem llpo-loop\n",  # no seed: used to raise IndexError
+        "problem llpo-loop seed -1\n",
+        "problem llpo-loop seed 1\npublic: steps\n",
+        "problem countdown seed 0\npublic: n x\n",
+    ],
+)
+def test_malformed_loop_file_exits_two(tmp_path, command, body):
+    path = tmp_path / "bad.loop"
+    path.write_text(body)
+    args = ("loop", "diamond", str(path)) if command == "loop" else ("limsim", str(path))
+    code, text = run_cli(*args)
+    assert code == 2
+    assert text.startswith("error: ")
 
 
 # --- check ------------------------------------------------------------------------

@@ -268,6 +268,13 @@ def test_machine_text_error_names_line():
         parse_machine_text("eps -> 1\nbogus line")
 
 
+@pytest.mark.parametrize("line", ["eps -> -3", "-1 -> 2"])
+def test_machine_text_rejects_non_naturals(line):
+    # -3 would be emitted as codec symbol 3, the entry-begin marker
+    with pytest.raises(ValueError, match="line 2"):
+        parse_machine_text("eps -> 1\n" + line)
+
+
 def test_candidate_enumeration_is_fair():
     seen = set()
     for k in range(600):

@@ -13,6 +13,7 @@ from baire.problems import (
     get_realizer,
     instance_text,
     parse_instance,
+    parse_plan,
     problem_cn,
     problem_id,
     problem_lim,
@@ -307,3 +308,45 @@ def test_instance_file_header():
     assert text.splitlines()[1].startswith("public: ")
     with pytest.raises(ValueError):
         parse_instance("problem x seed 0\nbogus: 1")
+
+
+@pytest.mark.parametrize(
+    "public", ["1 cycle x", "-3 zeros", "1 2 cycle -1", "1 2", "x zeros", "4 cycle"]
+)
+def test_instance_file_rejects_bad_plan_with_line(public):
+    text = f"problem llpo seed 0\npublic: {public}\nwitness: choice 0"
+    with pytest.raises(ValueError, match=r"^line 2: "):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "problem llpo seed -1\nwitness: choice 0",
+        "problem llpo\nwitness: choice 0",
+        "problem llpo seed 0\nwitness: choice -2",
+        "problem lim seed 0\npublic: commits\ncommit 0 1\nwitness: limit 1",
+    ],
+)
+def test_instance_file_rejects_bad_naturals(text):
+    with pytest.raises(ValueError, match=r"^line \d: "):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "tokens, head, tail",
+    [
+        ("eps zeros", (), ("zeros",)),
+        ("1 2 zeros", (1, 2), ("zeros",)),
+        ("1 eps 2 cycle 3 4", (1, 2), ("cycle", (3, 4))),
+    ],
+)
+def test_parse_plan_accepts(tokens, head, tail):
+    plan = parse_plan(tokens.split())
+    assert (plan.head, plan.tail) == (head, tail)
+
+
+@pytest.mark.parametrize("tokens", ["1 2", "-3 zeros", "1 cycle x", "1 cycle", "cycle eps"])
+def test_parse_plan_rejects(tokens):
+    with pytest.raises(ValueError):
+        parse_plan(tokens.split())

@@ -7,6 +7,8 @@ from baire.streams import (
     FunctionStream,
     NeedMoreFuel,
     PlanStream,
+    WORD_EDGE,
+    WordStream,
     ZEROS,
     cantor_pair,
     cantor_unpair,
@@ -14,6 +16,7 @@ from baire.streams import (
     interleave_word,
     pair_stream,
     project,
+    read_prefix,
     tuple_countable,
     unpair_stream,
     word_sup,
@@ -216,3 +219,22 @@ def test_determined_prefix_stops_cleanly(budget):
     got = s.determined_prefix(40, Fuel(budget))
     full = pair_stream(seeded_stream(9), seeded_stream(10)).prefix(40)
     assert got == full[: len(got)]
+
+
+# --- the budgeted-prefix reader ------------------------------------------------------
+
+
+def test_read_prefix_stop_signals():
+    edge = WordStream((4, 5, 6))
+    assert read_prefix(edge, 10, Fuel(100), (WORD_EDGE,)) == (4, 5, 6)
+    assert read_prefix(edge, None, Fuel(100), None) == (4, 5, 6)
+    with pytest.raises(NeedMoreFuel):
+        read_prefix(edge, 10, Fuel(100), ())  # strict: the edge propagates
+    assert read_prefix((1, 2, 3), 2, Fuel(0), ()) == (1, 2)  # words truncate
+
+    tank = Fuel(3)
+    assert read_prefix(seeded_stream(4), 10, tank, (tank,)) == seeded_stream(4).prefix(3)
+    outer = Fuel(3)
+    with pytest.raises(NeedMoreFuel) as info:
+        read_prefix(seeded_stream(4), 10, Fuel(100, parent=outer), (WORD_EDGE,))
+    assert info.value.tank is outer  # a signal not in `stop` propagates
