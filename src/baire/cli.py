@@ -48,6 +48,18 @@ class CliError(Exception):
     pass
 
 
+# loop kinds with per-step problem instances, the ones limsim can simulate
+INSTANCE_LOOP_KINDS = ("llpo-loop", "cn-loop", "id-loop", "limnat-loop")
+
+
+def natural(text: str) -> int:
+    """argparse type of the numeric flags: negative values are usage errors.
+
+    A named wrapper, so argparse reports "invalid natural value".
+    """
+    return parse_natural(text)
+
+
 def parse_input_spec(tokens) -> PlanStream:
     """Literal prefix plus a tail rule: `zeros` or `cycle w`."""
     try:
@@ -243,14 +255,10 @@ def parse_loop_file(text: str) -> LoopInstance:
     steps = params.get("steps", 5)
     if kind == "countdown":
         return countdown_loop(params.get("n", 3), seed)
-    if kind == "llpo-loop":
-        return problem_loop("llpo", seed, steps)
-    if kind == "cn-loop":
-        return problem_loop("cn", seed, steps)
-    if kind == "id-loop":
-        return problem_loop("id", seed, steps)
     if kind == "limnat-loop":
         return limnat_loop(seed, steps)
+    if kind in INSTANCE_LOOP_KINDS:
+        return problem_loop(kind[: -len("-loop")], seed, steps)
     raise ValueError(f"unknown loop kind: {kind}")
 
 
@@ -312,6 +320,8 @@ def cmd_check(args, cfg: Config, out) -> int:
     kwargs = {}
     if cfg.seeds is not None:
         kwargs["seeds"] = cfg.seeds
+    if hasattr(args, "depth"):  # given; otherwise each entry keeps its own default
+        kwargs["depth"] = cfg.depth
     report = entry.run_check(**kwargs)
     for line in report.lines():
         emit(out, line)
@@ -324,6 +334,11 @@ def cmd_check(args, cfg: Config, out) -> int:
 
 def cmd_limsim(args, cfg: Config, out) -> int:
     loop = read_file(args.instance, parse_loop_file, "instance")
+    if loop.oracle.instance_at is None:
+        raise CliError(
+            f"{args.instance}: limsim needs a loop with per-step instances"
+            f" ({', '.join(INSTANCE_LOOP_KINDS)})"
+        )
     result = simulate_limit_machine(loop, min(cfg.steps, loop.steps), scan_depth=cfg.depth)
     for line in result.trace_lines():
         emit(out, line)
@@ -346,17 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     # keeps an unset subcommand-level flag from shadowing a set global one
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--depth", type=int, default=argparse.SUPPRESS, help="output indices to determine"
+        "--depth", type=natural, default=argparse.SUPPRESS, help="output indices to determine"
     )
     common.add_argument(
-        "--fuel", type=int, default=argparse.SUPPRESS, help="step ceiling per query"
+        "--fuel", type=natural, default=argparse.SUPPRESS, help="step ceiling per query"
     )
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=natural, default=argparse.SUPPRESS)
     common.add_argument(
-        "--steps", type=int, default=argparse.SUPPRESS, help="loop step ceiling"
+        "--steps", type=natural, default=argparse.SUPPRESS, help="loop step ceiling"
     )
     common.add_argument(
-        "--seeds", type=int, default=argparse.SUPPRESS, help="suite size for check"
+        "--seeds", type=natural, default=argparse.SUPPRESS, help="suite size for check"
     )
     common.add_argument("--strict", action="store_true", default=argparse.SUPPRESS)
     common.add_argument(
@@ -383,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loop = sub.add_parser("loop", help="run a loop operator on an instance file", parents=[common])
     p_loop.add_argument("op", choices=("power", "star", "omega", "diamond", "infty"))
     p_loop.add_argument("instance")
-    p_loop.add_argument("--n", type=int, default=None)
+    p_loop.add_argument("--n", type=natural, default=None)
     p_loop.add_argument("--validate", action="store_true")
 
     p_check = sub.add_parser("check", help="verify a registered witness", parents=[common])

@@ -13,6 +13,13 @@ while-loop classifier (0 = done).  The operators here package that step:
     diamond          iterate until the success flag drops to 0
     inverse_limit    iterate forever, streaming every intermediate state
 
+The inverse limit is the loop that calls one fixed step forever, and the
+finite operators are prefixes or short chains of that same step, so each
+job has one implementation: `LoopStates` is the one loop driver (run_loop,
+diamond, inverse_limit and parallel_inverse_limit read their states off
+it), `_chain_uses` is the one use-chain (comp_product and power_n), and
+`chain_program` is the one program-chain builder.
+
 Runs carry provenance (which step answered what) and are classified as
 successful / stalled / undetermined at an explicit budget; the generic
 validator re-derives every step through the machine or decode face of the
@@ -183,11 +190,12 @@ class _ProgramStep:
 
 def chain_program(
     flags,
-    data_streams,
+    data_streams: Optional[Callable[[int], Stream]] = None,
     label: str = "chain",
     pad_answers: bool = False,
 ) -> ProgramName:
-    """Program chain: level i signals flags[i] and hands out data_streams[i+1].
+    """The one program-chain builder: level i signals flags[i] and hands out
+    data_streams(i+1), or the answer itself when `data_streams` is None.
 
     Levels beyond the given flags keep the last flag.  With `pad_answers`,
     each successor's head carries the previous answer in a dummy block
@@ -199,52 +207,29 @@ def chain_program(
 
     def level(i: int, pad: Word = ()) -> ProgramName:
         key = (i, pad)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        flag = flags[min(i, len(flags) - 1)]
+        if key in memo:
+            return memo[key]
 
-        def next_program(head, _i=i):
-            extra = ()
-            if pad_answers and head is not None:
-                extra = (1,) + (0,) * head + (1,)
-            return level(_i + 1, extra)
+        def next_program(head):
+            extra = (1,) + (0,) * head + (1,) if head is not None else ()
+            return level(i + 1, extra)
 
         next_program.reads_answer = pad_answers
-
-        def data(answer, _i=i):
-            return data_streams(_i + 1)
-
-        def data_word(y, fuel, _i=i):
-            return data_streams(_i + 1).prefix(len(y), fuel)
-
-        prog = ProgramName(flag, next_program, data, data_word, f"{label}[{i}]", pad)
-        memo[key] = prog
-        return prog
+        if data_streams is None:
+            data, data_word = (lambda answer: answer), (lambda y, fuel: y)
+        else:
+            data = lambda answer: data_streams(i + 1)
+            data_word = lambda y, fuel: data_streams(i + 1).prefix(len(y), fuel)
+        flag = flags[min(i, len(flags) - 1)]
+        memo[key] = ProgramName(flag, next_program, data, data_word, f"{label}[{i}]", pad)
+        return memo[key]
 
     return level(0)
 
 
 def pass_through_program(flags, label: str = "pass") -> ProgramName:
     """Program chain whose data part is the answer itself."""
-    flags = list(flags)
-    memo = {}
-
-    def level(i: int) -> ProgramName:
-        if i in memo:
-            return memo[i]
-        flag = flags[min(i, len(flags) - 1)]
-        prog = ProgramName(
-            flag,
-            lambda head, _i=i: level(_i + 1),
-            lambda answer: answer,
-            lambda y, fuel: y,
-            f"{label}[{i}]",
-        )
-        memo[i] = prog
-        return prog
-
-    return level(0)
+    return chain_program(flags, None, label)
 
 
 def countdown_program(n: int) -> ProgramName:
@@ -298,13 +283,7 @@ def loop_step(state: Stream, oracle: StepOracle, i: int) -> tuple:
 
 
 def run_loop(q0: Stream, oracle: StepOracle, steps: int) -> Run:
-    states = [q0]
-    records = []
-    for i in range(steps):
-        nxt, rec = loop_step(states[-1], oracle, i)
-        states.append(nxt)
-        records.append(rec)
-    return Run(states, records)
+    return LoopStates(q0, oracle).run(steps)
 
 
 def classify_run(run: Run, budget: int = 100_000) -> RunClass:
@@ -392,14 +371,24 @@ def parallelize(solve: Callable[[Instance], Stream], instances) -> Stream:
     if not callable(instances):
         table = list(instances)
         instances = lambda i: table[i % len(table)]
-    memo = {}
+    return tuple_countable(lambda i: solve(instances(i)))
 
-    def component(i):
-        if i not in memo:
-            memo[i] = solve(instances(i))
-        return memo[i]
 
-    return tuple_countable(component)
+def _chain_uses(oracles, state: Stream):
+    """The one use-chain: answer with the first oracle, then one universal
+    step before each later use.
+
+    Returns (<last program, last answer>, records); no oracles leave the
+    state as it is.
+    """
+    records = []
+    for i, oracle in enumerate(oracles):
+        program, data = unpair_stream(eval_stream(program, answer) if i else state)
+        answer = oracle.answer(data, i)
+        records.append(StepRecord(i, oracle.label))
+    if not records:
+        return state, records
+    return pair_stream(program, answer), records
 
 
 def comp_product(f_oracle: StepOracle, g_oracle: StepOracle, state: Stream):
@@ -407,31 +396,13 @@ def comp_product(f_oracle: StepOracle, g_oracle: StepOracle, state: Stream):
 
     Returns (output state <program', f-answer>, records).
     """
-    program, data = unpair_stream(state)
-    y_g = g_oracle.answer(data, 0)
-    mid = eval_stream(program, y_g)
-    program2, data2 = unpair_stream(mid)
-    y_f = f_oracle.answer(data2, 1)
-    records = [StepRecord(0, g_oracle.label), StepRecord(1, f_oracle.label)]
-    return pair_stream(program2, y_f), records
+    return _chain_uses((g_oracle, f_oracle), state)
 
 
 def power_n(oracle: StepOracle, n: int, state: Stream):
     """Exactly n chained uses of the problem (no universal step before the
     first use, one between consecutive uses)."""
-    records = []
-    if n == 0:
-        return state, records
-    program, data = unpair_stream(state)
-    out = pair_stream(program, oracle.answer(data, 0))
-    records.append(StepRecord(0, oracle.label))
-    for i in range(1, n):
-        program, answer = unpair_stream(out)
-        mid = eval_stream(program, answer)
-        program2, data2 = unpair_stream(mid)
-        out = pair_stream(program2, oracle.answer(data2, i))
-        records.append(StepRecord(i, oracle.label))
-    return out, records
+    return _chain_uses((oracle,) * n, state)
 
 
 class TaggedStream(Stream):
@@ -461,41 +432,34 @@ def star(oracle: StepOracle, tagged_input: Stream, fuel: FuelLike = None):
 
 def omega(oracle: StepOracle, state: Stream) -> Stream:
     """All powers on a shared input, tuple-coded: component n is power n."""
-    memo = {}
-
-    def component(n):
-        if n not in memo:
-            memo[n] = power_n(oracle, n, state)[0]
-        return memo[n]
-
-    return tuple_countable(component)
+    # kept apart from LoopStates: omega answers each power independently,
+    # so every component runs its own chain
+    return tuple_countable(lambda n: power_n(oracle, n, state)[0])
 
 
 def diamond(oracle: StepOracle, q0: Stream, step_ceiling: int = 8, budget: int = 200_000):
-    """Iterate until the success flag hits 0; return (answer, run, class)."""
-    states = [q0]
-    records = []
-    fuel_per_head = budget
+    """Iterate until the success flag hits 0; return (answer, run, class).
+
+    State i+1 is built only after head i reads nonzero.
+    """
+    loop = LoopStates(q0, oracle)
     for i in range(step_ceiling + 1):
         try:
-            head = states[i].at(0, Fuel(fuel_per_head))
+            head = loop.state(i).at(0, Fuel(budget))
         except NeedMoreFuel:
-            run = Run(states, records)
-            return None, run, classify_run(run, fuel_per_head)
-        if head == 0:
-            run = Run(states, records)
-            return states[i], run, RunClass("successful", i)
-        if i == step_ceiling:
             break
-        nxt, rec = loop_step(states[i], oracle, i)
-        states.append(nxt)
-        records.append(rec)
-    run = Run(states, records)
-    return None, run, classify_run(run, fuel_per_head)
+        if head == 0:
+            return loop.state(i), loop.run(i), RunClass("successful", i)
+    run = loop.run(len(loop.states) - 1)
+    return None, run, classify_run(run, budget)
 
 
 class LoopStates:
-    """Lazily extended state sequence of an infinite loop."""
+    """The one loop driver: the lazily extended state sequence of a loop.
+
+    State i+1 is `loop_step` of state i, computed on first demand; `run`
+    freezes a finite prefix with its step records.
+    """
 
     def __init__(self, q0: Stream, oracle: StepOracle):
         self.states = [q0]
@@ -699,6 +663,7 @@ def run_lifted_loop(
     translated states against the generic face and the extracted originals
     against the reference run.
     """
+    # kept apart from LoopStates: the original and translated runs grow in step
     x = f_loop.q0
     states = [lift.k_map(x)]
     originals = [x]
@@ -779,6 +744,7 @@ def omega_via_inverse_limit(step_machine: WordMachine, q0: Stream, steps: int):
         return interleave_word(k1a, b)
 
     R = injective_recursion(tagging_step, "omega-tag")
+    # kept apart from LoopStates: each step threads a power's tag into the next program
     q_prog, p_data = unpair_stream(q0)
     x = pair_stream(pair_stream(ZEROS, ZEROS), q_prog)
     states = [pair_stream(R.apply(x), p_data)]
@@ -841,7 +807,6 @@ class PaddingProgram(ProgramName):
 def diamond_via_inverse_limit(
     loop: LoopInstance,
     designated: Instance,
-    designated_answer: Callable[[Stream, int], Stream],
     step_ceiling: int = 8,
     budget: int = 200_000,
 ):
@@ -852,6 +817,7 @@ def diamond_via_inverse_limit(
     component of the resulting state stream is the while-loop's answer.
     Returns (answer state, run, phase records).
     """
+    # kept apart from LoopStates: after success the program switches to padding
     pad = PaddingProgram(designated.public_name)
     states = [loop.q0]
     phases = []

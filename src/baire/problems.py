@@ -438,7 +438,8 @@ def parse_plan(tokens) -> PlanStream:
     """The plan syntax: literal prefix, then `zeros` or `cycle w`.
 
     The prefix is naturals, with `eps` standing for the empty word; the
-    cycled word w must be nonempty.  Raises ValueError on anything else.
+    cycled word w must be nonempty and `zeros` ends the plan.  Raises
+    ValueError on anything else.
     """
     tokens = list(tokens)
     tails = [i for i, tok in enumerate(tokens) if tok in ("zeros", "cycle")]
@@ -447,6 +448,8 @@ def parse_plan(tokens) -> PlanStream:
     i = tails[0]
     head = parse_word_text(" ".join(tok for tok in tokens[:i] if tok != "eps"))
     if tokens[i] == "zeros":
+        if tokens[i + 1 :]:
+            raise ValueError(f"`zeros` ends the plan; unexpected {' '.join(tokens[i + 1 :])}")
         return PlanStream(head, ("zeros",))
     return PlanStream(head, ("cycle", parse_word_text(" ".join(tokens[i + 1 :]))))
 

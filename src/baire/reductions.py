@@ -10,7 +10,9 @@ The same harness drives loop-level witnesses (where the target is run as
 an infinite loop), nondeterministic computations with advice (a guessing
 solver plus a Sierpinski-valued advice checker), their lift from one step
 to whole loops, and the mind-change simulation that computes eventual-value
-loops on a guess-and-restart machine.
+loops on a guess-and-restart machine.  Every suite runs on one seeded-suite
+driver, `run_suite`: a fresh tank per seed, a per-seed judge, and the tank's
+spending added to the report whatever the verdict.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ DISCLAIMER = (
     "zero refutations at finite depth is monotone evidence, never a proof; "
     "a refutation is conclusive"
 )
+ADVICE_DISCLAIMER = (
+    DISCLAIMER + "; helpfulness checked on supplied advice, rejection up to depth"
+)
 
 
 @dataclass
@@ -114,6 +119,29 @@ class CheckReport:
         return "\n".join(self.lines())
 
 
+def run_suite(
+    label: str,
+    depth: int,
+    seeds: int,
+    budget: int,
+    judge: Callable[[int, Fuel], tuple],
+    disclaimer: str = DISCLAIMER,
+) -> CheckReport:
+    """The one seeded-suite driver.
+
+    Each seed gets a fresh tank of `budget` steps; `judge(seed, tank)`
+    returns (verdict, detail), and the tank's spending is added to the
+    report whatever the verdict, so refuted seeds count their fuel too.
+    """
+    report = CheckReport(label, depth, disclaimer=disclaimer)
+    for seed in range(seeds):
+        tank = Fuel(budget)
+        verdict, detail = judge(seed, tank)
+        report.add(seed, verdict, detail)
+        report.fuel_spent += tank.spent
+    return report
+
+
 # ---------------------------------------------------------------------------
 # one-step reduction witnesses
 
@@ -137,36 +165,23 @@ class ReductionWitness:
     translate: Optional[Callable[[Instance, Stream], Instance]] = None
 
 
-def check_reduction(
-    witness: ReductionWitness,
-    seeds: int = 50,
-    depth: int = 32,
-    fuel: FuelLike = None,
-    prefix_len: int = 8,
-) -> CheckReport:
+def check_reduction(witness: ReductionWitness, seeds: int = 50, depth: int = 32) -> CheckReport:
     """Run a witness over seeded instances and judge with the f-checker."""
     if witness.translate is None:
         raise ValueError(f"witness {witness.label} has no instance translation")
     f_problem = get_problem(witness.f_name)
     g_realizer = get_realizer(witness.g_name)
-    report = CheckReport(witness.label, depth)
-    for seed in range(seeds):
-        tank = Fuel(10**6) if fuel is None else as_fuel(fuel)
+
+    def judge(seed, tank):
         inst = f_problem.generate(seed)
         k_out = MachineStream(witness.K, inst.public_name)
-        g_inst = witness.translate(inst, k_out)
-        answer = g_realizer.solve(g_inst)
-        if witness.strong:
-            h_in = answer
-        else:
-            h_in = pair_stream(inst.public_name, answer)
-        out = MachineStream(witness.H, h_in)
-        got = out.determined_prefix(prefix_len, tank)
+        answer = g_realizer.solve(witness.translate(inst, k_out))
+        h_in = answer if witness.strong else pair_stream(inst.public_name, answer)
+        got = MachineStream(witness.H, h_in).determined_prefix(8, tank)
         verdict = f_problem.check_solution(inst, got, depth)
-        detail = "" if verdict != REFUTED else f"output {list(got)}"
-        report.add(seed, verdict, detail)
-        report.fuel_spent += tank.spent
-    return report
+        return verdict, (f"output {list(got)}" if verdict == REFUTED else "")
+
+    return run_suite(witness.label, depth, seeds, 10**6, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -214,36 +229,30 @@ def check_lifted_reduction(
     """Verify a loop-to-loop witness: run the translated loop, extract the
     original run from the program parts, and validate it step by step."""
     g_realizer = get_realizer(g_name)
-    base_problem = get_problem(make_loop(0).base_problem)
-    report = CheckReport(lift.label, depth)
-    for seed in range(seeds):
+
+    def judge(seed, tank):
         loop = make_loop(seed)
 
         def g_answer(data, i):
             return g_realizer.solve(translate_step(loop.step_instance(i), data))
 
-        translated, originals = run_lifted_loop(lift, loop, g_answer, steps)
-        reference = run_loop(make_loop(seed).q0, make_loop(seed).oracle, steps)
-        verdict = CONSISTENT
+        translated, _ = run_lifted_loop(lift, loop, g_answer, steps)
+        # a fresh loop: sharing the translated run's caches would lower the fuel
+        fresh = make_loop(seed)
+        reference = run_loop(fresh.q0, fresh.oracle, steps)
         compared = 0
-        budget = Fuel(4_000_000)
         try:
             for i in range(steps + 1):
                 extracted = lift.h_components([translated.states[i]])[0]
-                step_verdict, short = check_step(
-                    extracted, reference.states[i], depth, budget, budget
-                )
-                if step_verdict == REFUTED:
-                    verdict = REFUTED
-                    break
+                verdict, short = check_step(extracted, reference.states[i], depth, tank, tank)
+                if verdict == REFUTED:
+                    return REFUTED, ""
                 compared += short
         except NeedMoreFuel:
-            verdict = UNDETERMINED
-        if verdict == CONSISTENT and compared == 0:
-            verdict = UNDETERMINED
-        report.add(seed, verdict)
-        report.fuel_spent += budget.spent
-    return report
+            return UNDETERMINED, ""
+        return (CONSISTENT if compared else UNDETERMINED), ""
+
+    return run_suite(lift.label, depth, seeds, 4_000_000, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +274,13 @@ class NonDetWitness:
 
     F2's output stays zero exactly while the advice keeps looking helpful;
     whenever it stays zero through the whole depth, F1's output must pass
-    the problem's checker.  The unique variant has one helpful advice.
+    the problem's checker.
     """
 
     label: str
     F1: Callable[[Stream, Stream], Stream]
     F2: Callable[[Stream, Stream], Stream]
     advice: AdviceSpace
-    unique: bool = False
 
 
 def nonzero_within(stream: Stream, depth: int, fuel: Fuel) -> Optional[int]:
@@ -303,23 +311,17 @@ def check_nondet(
     and condition two only up to the depth.
     """
     problem = get_problem(problem_name)
-    report = CheckReport(witness.label, depth)
-    report.disclaimer = (
-        DISCLAIMER + "; helpfulness checked on supplied advice, rejection up to depth"
-    )
-    for seed in range(seeds):
-        tank = Fuel(2_000_000)
+
+    def judge(seed, tank):
         inst = problem.generate(seed)
         r = witness.advice.helpful(inst)
         flagged = nonzero_within(witness.F2(inst.public_name, r), depth, tank)
         if flagged is not None:
-            report.add(seed, REFUTED, f"helpful advice flagged at {flagged}")
-            continue
+            return REFUTED, f"helpful advice flagged at {flagged}"
         got = witness.F1(inst.public_name, r).determined_prefix(6, tank)
         verdict = problem.check_solution(inst, got, depth)
         if verdict == REFUTED:
-            report.add(seed, REFUTED, "helpful advice, refuted output")
-            continue
+            return REFUTED, "helpful advice, refuted output"
         detail = ""
         for j in range(adversarial):
             r_bad = witness.advice.sample(seed * 31 + j)
@@ -329,12 +331,10 @@ def check_nondet(
                 continue  # recorded, not a failure
             got_bad = witness.F1(inst.public_name, r_bad).determined_prefix(6, tank)
             if problem.check_solution(inst, got_bad, depth) == REFUTED:
-                verdict = REFUTED
-                detail = "unflagged sample gave refuted output"
-                break
-        report.add(seed, verdict, detail)
-        report.fuel_spent += tank.spent
-    return report
+                return REFUTED, "unflagged sample gave refuted output"
+        return verdict, detail
+
+    return run_suite(witness.label, depth, seeds, 2_000_000, judge, ADVICE_DISCLAIMER)
 
 
 def c2_nondet_witness() -> NonDetWitness:
@@ -513,41 +513,31 @@ def check_loop_nondet(
     """
     space = loop_advice_space(lifted.base)
     base_problem = get_problem(make_loop(0).base_problem)
-    report = CheckReport(lifted.label, depth)
-    report.disclaimer = (
-        DISCLAIMER + "; helpfulness checked on supplied advice, rejection up to depth"
-    )
-    for seed in range(seeds):
+
+    def judge(seed, tank):
         loop = make_loop(seed)
         advice = space.helpful(loop)
-        g2 = lifted.g2(loop.q0, advice)
-        tank = Fuel(6_000_000)
-        flagged = nonzero_within(g2, depth, tank)
+        flagged = nonzero_within(lifted.g2(loop.q0, advice), depth, tank)
         if flagged is not None:
-            report.add(seed, REFUTED, f"helpful advice flagged at {flagged}")
-            continue
+            return REFUTED, f"helpful advice flagged at {flagged}"
         _, run_handle, oracle = lifted.g1(loop.q0, advice)
-        run = run_handle.run(steps)
-        verdict = check_loop_run(run, loop.step_instance, base_problem, 5)
-        if sorted(set(oracle.consulted)) != list(range(steps)):
-            verdict = REFUTED
+        verdict = check_loop_run(run_handle.run(steps), loop.step_instance, base_problem, 5)
+        if verdict == REFUTED or sorted(set(oracle.consulted)) != list(range(steps)):
+            return REFUTED, ""
         detail = ""
-        if verdict != REFUTED:
-            for j in range(adversarial):
-                bad = space.sample(loop, seed * 13 + j)
-                flagged = nonzero_within(lifted.g2(loop.q0, bad), depth, tank)
-                if flagged is not None:
-                    detail = f"sample flagged at {flagged}"
-                    continue
-                _, bad_handle, _ = lifted.g1(loop.q0, bad)
-                bad_run = bad_handle.run(steps)
-                if check_loop_run(bad_run, loop.step_instance, base_problem, 5) == REFUTED:
-                    verdict = REFUTED
-                    detail = "unflagged advice gave an invalid run"
-                    break
-        report.add(seed, verdict, detail)
-        report.fuel_spent += tank.spent
-    return report
+        for j in range(adversarial):
+            bad = space.sample(loop, seed * 13 + j)
+            flagged = nonzero_within(lifted.g2(loop.q0, bad), depth, tank)
+            if flagged is not None:
+                detail = f"sample flagged at {flagged}"
+                continue
+            _, bad_handle, _ = lifted.g1(loop.q0, bad)
+            bad_run = bad_handle.run(steps)
+            if check_loop_run(bad_run, loop.step_instance, base_problem, 5) == REFUTED:
+                return REFUTED, "unflagged advice gave an invalid run"
+        return verdict, detail
+
+    return run_suite(lifted.label, depth, seeds, 6_000_000, judge, ADVICE_DISCLAIMER)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +565,7 @@ def simulate_limit_machine(
     loop: LoopInstance,
     steps: Optional[int] = None,
     scan_depth: int = 24,
-    budget: int = 4_000_000,
+    budget: FuelLike = 4_000_000,
 ) -> SimulationResult:
     """Run an eventual-value loop by guessing each level's limit.
 
@@ -583,11 +573,13 @@ def simulate_limit_machine(
     states are computed from the guesses and thrown away whenever an
     upstream level changes its mind.  With finitely many changes the
     guesses stabilize and the final run validates like an oracle run.
+    `budget` is a step count or the tank to run under.
     """
     from .machine import eval_stream
 
+    # kept apart from LoopStates: a revised guess throws downstream states away
     steps = loop.steps if steps is None else steps
-    fuel = Fuel(budget)
+    fuel = as_fuel(budget)
     problem = get_problem(loop.base_problem)
     states = [loop.q0]
     guesses: List[list] = []  # per level: [value, scanned-upto]
@@ -744,20 +736,18 @@ def _translate_llpo_step_to_cn(inst: Instance, data: Stream) -> Instance:
 
 
 def simulation_report(seeds: int = 100, depth: int = 24, steps: int = 5) -> CheckReport:
-    """Suite driver for the mind-change simulation over seeded loops."""
-    report = CheckReport("cn-loop-limsim", depth)
-    for seed in range(seeds):
+    """The mind-change simulation over seeded loops, each under the seed's tank."""
+
+    def judge(seed, tank):
         loop = limnat_loop(seed, steps)
-        result = simulate_limit_machine(loop, steps, scan_depth=depth)
-        budget_ok = result.restarts <= loop.meta["total_changes"]
+        result = simulate_limit_machine(loop, steps, scan_depth=depth, budget=tank)
         if not result.stabilized:
-            report.add(seed, UNDETERMINED, "budget exhausted")
-        elif result.verdict == REFUTED or not budget_ok:
-            report.add(seed, REFUTED, f"restarts {result.restarts}")
-        else:
-            report.add(seed, result.verdict, f"restarts {result.restarts}")
-        report.fuel_spent += result.fuel_spent
-    return report
+            return UNDETERMINED, "budget exhausted"
+        if result.verdict == REFUTED or result.restarts > loop.meta["total_changes"]:
+            return REFUTED, f"restarts {result.restarts}"
+        return result.verdict, f"restarts {result.restarts}"
+
+    return run_suite("cn-loop-limsim", depth, seeds, 4_000_000, judge)
 
 
 # ---------------------------------------------------------------------------

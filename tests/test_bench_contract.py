@@ -5,15 +5,21 @@ METHODS and COUNTED, and also patches `get_problem`, `get_realizer` and
 `Fuel.__init__`.  A rename in the library would make `--trace 1` die with an
 AttributeError, so this test reads those tables (parsing the file, never
 importing or writing anything under bench/) and looks every name up.
+
+The workloads and the runner call library functions directly; every such
+`<baire module>.<name>(...)` call must still bind to the name's signature,
+or a benchmark run dies with a TypeError.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _tables():
@@ -52,3 +58,50 @@ def test_patched_method_exists(mod, cls, method):
     owner = getattr(importlib.import_module(mod), cls)
     assert isinstance(owner, type)
     assert callable(getattr(owner, method))
+
+
+def _library_calls():
+    """(file:line, module, name, positional count, keyword names) per call."""
+    calls = []
+    for path in (BENCH / "workloads.py", BENCH / "run.py"):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name: f"baire.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "baire"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+                # *args and **kwargs calls have no fixed shape to bind
+                and not any(isinstance(a, ast.Starred) for a in node.args)
+                and all(k.arg for k in node.keywords)
+            ):
+                calls.append(
+                    (
+                        f"{path.name}:{node.lineno}",
+                        modules[func.value.id],
+                        func.attr,
+                        len(node.args),
+                        tuple(k.arg for k in node.keywords),
+                    )
+                )
+    return calls
+
+
+CALLS = _library_calls()
+
+
+def test_library_calls_found():
+    assert len(CALLS) >= 70
+
+
+@pytest.mark.parametrize("where, mod, name, positional, keywords", CALLS)
+def test_library_call_binds(where, mod, name, positional, keywords):
+    target = getattr(importlib.import_module(mod), name)
+    inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))

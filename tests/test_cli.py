@@ -78,6 +78,7 @@ def test_eval_malformed_machine_names_line(tmp_path):
         ["-3", "zeros"],  # used to read (-3, 0, ...): -3 encodes as an entry marker
         ["1", "cycle", "-2"],
         ["1", "2"],
+        ["1", "zeros", "9", "9"],  # the tokens after `zeros` used to be dropped
     ],
 )
 def test_eval_rejects_bad_input_spec(identity_machine_file, spec):
@@ -294,9 +295,43 @@ def test_limsim_deterministic(limnat_loop_file):
     assert run_cli("limsim", limnat_loop_file) == run_cli("limsim", limnat_loop_file)
 
 
+def test_limsim_rejects_loop_without_step_instances(countdown_file):
+    code, text = run_cli("limsim", countdown_file)
+    assert code == 2
+    assert text.startswith("error: ")
+    assert "llpo-loop, cn-loop, id-loop, limnat-loop" in text
+
+
 # --- exit code plumbing ---------------------------------------------------------------
 
 
 def test_usage_error_exits_two():
     code, _ = run_cli("loop", "diamond", "/nonexistent/file.loop")
     assert code == 2
+
+
+@pytest.mark.parametrize("before_command", [True, False])
+@pytest.mark.parametrize("flag", ["--depth", "--fuel", "--seed", "--steps", "--seeds"])
+def test_negative_numeric_flag_exits_two(flag, before_command):
+    # `--depth -1` used to be accepted and print "(nothing determined)"
+    argv = (flag, "-1", "check", "llpo-id") if before_command else ("check", "llpo-id", flag, "-1")
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text == ""
+
+
+def test_negative_power_count_exits_two(countdown_file):
+    code, _ = run_cli("loop", "power", countdown_file, "--n", "-1")
+    assert code == 2
+
+
+def test_check_honours_depth():
+    code, text = run_cli("--seeds", "2", "--depth", "5", "check", "llpo-id")
+    assert code == 0
+    assert "check llpo-id seed 0 depth 5 verdict" in text
+
+
+def test_check_keeps_entry_default_depth():
+    # llpo-id defaults to depth 32, c2-cn-loop-lift to depth 5
+    assert "seed 0 depth 32 " in run_cli("--seeds", "1", "check", "llpo-id")[1]
+    assert "seed 0 depth 5 " in run_cli("--seeds", "1", "check", "c2-cn-loop-lift")[1]

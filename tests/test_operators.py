@@ -381,9 +381,7 @@ def test_diamond_padding_matches_diamond():
     loop = countdown_loop(n)
     direct_answer, _, cls = diamond(countdown_loop(n).oracle, countdown_loop(n).q0, step_ceiling=8)
     designated = get_problem("id").generate(0)
-    answer, run, phases = diamond_via_inverse_limit(
-        loop, designated, lambda d, i: d, step_ceiling=8
-    )
+    answer, run, phases = diamond_via_inverse_limit(loop, designated, step_ceiling=8)
     assert cls.kind == "successful" and cls.index == n
     assert det(answer, 6) == det(direct_answer, 6)
     assert phases[:n] == ["live"] * n

@@ -346,7 +346,9 @@ def test_parse_plan_accepts(tokens, head, tail):
     assert (plan.head, plan.tail) == (head, tail)
 
 
-@pytest.mark.parametrize("tokens", ["1 2", "-3 zeros", "1 cycle x", "1 cycle", "cycle eps"])
+@pytest.mark.parametrize(
+    "tokens", ["1 2", "-3 zeros", "1 cycle x", "1 cycle", "cycle eps", "1 zeros 9 9", "zeros zeros"]
+)
 def test_parse_plan_rejects(tokens):
     with pytest.raises(ValueError):
         parse_plan(tokens.split())

@@ -1,5 +1,6 @@
 import pytest
 
+from baire.machine import MachineStream, pure_machine
 from baire.operators import limnat_loop, problem_loop
 from baire.problems import CONSISTENT, REFUTED, UNDETERMINED, get_problem
 from baire.reductions import (
@@ -16,6 +17,7 @@ from baire.reductions import (
     limnat_to_lim_witness,
     llpo_to_cantor_witness,
     loop_advice_space,
+    NonDetWitness,
     nondet_lift_inverse_limit,
     nonzero_within,
     simulate_limit_machine,
@@ -24,7 +26,7 @@ from baire.reductions import (
     _translate_llpo_step_to_cn,
 )
 from baire.problems import value_stream
-from baire.streams import Fuel, ZEROS, tuple_countable
+from baire.streams import Fuel, ZEROS, pair_stream, tuple_countable
 
 
 # --- one-step reductions --------------------------------------------------------
@@ -114,6 +116,16 @@ def test_broken_nondet_refuted_under_helpful_advice():
     assert len(refuted & set(applicable)) >= 0.9 * len(applicable)
 
 
+def test_refuted_nondet_seeds_count_their_fuel():
+    # a refuted seed k must add its tank's spending between seeds=k and seeds=k+1
+    fuel = [check_nondet(broken_c2_nondet_witness(), "llpo", seeds=k).fuel_spent for k in range(6)]
+    report = check_nondet(broken_c2_nondet_witness(), "llpo", seeds=5)
+    refuted = [seed for seed, verdict, _ in report.records if verdict == REFUTED]
+    assert refuted
+    for k in refuted:
+        assert fuel[k + 1] > fuel[k], k
+
+
 # --- the lifted nondeterministic witness -----------------------------------------------
 
 
@@ -179,6 +191,23 @@ def test_lifted_nondet_consults_each_component_once():
     _, handle, oracle = lifted.g1(loop.q0, advice)
     handle.run(5)
     assert oracle.consulted == [0, 1, 2, 3, 4]
+
+
+def test_refuted_loop_nondet_seeds_count_their_fuel():
+    good = c2_nondet_witness()
+    always = pure_machine(lambda w: (1,) * (len(w) // 2), "always-flag")
+    base = NonDetWitness(
+        "flag-all", good.F1, lambda p, r: MachineStream(always, pair_stream(p, r)), good.advice
+    )
+    report = check_loop_nondet(
+        nondet_lift_inverse_limit(base, "flag-all-loop"),
+        lambda s: problem_loop("llpo", s, 5),
+        seeds=3,
+        depth=8,
+        steps=5,
+    )
+    assert report.refutations == 3
+    assert report.fuel_spent > 0
 
 
 # --- the lifted reduction witness ----------------------------------------------------
