@@ -48,8 +48,12 @@ class CliError(Exception):
     pass
 
 
-# loop kinds with per-step problem instances, the ones limsim can simulate
+# loop kinds with per-step problem instances
 INSTANCE_LOOP_KINDS = ("llpo-loop", "cn-loop", "id-loop", "limnat-loop")
+# the one kind limsim runs: its guess-and-restart simulation treats a data
+# stream's eventual value as the step's answer, which only eventual-value
+# loops mean
+LIMSIM_KIND = "limnat-loop"
 
 
 def natural(text: str) -> int:
@@ -254,12 +258,15 @@ def parse_loop_file(text: str) -> LoopInstance:
         raise ValueError("loop file needs a `problem <kind> seed <n>` line")
     steps = params.get("steps", 5)
     if kind == "countdown":
-        return countdown_loop(params.get("n", 3), seed)
-    if kind == "limnat-loop":
-        return limnat_loop(seed, steps)
-    if kind in INSTANCE_LOOP_KINDS:
-        return problem_loop(kind[: -len("-loop")], seed, steps)
-    raise ValueError(f"unknown loop kind: {kind}")
+        loop = countdown_loop(params.get("n", 3), seed)
+    elif kind == "limnat-loop":
+        loop = limnat_loop(seed, steps)
+    elif kind in INSTANCE_LOOP_KINDS:
+        loop = problem_loop(kind[: -len("-loop")], seed, steps)
+    else:
+        raise ValueError(f"unknown loop kind: {kind}")
+    loop.meta["kind"] = kind
+    return loop
 
 
 def cmd_loop(args, cfg: Config, out) -> int:
@@ -320,8 +327,11 @@ def cmd_check(args, cfg: Config, out) -> int:
     kwargs = {}
     if cfg.seeds is not None:
         kwargs["seeds"] = cfg.seeds
-    if hasattr(args, "depth"):  # given; otherwise each entry keeps its own default
+    # given flags only; otherwise each entry keeps its own depth and budget
+    if hasattr(args, "depth"):
         kwargs["depth"] = cfg.depth
+    if hasattr(args, "fuel"):
+        kwargs["budget"] = cfg.fuel
     report = entry.run_check(**kwargs)
     for line in report.lines():
         emit(out, line)
@@ -334,10 +344,10 @@ def cmd_check(args, cfg: Config, out) -> int:
 
 def cmd_limsim(args, cfg: Config, out) -> int:
     loop = read_file(args.instance, parse_loop_file, "instance")
-    if loop.oracle.instance_at is None:
+    if loop.meta["kind"] != LIMSIM_KIND:
         raise CliError(
-            f"{args.instance}: limsim needs a loop with per-step instances"
-            f" ({', '.join(INSTANCE_LOOP_KINDS)})"
+            f"{args.instance}: limsim runs eventual-value loops ({LIMSIM_KIND})"
+            f" only, not {loop.meta['kind']}"
         )
     result = simulate_limit_machine(loop, min(cfg.steps, loop.steps), scan_depth=cfg.depth)
     for line in result.trace_lines():

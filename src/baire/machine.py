@@ -24,7 +24,6 @@ agree on every determined index and the tests exercise both.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -271,21 +270,16 @@ class MachineName(BufferedStream):
         self.entries = None  # explicit finite graph, when known
         self.graph_complete = False
         self._raw_apply = raw_apply or machine.apply
-        self._pending = deque(self.head)
+        self._pending.extend(self.head)
         self._cand = 0
 
-    def _next_block(self, fuel: Fuel) -> None:
+    def _extend(self, fuel: Fuel) -> None:
+        # one round queues the next candidate's block, if its entry is nonempty
         u = candidate_word(self._cand)
         v = self._raw_apply(u, fuel)
         self._cand += 1
         if v:
             self._pending.extend(encode_entry_block(GraphEntry(u, v)))
-
-    def _extend(self, fuel: Fuel) -> None:
-        if self._pending:
-            self._buf.append(self._pending.popleft())
-            return
-        self._next_block(fuel)
 
 
 class ExplicitName(MachineName):
@@ -309,10 +303,7 @@ class ExplicitName(MachineName):
             self._pending.extend(encode_entry_block(e))
 
     def _extend(self, fuel):
-        if self._pending:
-            self._buf.append(self._pending.popleft())
-        else:
-            self._buf.append(0)  # dummy padding; the graph is complete
+        self._buf.append(0)  # dummy padding once the blocks are drained
 
 
 @lru_cache(maxsize=1 << 12)
@@ -445,7 +436,7 @@ class RawEvalStream(BufferedStream):
         self._acc = EntryAccumulator()
         self._name_pos = 0
         self._input = []
-        self._pending = []  # entries whose inputs may still extend the input
+        self._waiting = []  # entries whose inputs may still extend the input
         self._best: Word = ()
 
     def _note(self, entry: GraphEntry) -> None:
@@ -458,28 +449,34 @@ class RawEvalStream(BufferedStream):
             assert joined is not None, "consistency filter violated"
             self._best = joined
         else:
-            self._pending.append(entry)
+            self._waiting.append(entry)
 
     def _grow_input(self, fuel: Fuel) -> None:
         sym = self.source.at(len(self._input), fuel)
         self._input.append(sym)
-        pending, self._pending = self._pending, []
-        for entry in pending:
+        waiting, self._waiting = self._waiting, []
+        for entry in waiting:
             self._note(entry)
 
     def _extend(self, fuel: Fuel) -> None:
-        while self._name_pos >= _raw_schedule(len(self._input)):
-            self._grow_input(fuel)
-        if len(self._best) > len(self._buf):
-            self._buf.extend(self._best[len(self._buf) :])
-            return
-        sym = self.name.at(self._name_pos, fuel)
-        self._name_pos += 1
-        entry = self._acc.feed(sym)
-        if entry is not None:
-            self._note(entry)
-        if len(self._best) > len(self._buf):
-            self._buf.extend(self._best[len(self._buf) :])
+        # runs rounds until one produces; each round after the first is
+        # charged here, as the caller would have charged it
+        buf = self._buf
+        while True:
+            while self._name_pos >= _raw_schedule(len(self._input)):
+                self._grow_input(fuel)
+            if len(self._best) > len(buf):
+                buf.extend(self._best[len(buf) :])
+                return
+            sym = self.name.at(self._name_pos, fuel)
+            self._name_pos += 1
+            entry = self._acc.feed(sym)
+            if entry is not None:
+                self._note(entry)
+                if len(self._best) > len(buf):
+                    buf.extend(self._best[len(buf) :])
+                    return
+            fuel.tick()
 
 
 def eval_stream(name: NameLike, source: Stream) -> Stream:

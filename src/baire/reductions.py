@@ -131,12 +131,18 @@ def run_suite(
 
     Each seed gets a fresh tank of `budget` steps; `judge(seed, tank)`
     returns (verdict, detail), and the tank's spending is added to the
-    report whatever the verdict, so refuted seeds count their fuel too.
+    report whatever the verdict, so refuted seeds count their fuel too.  A
+    judge that runs its tank dry leaves the seed undetermined.
     """
     report = CheckReport(label, depth, disclaimer=disclaimer)
     for seed in range(seeds):
         tank = Fuel(budget)
-        verdict, detail = judge(seed, tank)
+        try:
+            verdict, detail = judge(seed, tank)
+        except NeedMoreFuel as blocked:
+            if blocked.tank is not tank:
+                raise
+            verdict, detail = UNDETERMINED, "budget exhausted"
         report.add(seed, verdict, detail)
         report.fuel_spent += tank.spent
     return report
@@ -165,7 +171,9 @@ class ReductionWitness:
     translate: Optional[Callable[[Instance, Stream], Instance]] = None
 
 
-def check_reduction(witness: ReductionWitness, seeds: int = 50, depth: int = 32) -> CheckReport:
+def check_reduction(
+    witness: ReductionWitness, seeds: int = 50, depth: int = 32, budget: int = 10**6
+) -> CheckReport:
     """Run a witness over seeded instances and judge with the f-checker."""
     if witness.translate is None:
         raise ValueError(f"witness {witness.label} has no instance translation")
@@ -181,7 +189,7 @@ def check_reduction(witness: ReductionWitness, seeds: int = 50, depth: int = 32)
         verdict = f_problem.check_solution(inst, got, depth)
         return verdict, (f"output {list(got)}" if verdict == REFUTED else "")
 
-    return run_suite(witness.label, depth, seeds, 10**6, judge)
+    return run_suite(witness.label, depth, seeds, budget, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +233,7 @@ def check_lifted_reduction(
     seeds: int = 50,
     depth: int = 5,
     steps: int = 5,
+    budget: int = 4_000_000,
 ) -> CheckReport:
     """Verify a loop-to-loop witness: run the translated loop, extract the
     original run from the program parts, and validate it step by step."""
@@ -252,7 +261,7 @@ def check_lifted_reduction(
             return UNDETERMINED, ""
         return (CONSISTENT if compared else UNDETERMINED), ""
 
-    return run_suite(lift.label, depth, seeds, 4_000_000, judge)
+    return run_suite(lift.label, depth, seeds, budget, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +296,15 @@ def nonzero_within(stream: Stream, depth: int, fuel: Fuel) -> Optional[int]:
     """Position of the first nonzero symbol within depth, None if unseen.
 
     Not a read_prefix: the scan must stop at the first nonzero symbol,
-    since reading further would change the fuel the reports print.
+    since reading further would change the fuel the reports print.  Running
+    `fuel` itself dry propagates: a scan cut short by the budget has not
+    seen the depth, so it must not count as unflagged.
     """
     try:
         return sierpinski_value(stream, depth, fuel)[1]
-    except NeedMoreFuel:
+    except NeedMoreFuel as blocked:
+        if blocked.tank is fuel:
+            raise
         return None
 
 
@@ -301,6 +314,7 @@ def check_nondet(
     seeds: int = 200,
     depth: int = 32,
     adversarial: int = 3,
+    budget: int = 2_000_000,
 ) -> CheckReport:
     """One-sided verification of the two advice conditions.
 
@@ -334,7 +348,7 @@ def check_nondet(
                 return REFUTED, "unflagged sample gave refuted output"
         return verdict, detail
 
-    return run_suite(witness.label, depth, seeds, 2_000_000, judge, ADVICE_DISCLAIMER)
+    return run_suite(witness.label, depth, seeds, budget, judge, ADVICE_DISCLAIMER)
 
 
 def c2_nondet_witness() -> NonDetWitness:
@@ -503,6 +517,7 @@ def check_loop_nondet(
     depth: int = 32,
     steps: int = 5,
     adversarial: int = 2,
+    budget: int = 6_000_000,
 ) -> CheckReport:
     """Verify the lifted witness over seeded loops.
 
@@ -537,7 +552,7 @@ def check_loop_nondet(
                 return REFUTED, "unflagged advice gave an invalid run"
         return verdict, detail
 
-    return run_suite(lifted.label, depth, seeds, 6_000_000, judge, ADVICE_DISCLAIMER)
+    return run_suite(lifted.label, depth, seeds, budget, judge, ADVICE_DISCLAIMER)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +750,9 @@ def _translate_llpo_step_to_cn(inst: Instance, data: Stream) -> Instance:
     return Instance("cn", inst.seed, k_out, inst.hidden, {"from": "llpo"})
 
 
-def simulation_report(seeds: int = 100, depth: int = 24, steps: int = 5) -> CheckReport:
+def simulation_report(
+    seeds: int = 100, depth: int = 24, steps: int = 5, budget: int = 4_000_000
+) -> CheckReport:
     """The mind-change simulation over seeded loops, each under the seed's tank."""
 
     def judge(seed, tank):
@@ -747,7 +764,7 @@ def simulation_report(seeds: int = 100, depth: int = 24, steps: int = 5) -> Chec
             return REFUTED, f"restarts {result.restarts}"
         return result.verdict, f"restarts {result.restarts}"
 
-    return run_suite("cn-loop-limsim", depth, seeds, 4_000_000, judge)
+    return run_suite("cn-loop-limsim", depth, seeds, budget, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +781,11 @@ class WitnessEntry:
 
 @lru_cache(maxsize=1)
 def witness_library() -> dict:
-    """Executable witnesses by name; lookups always return the same objects."""
+    """Executable witnesses by name; lookups always return the same objects.
+
+    `run_check(seeds=..., depth=..., budget=...)` runs an entry's suite; a
+    depth or per-seed budget left out keeps the suite's own default.
+    """
     entries = {}
 
     def add(name, kind, run_check, describe):
@@ -773,63 +794,63 @@ def witness_library() -> dict:
     add(
         "llpo-id",
         "reduction",
-        lambda seeds=500, depth=32: check_reduction(identity_llpo_witness(), seeds, depth),
+        lambda seeds=500, **options: check_reduction(identity_llpo_witness(), seeds, **options),
         "binary choice reduced to itself by the identity witness",
     )
     add(
         "c2-to-cn",
         "reduction",
-        lambda seeds=500, depth=32: check_reduction(c2_to_cn_witness(), seeds, depth),
+        lambda seeds=500, **options: check_reduction(c2_to_cn_witness(), seeds, **options),
         "binary choice embedded into choice on the naturals",
     )
     add(
         "llpo-to-cantor",
         "reduction",
-        lambda seeds=200, depth=32: check_reduction(llpo_to_cantor_witness(), seeds, depth),
+        lambda seeds=200, **options: check_reduction(llpo_to_cantor_witness(), seeds, **options),
         "binary choice as a path choice through length-one cylinders",
     )
     add(
         "limn-to-lim",
         "reduction",
-        lambda seeds=200, depth=32: check_reduction(limnat_to_lim_witness(), seeds, depth),
+        lambda seeds=200, **options: check_reduction(limnat_to_lim_witness(), seeds, **options),
         "eventual values embedded into stream limits (strong witness)",
     )
     add(
         "c2-loop-lift",
         "nondet-loop",
-        lambda seeds=200, depth=32: check_loop_nondet(
+        lambda seeds=200, **options: check_loop_nondet(
             nondet_lift_inverse_limit(c2_nondet_witness(), "c2-loop-lift"),
             lambda s: problem_loop("llpo", s, 5),
             seeds,
-            depth,
             steps=5,
+            **options,
         ),
         "advice-guessing binary-choice loops: independent choice, lifted",
     )
     add(
         "c2-loop-lift-unique",
         "nondet-loop",
-        lambda seeds=200, depth=32: check_loop_nondet(
+        lambda seeds=200, **options: check_loop_nondet(
             nondet_lift_inverse_limit(c2_nondet_witness(), "c2-loop-lift-unique", unique=True),
             lambda s: problem_loop("llpo", s, 5),
             seeds,
-            depth,
             steps=5,
             adversarial=0,
+            **options,
         ),
         "the unique-advice variant: only the witness advice is consulted",
     )
     add(
         "c2-cn-loop-lift",
         "loop-reduction",
-        lambda seeds=50, depth=5: check_lifted_reduction(
+        lambda seeds=50, **options: check_lifted_reduction(
             c2_cn_lift(),
             lambda s: problem_loop("llpo", s, 5),
             _translate_llpo_step_to_cn,
             "cn",
             seeds,
-            depth,
             steps=5,
+            **options,
         ),
         "one-step embedding lifted to whole loops by the injective fixed point",
     )
@@ -842,14 +863,14 @@ def witness_library() -> dict:
     add(
         "broken-lpo",
         "negative-control",
-        lambda seeds=100, depth=32: check_reduction(broken_lpo_witness(), seeds, depth),
+        lambda seeds=100, **options: check_reduction(broken_lpo_witness(), seeds, **options),
         "claims every input is zero; refuted on the nonzero instances",
     )
     add(
         "broken-c2-nondet",
         "negative-control",
-        lambda seeds=100, depth=32: check_nondet(
-            broken_c2_nondet_witness(), "llpo", seeds, depth
+        lambda seeds=100, **options: check_nondet(
+            broken_c2_nondet_witness(), "llpo", seeds, **options
         ),
         "guesses the excluded point; refuted under helpful advice",
     )

@@ -6,11 +6,18 @@ and a query answered under some step budget is answered identically under
 any larger budget.  Running out of budget raises :class:`NeedMoreFuel`; it
 never produces a wrong symbol and never corrupts cached state, so a later
 query with more fuel simply resumes.
+
+Symbols are produced and charged in bulk where that is exact: a prefix read
+of a buffered stream drains its queued symbols at one step each with a
+single :meth:`Fuel.take`, and `take` grants exactly the steps that the
+one-step-at-a-time path would have charged before it signalled.  Every
+`spent` count is therefore the same whichever path a read takes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import count
 from typing import Callable, Iterable, Optional, Union
 
@@ -48,6 +55,12 @@ class Fuel:
         self.parent = parent
 
     def tick(self, n: int = 1) -> None:
+        if self.parent is None:
+            if self.remaining < n:
+                raise NeedMoreFuel(self)
+            self.remaining -= n
+            self.spent += n
+            return
         # check the whole chain before charging any tank, so an exhausted
         # budget never records phantom work and resumption stays exact
         exhausted = None
@@ -63,6 +76,29 @@ class Fuel:
             tank.remaining -= n
             tank.spent += n
             tank = tank.parent
+
+    def take(self, n: int) -> int:
+        """Charge up to n steps to every tank on the chain; return how many.
+
+        The grant is n capped by the smallest `remaining` on the chain, so
+        it is exactly the number of one-step ticks that would succeed in a
+        row.  After a short grant the next `tick()` raises for the same tank
+        the one-step path would have named.
+        """
+        grant = n
+        tank = self
+        while tank is not None:
+            if tank.remaining < grant:
+                grant = tank.remaining
+            tank = tank.parent
+        if grant <= 0:
+            return 0
+        tank = self
+        while tank is not None:
+            tank.remaining -= grant
+            tank.spent += grant
+            tank = tank.parent
+        return grant
 
 
 FuelLike = Union[Fuel, int, None]
@@ -81,7 +117,7 @@ def as_fuel(fuel: FuelLike) -> Fuel:
 
 
 def is_prefix(u: Word, w: Word) -> bool:
-    return len(u) <= len(w) and w[: len(u)] == u
+    return w[: len(u)] == u
 
 
 def comparable(u: Word, w: Word) -> bool:
@@ -146,7 +182,11 @@ class Stream:
     def prefix(self, k: int, fuel: FuelLike = None) -> Word:
         """First k symbols; raises NeedMoreFuel if any is undetermined."""
         # kept apart from read_prefix: this strict read is the hot path
-        fuel = as_fuel(fuel)
+        return self._prefix(k, as_fuel(fuel))
+
+    def _prefix(self, k: int, fuel: Fuel) -> Word:
+        # the bulk step behind `prefix`; subclasses that can produce a run
+        # of symbols at once override this, never `prefix` itself
         return tuple(self.at(i, fuel) for i in range(k))
 
     def determined_prefix(self, k: int, fuel: FuelLike = None) -> Word:
@@ -194,7 +234,8 @@ class PlanStream(_IndexedStream):
     """Finite prefix followed by a tail rule: all zeros, or a cycled word.
 
     This is the serializable stream shape used by instance files and the
-    command-line input syntax.
+    command-line input syntax.  The symbols read so far from index 0 on are
+    kept in a dense list; reads past its end keep the per-index memo.
     """
 
     def __init__(self, head: Iterable = (), tail=("zeros",), label: str = ""):
@@ -204,6 +245,54 @@ class PlanStream(_IndexedStream):
             raise ValueError("cycle tail needs a nonempty word")
         self.tail = (tail[0], tuple(tail[1])) if tail[0] == "cycle" else ("zeros",)
         self.label = label
+        self._read = []  # symbols 0 .. len-1, each already charged
+
+    def at(self, n: int, fuel: FuelLike = None) -> int:
+        read = self._read
+        if n < len(read):
+            return read[n]
+        cache = self._cache
+        got = cache.get(n)
+        if got is not None:
+            return got
+        as_fuel(fuel).tick()
+        value = self._compute(n, fuel)
+        if n == len(read):
+            read.append(value)
+            while len(read) in cache:  # the dense run reaches earlier sparse reads
+                read.append(cache.pop(len(read)))
+        else:
+            cache[n] = value
+        return value
+
+    def _prefix(self, k: int, fuel: Fuel) -> Word:
+        read = self._read
+        start = len(read)
+        if k > start:
+            if any(start <= i < k for i in self._cache):
+                return super()._prefix(k, fuel)  # memoized reads in the way are free
+            granted = fuel.take(k - start)
+            self._append_symbols(start + granted)
+            if start + granted < k:
+                fuel.tick()  # the first unpaid index: raises for the empty tank
+        return tuple(read[:k])
+
+    def _append_symbols(self, end: int) -> None:
+        """Extend the dense read list to `end` symbols straight from the plan."""
+        read = self._read
+        head = self.head
+        start = len(read)
+        read.extend(head[start:end])
+        lo = max(start, len(head))
+        if end <= lo:
+            return
+        if self.tail[0] == "zeros":
+            read.extend([0] * (end - lo))
+            return
+        cyc = self.tail[1]
+        shift = (lo - len(head)) % len(cyc)
+        turn = cyc[shift:] + cyc[:shift]
+        read.extend((turn * ((end - lo) // len(cyc) + 1))[: end - lo])
 
     def _compute(self, n, fuel):
         if n < len(self.head):
@@ -335,6 +424,14 @@ def read_prefix(source, k: Optional[int], fuel: Fuel, stop: Optional[tuple]) -> 
     """
     if isinstance(source, tuple):
         return source[:k]
+    if isinstance(source, BufferedStream):
+        # on a signal the buffer holds exactly the determined prefix
+        try:
+            source.fill(math.inf if k is None else k, fuel)
+        except NeedMoreFuel as blocked:
+            if stop is not None and blocked.tank not in stop:
+                raise
+        return tuple(source._buf[:k])
     out = []
     for i in range(k) if k is not None else count():
         try:
@@ -353,25 +450,60 @@ def as_stream(value) -> Stream:
 class BufferedStream(Stream):
     """Stream whose symbols are produced in order by a resumable producer.
 
-    Subclasses implement _extend, which must either append at least one
-    symbol to self._buf or raise NeedMoreFuel.  All producer state lives on
-    the instance, so an interrupted query resumes exactly where it stopped.
+    Subclasses implement _extend, one producer round: it appends symbols to
+    self._buf, queues them on self._pending, or raises NeedMoreFuel; a round
+    may also produce nothing.  Each round costs one step, and so does each
+    queued symbol moved to the buffer, so the step count bounds unproductive
+    rounds.  `fill` drains queued symbols in bulk with one exact
+    `Fuel.take`, which charges what the symbol-by-symbol path of `at` would.
+    All producer state lives on the instance, so an interrupted query
+    resumes exactly where it stopped.
     """
 
     def __init__(self):
         self._buf = []
+        self._pending = deque()
 
     def _extend(self, fuel: Fuel) -> None:
         raise NotImplementedError
 
     def at(self, n: int, fuel: FuelLike = None) -> int:
-        if n < len(self._buf):
-            return self._buf[n]
+        buf = self._buf
+        if n < len(buf):
+            return buf[n]
         fuel = as_fuel(fuel)
-        while n >= len(self._buf):
-            fuel.tick()  # bounds unproductive producer rounds
-            self._extend(fuel)
-        return self._buf[n]
+        pending = self._pending
+        while n >= len(buf):
+            fuel.tick()
+            if pending:
+                buf.append(pending.popleft())
+            else:
+                self._extend(fuel)
+        return buf[n]
+
+    def fill(self, k: Union[int, float], fuel: Fuel) -> None:
+        """Produce until the buffer holds k symbols (k may be math.inf).
+
+        Charges exactly what reading indices 0 .. k-1 through `at` would,
+        and on a signal leaves the buffer at the same length.  Producer
+        rounds still run through `at`, so a span around `at` times them.
+        """
+        buf = self._buf
+        pending = self._pending
+        while len(buf) < k:
+            if not pending:
+                self.at(len(buf), fuel)
+                continue
+            want = min(k - len(buf), len(pending))
+            granted = fuel.take(want)
+            popleft = pending.popleft
+            buf.extend([popleft() for _ in range(granted)])
+            if granted < want:
+                fuel.tick()  # the first unpaid symbol: raises for the empty tank
+
+    def _prefix(self, k: int, fuel: Fuel) -> Word:
+        self.fill(k, fuel)
+        return tuple(self._buf[:k])
 
 
 # ---------------------------------------------------------------------------

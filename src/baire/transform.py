@@ -15,7 +15,6 @@ determined index.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -368,7 +367,6 @@ class InjectionOutput(BufferedStream):
         self._block_emitted = False
         self._stage_spent = 0
         self._inner_taken = 0
-        self._pending = deque()
         self.machine = memoized_machine(self._apply_word, f"inj-out({label})")
 
     def _inner_stream(self) -> Stream:
@@ -381,29 +379,25 @@ class InjectionOutput(BufferedStream):
         return apply_name(self._inner_stream(), z, fuel)
 
     def _extend(self, fuel: Fuel) -> None:
-        if self._pending:
-            self._buf.append(self._pending.popleft())
-            return
         if not self._block_emitted:
             v = self.p_stream.at(self._stage, fuel)
             self._pending.extend((1,) + (0,) * v + (1,))
             self._block_emitted = True
             return
-        allowance = self._stage * self._stage - self._stage_spent
+        # one tank for what is left of the stage's allowance; an outer
+        # signal interrupts the stage, which resumes with the rest
+        tank = Fuel(self._stage * self._stage - self._stage_spent, parent=fuel)
         inner = self._inner_stream()
-        while allowance > 0:
-            tank = Fuel(allowance, parent=fuel)
-            try:
+        try:
+            while tank.remaining > 0:
                 sym = inner.at(self._inner_taken, tank)
-            except NeedMoreFuel as blocked:
+                self._inner_taken += 1
+                self._pending.append(2 if sym < 2 else sym)
+        except NeedMoreFuel as blocked:
+            if blocked.tank is not tank and blocked.tank is not WORD_EDGE:
                 self._stage_spent += tank.spent
-                if blocked.tank is tank or blocked.tank is WORD_EDGE:
-                    break  # stage budget spent, or the approximation ends
                 raise
-            self._stage_spent += tank.spent
-            allowance = self._stage * self._stage - self._stage_spent
-            self._inner_taken += 1
-            self._pending.append(2 if sym < 2 else sym)
+            # otherwise the stage budget is spent, or the approximation ends
         self._stage += 1
         self._block_emitted = False
         self._stage_spent = 0
@@ -627,7 +621,7 @@ class SelfPairingName(MachineName):
     def _apply(self, x: Word, fuel: Fuel) -> Word:
         return interleave_word(self.prefix(len(x), fuel), self._transform(x))
 
-    def _next_block(self, fuel: Fuel) -> None:
+    def _extend(self, fuel: Fuel) -> None:
         u = candidate_word(self._cand)
         if not self._header_done:
             self._pending.append(ENTRY_BEGIN)

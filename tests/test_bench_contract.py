@@ -9,6 +9,10 @@ importing or writing anything under bench/) and looks every name up.
 The workloads and the runner call library functions directly; every such
 `<baire module>.<name>(...)` call must still bind to the name's signature,
 or a benchmark run dies with a TypeError.
+
+The tracer wraps `Stream.prefix` and `Stream.determined_prefix` on the base
+class only, so a stream class overriding either would read outside the
+`streams.prefix` and `streams.determined_prefix` spans without a trace.
 """
 
 import ast
@@ -18,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+LIBRARY = ROOT / "src" / "baire"
 SPANS = BENCH / "spans.py"
 
 
@@ -105,3 +111,28 @@ def test_library_calls_found():
 def test_library_call_binds(where, mod, name, positional, keywords):
     target = getattr(importlib.import_module(mod), name)
     inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def _stream_classes_defining(methods):
+    """(module, class) for every class in the library, nested ones included,
+    that derives from Stream and defines one of `methods` itself."""
+    from baire.streams import Stream
+
+    found = []
+    for path in sorted(LIBRARY.glob("[!_]*.py")):
+        module = importlib.import_module(f"baire.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            # bases are module-level names, also for classes defined in functions
+            bases = [vars(module).get(getattr(b, "id", None)) for b in node.bases]
+            derived = any(isinstance(b, type) and issubclass(b, Stream) for b in bases)
+            defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            if derived and defined & set(methods):
+                found.append((module.__name__, node.name))
+    return found
+
+
+def test_stream_classes_leave_traced_readers_alone():
+    assert _stream_classes_defining(("at",))  # the scan sees stream classes
+    assert _stream_classes_defining(("prefix", "determined_prefix")) == []

@@ -299,7 +299,20 @@ def test_limsim_rejects_loop_without_step_instances(countdown_file):
     code, text = run_cli("limsim", countdown_file)
     assert code == 2
     assert text.startswith("error: ")
-    assert "llpo-loop, cn-loop, id-loop, limnat-loop" in text
+    assert "countdown" in text and "limnat-loop" in text
+
+
+@pytest.mark.parametrize("kind", ["llpo-loop", "cn-loop", "id-loop"])
+def test_limsim_runs_only_eventual_value_loops(tmp_path, kind):
+    # these kinds used to run and exit 1, the refutation code, although the
+    # simulation's guesses only mean something for eventual-value loops
+    path = tmp_path / "other.loop"
+    path.write_text(f"problem {kind} seed 7\npublic: steps 5\n")
+    code, text = run_cli("limsim", str(path))
+    assert code == 2
+    assert text.startswith("error: ")
+    assert text.count("\n") == 1
+    assert f"not {kind}" in text
 
 
 # --- exit code plumbing ---------------------------------------------------------------
@@ -329,6 +342,17 @@ def test_check_honours_depth():
     code, text = run_cli("--seeds", "2", "--depth", "5", "check", "llpo-id")
     assert code == 0
     assert "check llpo-id seed 0 depth 5 verdict" in text
+
+
+def test_check_honours_fuel():
+    # --fuel used to be ignored: every suite kept its own per-seed budget
+    default = run_cli("--seeds", "3", "check", "llpo-id")
+    code, text = run_cli("--seeds", "3", "--fuel", "1", "check", "llpo-id")
+    assert code == 0  # undetermined seeds are not refutations
+    assert text != default[1]
+    assert "summary llpo-id seeds 3 consistent 0 refuted 0 undetermined 3 fuel 3" in text
+    assert run_cli("--strict", "--seeds", "3", "--fuel", "1", "check", "llpo-id")[0] == 3
+    assert run_cli("--seeds", "3", "--fuel", "100", "check", "llpo-id") == default
 
 
 def test_check_keeps_entry_default_depth():

@@ -303,6 +303,20 @@ def test_registry_entries_run_small():
     assert not report.ok()
 
 
+@pytest.mark.parametrize(
+    "name", ["llpo-id", "c2-loop-lift", "c2-loop-lift-unique", "c2-cn-loop-lift", "cn-loop-limsim"]
+)
+def test_registry_budget_is_the_seed_tank_and_never_refutes(name):
+    # a seed whose tank runs dry is undetermined; c2-loop-lift used to treat
+    # a sample scan cut short by the budget as unflagged and refute the seed
+    entry = witness_library()[name]
+    for budget in (1, 100, 5000):
+        report = entry.run_check(seeds=3, budget=budget)
+        assert report.refutations == 0
+        assert report.fuel_spent <= 3 * budget
+    assert entry.run_check(seeds=3, budget=1).undetermined == 3
+
+
 def test_lifted_identity_witness_checks():
     from baire.machine import pure_machine
     from baire.operators import lift_reduction_to_inverse_limit

@@ -2,7 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baire.machine import (
+    ExplicitName,
+    GraphEntry,
+    MachineName,
+    MachineStream,
+    RawEvalStream,
+    WordMachine,
+    encode_entry_block,
+    identity_name,
+)
 from baire.streams import (
+    BufferedStream,
     Fuel,
     FunctionStream,
     NeedMoreFuel,
@@ -21,6 +32,7 @@ from baire.streams import (
     unpair_stream,
     word_sup,
 )
+from baire.transform import InjectionOutput, SelfPairingName
 
 words = st.lists(st.integers(min_value=0, max_value=30), max_size=8).map(tuple)
 
@@ -238,3 +250,228 @@ def test_read_prefix_stop_signals():
     with pytest.raises(NeedMoreFuel) as info:
         read_prefix(seeded_stream(4), 10, Fuel(100, parent=outer), (WORD_EDGE,))
     assert info.value.tank is outer  # a signal not in `stop` propagates
+
+
+# --- bulk charging -------------------------------------------------------------------
+
+
+def test_take_on_a_root_tank():
+    tank = Fuel(10)
+    assert tank.take(4) == 4
+    assert (tank.spent, tank.remaining) == (4, 6)
+    assert tank.take(0) == 0
+    assert tank.take(9) == 6  # capped by what is left
+    assert (tank.spent, tank.remaining) == (10, 0)
+    assert tank.take(3) == 0
+    assert (tank.spent, tank.remaining) == (10, 0)
+
+
+def test_take_on_chained_tanks_charges_every_tank():
+    outer = Fuel(5)
+    inner = Fuel(100, parent=outer)
+    assert inner.take(3) == 3
+    assert (inner.spent, inner.remaining, outer.spent, outer.remaining) == (3, 97, 3, 2)
+    assert inner.take(10) == 2  # the smallest remaining on the chain caps the grant
+    assert (inner.spent, outer.spent, outer.remaining) == (5, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "inner_steps, outer_steps, named",
+    [(3, 100, "inner"), (100, 3, "outer"), (3, 3, "outer"), (0, 5, "inner")],
+)
+def test_short_take_then_tick_names_the_per_step_tank(inner_steps, outer_steps, named):
+    def chain():
+        outer = Fuel(outer_steps)
+        return Fuel(inner_steps, parent=outer), outer
+
+    bulk, bulk_outer = chain()
+    step, step_outer = chain()
+    granted = bulk.take(10)
+    assert granted == min(inner_steps, outer_steps)
+    with pytest.raises(NeedMoreFuel) as bulk_info:
+        bulk.tick()
+    ticked = 0
+    with pytest.raises(NeedMoreFuel) as step_info:
+        while True:
+            step.tick()
+            ticked += 1
+    assert ticked == granted
+    roles = {id(bulk): "inner", id(bulk_outer): "outer", id(step): "inner", id(step_outer): "outer"}
+    assert roles[id(bulk_info.value.tank)] == roles[id(step_info.value.tank)] == named
+    assert (bulk.spent, bulk_outer.spent) == (step.spent, step_outer.spent)
+
+
+# Bulk reads (prefix, determined_prefix, read_prefix, fill) must charge every
+# tank exactly what reading index by index through `at` charges, stop at the
+# same index, name the same tank, and leave the stream resumable in the same
+# state.  Each factory returns a fresh stream sharing no cache with another.
+
+
+def _charging_identity(w, fuel):
+    fuel.tick(len(w) + 1)
+    return w
+
+
+def _plan():
+    return PlanStream((3, 1, 4), ("cycle", (1, 5, 9)))
+
+
+def _plan_sparse():
+    s = PlanStream((3, 1, 4, 1), ("zeros",))
+    s.prefix(2, Fuel(10))
+    for i in (3, 5, 6, 30):  # memoized past the dense run
+        s.at(i, Fuel(10))
+    return s
+
+
+def _machine_name():
+    return MachineName(WordMachine(_charging_identity, "id"), head=(2, 0, 1))
+
+
+def _explicit_name():
+    return ExplicitName([((), (1,)), ((1,), (1, 2)), ((1, 2), (1, 2, 3))], head=(2,))
+
+
+def _injection_output():
+    return InjectionOutput(identity_name(), PlanStream((2, 0, 1), ("zeros",)))
+
+
+def _raw_eval():
+    blocks = (0, 1) + encode_entry_block(GraphEntry((), (5,))) + (2,)
+    blocks += encode_entry_block(GraphEntry((0,), (5,) + tuple(range(40))))
+    return RawEvalStream(PlanStream(blocks, ("zeros",)), PlanStream((0, 1), ("zeros",)))
+
+
+def _machine_stream():
+    return MachineStream(WordMachine(_charging_identity, "id"), PlanStream((4, 2), ("cycle", (7,))))
+
+
+FACTORIES = {
+    "plan": (_plan, 30),
+    "plan-sparse": (_plan_sparse, 30),
+    "machine-name": (_machine_name, 30),
+    "explicit-name": (_explicit_name, 30),
+    "injection-output": (_injection_output, 24),
+    "raw-eval": (_raw_eval, 30),
+    "self-pairing": (SelfPairingName, 30),
+    "machine-stream": (_machine_stream, 20),
+}
+
+TANK_SHAPES = ("root", "inner-limits", "outer-limits", "equal")
+
+
+def _tanks(shape, budget):
+    """[reading tank, its ancestors...] for a chain shape and a budget."""
+    if shape == "root":
+        return [Fuel(budget)]
+    inner_steps, outer_steps = {
+        "inner-limits": (budget, budget + 1),
+        "outer-limits": (budget + 1, budget),
+        "equal": (budget, budget),
+    }[shape]
+    outer = Fuel(outer_steps)
+    return [Fuel(inner_steps, parent=outer), outer]
+
+
+def _per_index(stream, k, fuel):
+    out = []
+    for i in range(k):
+        try:
+            out.append(stream.at(i, fuel))
+        except NeedMoreFuel as blocked:
+            return tuple(out), blocked.tank
+    return tuple(out), None
+
+
+def _reference(op, stream, k, tanks):
+    got, signal = _per_index(stream, k, tanks[0])
+    if op == "prefix" and signal is not None:
+        return None, signal
+    if op == "stop-inner" and signal is not None and signal is not tanks[0]:
+        return None, signal
+    if op == "fill":
+        return tuple(stream._buf), signal
+    return got, signal
+
+
+def _bulk(op, stream, k, tanks):
+    fuel = tanks[0]
+    try:
+        if op == "prefix":
+            return stream.prefix(k, fuel), None
+        if op == "determined":
+            return stream.determined_prefix(k, fuel), None
+        if op == "stop-inner":
+            return read_prefix(stream, k, fuel, (fuel,)), None
+        stream.fill(k, fuel)
+        return tuple(stream._buf), None
+    except NeedMoreFuel as blocked:
+        return (tuple(stream._buf) if op == "fill" else None), blocked.tank
+
+
+def _ops(stream):
+    return ("prefix", "determined", "stop-inner") + (
+        ("fill",) if isinstance(stream, BufferedStream) else ()
+    )
+
+
+def _role(tank, tanks):
+    return tanks.index(tank) if any(tank is t for t in tanks) else repr(tank)
+
+
+def _check_bulk_matches_per_index(build, k, op, shape, budget, pre_reads=()):
+    bulk_stream, ref_stream = build(), build()
+    for i in pre_reads:
+        bulk_stream.at(i, Fuel(10**5))
+        ref_stream.at(i, Fuel(10**5))
+    bulk_tanks, ref_tanks = _tanks(shape, budget), _tanks(shape, budget)
+    got, got_signal = _bulk(op, bulk_stream, k, bulk_tanks)
+    want, want_signal = _reference(op, ref_stream, k, ref_tanks)
+    if op in ("determined", "stop-inner"):
+        # these end quietly on some signals; which one is not part of the result
+        got_signal = want_signal = None
+    assert got == want
+    assert [(t.spent, t.remaining) for t in bulk_tanks] == [
+        (t.spent, t.remaining) for t in ref_tanks
+    ]
+    if got_signal is not None or want_signal is not None:
+        assert _role(got_signal, bulk_tanks) == _role(want_signal, ref_tanks)
+    if isinstance(bulk_stream, BufferedStream):
+        assert bulk_stream._buf == ref_stream._buf
+        assert list(bulk_stream._pending) == list(ref_stream._pending)
+    # resuming with a larger tank gives the same symbols at the same cost
+    big_bulk, big_ref = Fuel(10**5), Fuel(10**5)
+    assert bulk_stream.prefix(k, big_bulk) == _per_index(ref_stream, k, big_ref)[0]
+    assert big_bulk.spent == big_ref.spent
+
+
+def _full_cost(build, k):
+    tank = Fuel(10**5)
+    build().prefix(k, tank)
+    return tank.spent
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_bulk_reads_match_per_index_reads_at_every_budget(kind):
+    build, k = FACTORIES[kind]
+    ops = _ops(build())
+    for budget in range(_full_cost(build, k) + 2):
+        for shape in TANK_SHAPES:
+            for op in ops:
+                _check_bulk_matches_per_index(build, k, op, shape, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(FACTORIES)),
+    shape=st.sampled_from(TANK_SHAPES),
+    op_index=st.integers(min_value=0, max_value=3),
+    budget=st.integers(min_value=0, max_value=400),
+    k=st.integers(min_value=0, max_value=30),
+    pre_reads=st.lists(st.integers(min_value=0, max_value=24), max_size=4),
+)
+def test_bulk_reads_match_per_index_reads(kind, shape, op_index, budget, k, pre_reads):
+    build, limit = FACTORIES[kind]
+    ops = _ops(build())
+    op = ops[op_index % len(ops)]
+    _check_bulk_matches_per_index(build, min(k, limit), op, shape, budget, pre_reads)
