@@ -39,7 +39,6 @@ class Config:
     steps: int = 8
     seeds: int | None = None
     strict: bool = False
-    fmt: str = "text"
     verify: bool = False
     validate: bool = False
 
@@ -349,7 +348,11 @@ def cmd_limsim(args, cfg: Config, out) -> int:
             f"{args.instance}: limsim runs eventual-value loops ({LIMSIM_KIND})"
             f" only, not {loop.meta['kind']}"
         )
-    result = simulate_limit_machine(loop, min(cfg.steps, loop.steps), scan_depth=cfg.depth)
+    # a given --fuel is the simulation's budget; otherwise it keeps its own
+    options = {"budget": cfg.fuel} if hasattr(args, "fuel") else {}
+    result = simulate_limit_machine(
+        loop, min(cfg.steps, loop.steps), scan_depth=cfg.depth, **options
+    )
     for line in result.trace_lines():
         emit(out, line)
     head, _, _ = determined_report(result.run.states[-1], min(cfg.depth, 12), cfg.fuel)
@@ -384,9 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=natural, default=argparse.SUPPRESS, help="suite size for check"
     )
     common.add_argument("--strict", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument(
-        "--format", choices=("text", "records"), default=argparse.SUPPRESS
-    )
 
     parser = argparse.ArgumentParser(
         prog="baire",
@@ -433,7 +433,6 @@ def main(argv=None, out=None) -> int:
         steps=getattr(args, "steps", 8),
         seeds=getattr(args, "seeds", None),
         strict=getattr(args, "strict", False),
-        fmt=getattr(args, "format", "text"),
         verify=getattr(args, "verify", False),
         validate=getattr(args, "validate", False),
     )

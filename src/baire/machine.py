@@ -19,7 +19,11 @@ outputs) is silently rejected, which makes every stream a valid name.
 
 Constructed names additionally carry their word function, so evaluation can
 take a direct route instead of scanning the encoded graph; the two routes
-agree on every determined index and the tests exercise both.
+agree on every determined index and the tests exercise both.  A name that
+denotes a transformer of names also carries its structured face,
+`name.transformer`: a plain callable argument -> NameLike, which keeps
+structure (a lazy pair, an injected stream) that the word-level routes would
+flatten.  `eval_stream` and `apply_name_structured` are its only readers.
 """
 
 from __future__ import annotations
@@ -212,9 +216,6 @@ class WordMachine:
     apply: Callable[[Word, Fuel], Word]
     label: str = ""
 
-    def __call__(self, w: Word, fuel: FuelLike = None) -> Word:
-        return self.apply(w, as_fuel(fuel))
-
 
 def pure_machine(fn: Callable[[Word], Word], label: str = "") -> WordMachine:
     return WordMachine(lambda w, fuel: fn(w), label)
@@ -266,7 +267,7 @@ class MachineName(BufferedStream):
         self.machine = machine
         self.head = tuple(head)
         self.label = label or machine.label
-        self.transformer = None  # set when this name denotes a transformer
+        self.transformer = None  # argument -> NameLike, when this names a transformer
         self.entries = None  # explicit finite graph, when known
         self.graph_complete = False
         self._raw_apply = raw_apply or machine.apply
@@ -484,7 +485,7 @@ def eval_stream(name: NameLike, source: Stream) -> Stream:
     transformer = getattr(name, "transformer", None)
     if transformer is not None:
         try:
-            return as_stream(transformer.apply(source))
+            return as_stream(transformer(source))
         except NeedMoreFuel:
             pass  # unresolvable structure (self-referential); use the faces
     return generic_universal(name, source)
@@ -515,24 +516,24 @@ def apply_name_structured(name: NameLike, argument, fuel: FuelLike = None):
     transformer = getattr(name, "transformer", None)
     if transformer is not None:
         with _STRUCTURE_NESTING:
-            return transformer.apply(argument)
+            return transformer(argument)
     if isinstance(argument, tuple):
         return apply_name(name, argument, fuel)
     return eval_stream(name, argument)
 
 
-def compose_names(outer: NameLike, inner: NameLike, label: str = "") -> MachineName:
+def compose_names(outer: NameLike, inner: NameLike) -> MachineName:
     """Name r with U_r(p) = U_outer(U_inner(p)) on every determined index."""
 
     def apply(w, fuel):
         mid = apply_name(inner, w, fuel)
         return apply_name(outer, mid, fuel)
 
-    return MachineName(WordMachine(apply, label or "compose"))
+    return MachineName(WordMachine(apply, "compose"))
 
 
-def identity_name(head: Word = ()) -> MachineName:
-    return encode_machine(identity_machine(), head, "id")
+def identity_name() -> MachineName:
+    return encode_machine(identity_machine(), label="id")
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .streams import (
     Stream,
     Word,
     ZEROS,
-    as_fuel,
     as_stream,
     cantor_unpair,
     interleave_word,
@@ -156,14 +155,15 @@ class ProgramName(MachineName):
             label,
             raw_apply=self._apply,
         )
-        self.transformer = _ProgramStep(self)
+        self.transformer = self.step
 
     # faces ---------------------------------------------------------------
 
-    def step(self, answer: Stream, fuel: FuelLike = None) -> Stream:
+    def step(self, answer) -> Stream:
+        answer = as_stream(answer)
         head = None
         if self._successor_reads_answer():
-            head = answer.at(0, as_fuel(fuel))
+            head = answer.at(0)
         return pair_stream(self._next_program(head), self._data(answer))
 
     def _successor_reads_answer(self) -> bool:
@@ -178,14 +178,6 @@ class ProgramName(MachineName):
         successor = self._next_program(head)
         left = successor.prefix(len(y), fuel)
         return interleave_word(left, self._data_word(y, fuel))
-
-
-class _ProgramStep:
-    def __init__(self, program: ProgramName):
-        self.program = program
-
-    def apply(self, answer):
-        return self.program.step(as_stream(answer))
 
 
 def chain_program(
@@ -342,16 +334,14 @@ def check_step(
     return (CONSISTENT if short else UNDETERMINED), short
 
 
-def validate_run(
-    run: Run, oracle: StepOracle, depth: int = 8, budget: int = 400_000
-) -> List[str]:
+def validate_run(run: Run, oracle: StepOracle, depth: int = 8) -> List[str]:
     """Step-wise verdicts: does each state match a generic re-derivation?"""
     verdicts = []
     for i in range(len(run.states) - 1):
         program, data = unpair_stream(run.states[i])
         expected = generic_universal(program, oracle.answer(data, i))
         verdict, _ = check_step(
-            run.states[i + 1], expected, depth, Fuel(budget), Fuel(budget)
+            run.states[i + 1], expected, depth, Fuel(400_000), Fuel(400_000)
         )
         verdicts.append(verdict)
     return verdicts
@@ -418,11 +408,11 @@ class TaggedStream(Stream):
         return self.payload.at(n - 1, fuel)
 
 
-def star(oracle: StepOracle, tagged_input: Stream, fuel: FuelLike = None):
+def star(oracle: StepOracle, tagged_input: Stream):
     """Dispatch on the input's first symbol: n, then the payload state."""
     from .streams import ShiftStream
 
-    n = tagged_input.at(0, as_fuel(fuel))
+    n = tagged_input.at(0)
     if isinstance(tagged_input, TaggedStream):
         payload = tagged_input.payload
     else:
@@ -506,9 +496,7 @@ class LoopInstance:
         return self.oracle.instance_at(i)
 
 
-def problem_loop(
-    problem_name: str, seed: int, steps: int, flags=None, pad_answers: bool = False
-) -> LoopInstance:
+def problem_loop(problem_name: str, seed: int, steps: int) -> LoopInstance:
     """Loop whose step inputs are seeded instances of a named problem.
 
     The program chain embeds the instances' public names as successive data
@@ -518,10 +506,7 @@ def problem_loop(
     problem = get_problem(problem_name)
     oracle = oracle_for(problem_name, lambda i: problem.generate(seed * 1009 + i))
     program = chain_program(
-        flags if flags is not None else [1],
-        lambda i: oracle.instance_at(i).public_name,
-        label=f"{problem_name}-loop",
-        pad_answers=pad_answers,
+        [1], lambda i: oracle.instance_at(i).public_name, label=f"{problem_name}-loop"
     )
     q0 = pair_stream(program, oracle.instance_at(0).public_name)
     return LoopInstance(problem_name, seed, q0, oracle, steps)
@@ -552,7 +537,7 @@ def make_limnat_instance(seed: int, changes: int) -> Instance:
     return Instance("limnat", seed, plan, ("value", value, stable_from), spec)
 
 
-def limnat_loop(seed: int, steps: int, max_total_changes: int = 3) -> LoopInstance:
+def limnat_loop(seed: int, steps: int) -> LoopInstance:
     """Loop of eventual-value steps with a bounded total mind-change count.
 
     Data parts are fixed by the generator (so the change budget is exact);
@@ -563,7 +548,7 @@ def limnat_loop(seed: int, steps: int, max_total_changes: int = 3) -> LoopInstan
     import random as _random
 
     rng = _random.Random(f"limnat-budget:{seed}")
-    total = rng.randrange(max_total_changes + 1)
+    total = rng.randrange(4)  # at most 3 mind changes in all
     per_level = [0] * steps
     for _ in range(total):
         per_level[rng.randrange(steps)] += 1
@@ -804,12 +789,7 @@ class PaddingProgram(ProgramName):
         )
 
 
-def diamond_via_inverse_limit(
-    loop: LoopInstance,
-    designated: Instance,
-    step_ceiling: int = 8,
-    budget: int = 200_000,
-):
+def diamond_via_inverse_limit(loop: LoopInstance, designated: Instance, step_ceiling: int = 8):
     """Solve the while-loop through the infinite loop, padding after success.
 
     Runs the loop until the success flag drops, then keeps the run infinite
@@ -824,7 +804,7 @@ def diamond_via_inverse_limit(
     records = []
     success_at = None
     for i in range(step_ceiling + 1):
-        head = states[i].at(0, Fuel(budget))
+        head = states[i].at(0, Fuel(200_000))
         if head == 0 and success_at is None:
             success_at = i
         if success_at is not None:

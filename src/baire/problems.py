@@ -76,10 +76,9 @@ def _rng(problem: str, seed: int) -> random.Random:
 # negative information
 
 
-def exclusions_upto(name: Stream, depth: int, fuel: FuelLike = None) -> set:
+def exclusions_upto(name: Stream, depth: int) -> set:
     """Codes excluded by a negative-information name within a depth."""
-    fuel = as_fuel(fuel)
-    return {sym - 1 for sym in name.prefix(depth, fuel) if sym > 0}
+    return {sym - 1 for sym in name.prefix(depth) if sym > 0}
 
 
 def cylinder_code(bits: Word) -> int:
@@ -113,10 +112,10 @@ def problem_id() -> Problem:
         plan = PlanStream(head, ("zeros",))
         return Instance("id", seed, plan, ("copy",), {"plan": plan})
 
-    def check(instance, output, depth, fuel=None):
+    def check(instance, output, depth):
         if not output:
             return UNDETERMINED
-        want = instance.public_name.prefix(min(depth, len(output)), fuel)
+        want = instance.public_name.prefix(min(depth, len(output)))
         if output[: len(want)] != want:
             return REFUTED
         return CONSISTENT
@@ -146,13 +145,13 @@ def problem_lpo() -> Problem:
         plan = PlanStream(head, ("zeros",))
         return Instance("lpo", seed, plan, ("nonzero", k, v), {"plan": plan})
 
-    def check(instance, output, depth, fuel=None):
+    def check(instance, output, depth):
         if not output:
             return UNDETERMINED
         claim = output[0]
         if claim > 1:
             return REFUTED
-        seen = sierpinski_value(instance.public_name, depth, fuel)
+        seen = sierpinski_value(instance.public_name, depth)
         if claim == 1:
             return REFUTED if seen[0] == "nonzero-at" else CONSISTENT
         # claim 0 is only ever confirmed, never refuted at finite depth
@@ -184,13 +183,13 @@ def problem_llpo() -> Problem:
         plan = PlanStream(tuple(head), ("zeros",))
         return Instance("llpo", seed, plan, ("choice", witness), {"plan": plan})
 
-    def check(instance, output, depth, fuel=None):
+    def check(instance, output, depth):
         if not output:
             return UNDETERMINED
         point = output[0]
         if point > 1:
             return REFUTED
-        if point in exclusions_upto(instance.public_name, depth, fuel):
+        if point in exclusions_upto(instance.public_name, depth):
             return REFUTED
         return CONSISTENT
 
@@ -220,10 +219,10 @@ def problem_cn() -> Problem:
             "cn", seed, plan, ("choice", witness), {"plan": plan, "excluded": excluded}
         )
 
-    def check(instance, output, depth, fuel=None):
+    def check(instance, output, depth):
         if not output:
             return UNDETERMINED
-        if output[0] in exclusions_upto(instance.public_name, depth, fuel):
+        if output[0] in exclusions_upto(instance.public_name, depth):
             return REFUTED
         return CONSISTENT
 
@@ -278,7 +277,7 @@ def problem_lim() -> Problem:
         spec = {"commits": commits, "noise": noise}
         return Instance("lim", seed, public, hidden, spec)
 
-    def check(instance, output, depth, fuel=None):
+    def check(instance, output, depth):
         if not output:
             return UNDETERMINED
         commits = {k: (v, s) for k, v, s in instance.public_spec["commits"]}
@@ -315,7 +314,7 @@ def problem_lim_nat() -> Problem:
         spec = {"plan": plan, "commits": [(0, value, stable_from)]}
         return Instance("limnat", seed, plan, ("value", value, stable_from), spec)
 
-    def check(instance, output, depth, fuel=None):
+    def check(instance, output, depth):
         if not output:
             return UNDETERMINED
         (k0, v, s) = instance.public_spec["commits"][0]
@@ -355,12 +354,12 @@ def problem_path_choice() -> Problem:
         spec = {"plan": plan, "codes": sorted(set(codes))}
         return Instance("wkl", seed, plan, ("path", path_head, path_cycle), spec)
 
-    def check(instance, output, depth, fuel=None):
+    def check(instance, output, depth):
         if not output:
             return UNDETERMINED
         if any(b > 1 for b in output):
             return REFUTED
-        for code in exclusions_upto(instance.public_name, depth, fuel):
+        for code in exclusions_upto(instance.public_name, depth):
             if is_prefix(cylinder_word(code), output):
                 return REFUTED
         return CONSISTENT

@@ -197,11 +197,7 @@ def check_reduction(
 
 
 def check_loop_run(
-    run: Run,
-    instances: Callable[[int], Instance],
-    base_problem,
-    depth: int,
-    budget: int = 600_000,
+    run: Run, instances: Callable[[int], Instance], base_problem, depth: int
 ) -> str:
     """Membership test for a run: answers pass the base checker and every
     state follows from its predecessor through the generic universal face."""
@@ -209,14 +205,14 @@ def check_loop_run(
     for i, record in enumerate(run.records):
         if record.answer is None:
             return UNDETERMINED
-        answer = record.answer.determined_prefix(4, Fuel(budget))
+        answer = record.answer.determined_prefix(4, Fuel(600_000))
         verdict = base_problem.check_solution(instances(i), answer, depth)
         if verdict == REFUTED:
             return REFUTED
         program, _ = unpair_stream(run.states[i])
         expected = generic_universal(program, record.answer)
         verdict, _ = check_step(
-            run.states[i + 1], expected, depth, Fuel(budget), Fuel(budget)
+            run.states[i + 1], expected, depth, Fuel(600_000), Fuel(600_000)
         )
         if verdict == REFUTED:
             return REFUTED
@@ -313,7 +309,6 @@ def check_nondet(
     problem_name: str,
     seeds: int = 200,
     depth: int = 32,
-    adversarial: int = 3,
     budget: int = 2_000_000,
 ) -> CheckReport:
     """One-sided verification of the two advice conditions.
@@ -337,7 +332,7 @@ def check_nondet(
         if verdict == REFUTED:
             return REFUTED, "helpful advice, refuted output"
         detail = ""
-        for j in range(adversarial):
+        for j in range(3):  # sampled advice streams per seed
             r_bad = witness.advice.sample(seed * 31 + j)
             flagged = nonzero_within(witness.F2(inst.public_name, r_bad), depth, tank)
             if flagged is not None:
@@ -566,7 +561,6 @@ class SimulationResult:
     restarts: int
     stabilized: bool
     verdict: str
-    fuel_spent: int = 0
 
     def trace_lines(self) -> List[str]:
         out = [
@@ -642,11 +636,11 @@ def simulate_limit_machine(
                 break
     except NeedMoreFuel:
         run = Run(states, [StepRecord(i, "guess", answers[i]) for i in range(len(answers))])
-        return SimulationResult(run, trace, restarts, False, UNDETERMINED, fuel.spent)
+        return SimulationResult(run, trace, restarts, False, UNDETERMINED)
     records = [StepRecord(i, "guess", answers[i]) for i in range(steps)]
     run = Run(states, records)
     verdict = check_loop_run(run, loop.step_instance, problem, scan_depth)
-    return SimulationResult(run, trace, restarts, True, verdict, fuel.spent)
+    return SimulationResult(run, trace, restarts, True, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class PairFunctional:
     `apply(param, x, fuel)` returns a word, monotone in the argument prefix
     and in the parameter source.  Subclasses may add `apply_structured`
     (lazy, structure-preserving application used by the fixed-point
-    machinery) and may override `bind` to keep per-parameter state.
+    machinery).
     """
 
     label = ""
@@ -153,9 +153,6 @@ class PairFunctional:
 
     def apply(self, param, x: Word, fuel: Fuel) -> Word:
         raise NotImplementedError
-
-    def bind(self, param) -> Callable[[Word, Fuel], Word]:
-        return lambda x, fuel: self.apply(param, x, fuel)
 
 
 class MachinePair(PairFunctional):
@@ -171,17 +168,6 @@ class MachinePair(PairFunctional):
         )
 
 
-class _BoundApplication:
-    """Structured application hook carried by a specialized name."""
-
-    def __init__(self, functional: PairFunctional, param):
-        self.functional = functional
-        self.param = param
-
-    def apply(self, argument):
-        return self.functional.apply_structured(self.param, argument)
-
-
 @dataclass
 class NameTransformer:
     """A total transformation of names with a word-level face.
@@ -194,12 +180,11 @@ class NameTransformer:
     apply: Callable
     machine: WordMachine
     label: str = ""
-    extract: Optional[Callable[[Stream], Stream]] = None
 
-    def name(self, head: Word = ()) -> MachineName:
+    def name(self) -> MachineName:
         """A name t with U_t equal to this transformer."""
-        n = encode_machine(self.machine, head, label=f"name({self.label})")
-        n.transformer = self
+        n = encode_machine(self.machine, label=f"name({self.label})")
+        n.transformer = self.apply
         return n
 
 
@@ -234,8 +219,6 @@ def smn(target) -> NameTransformer:
     label = f"smn({F.label})" if F.label else "smn"
 
     def specialize(param) -> MachineName:
-        bound = F.bind(param)
-
         def raw_apply(u, fuel):
             # fix the parameter slice at the candidate's length so emitted
             # blocks never change as the parameter grows; the slice stays a
@@ -243,10 +226,12 @@ def smn(target) -> NameTransformer:
             return F.apply(limit_source(param, len(u)), u, fuel)
 
         name = MachineName(
-            memoized_machine(bound, label), label=label, raw_apply=raw_apply
+            memoized_machine(lambda x, fuel: F.apply(param, x, fuel), label),
+            label=label,
+            raw_apply=raw_apply,
         )
         if F.apply_structured is not None:
-            name.transformer = _BoundApplication(F, param)
+            name.transformer = lambda argument: F.apply_structured(param, argument)
         return name
 
     machine = WordMachine(
@@ -467,9 +452,7 @@ def injection() -> Injection:
     transformer = smn(_InjectionFunctional())
     transformer.label = "inject"
     L = extractor_machine()
-    inj = Injection(transformer, L)
-    transformer.extract = inj.extract
-    return inj
+    return Injection(transformer, L)
 
 
 # ---------------------------------------------------------------------------
@@ -576,31 +559,11 @@ def injective_recursion(f, label: str = "") -> InjectiveRecursion:
         f"R({label})",
     )
     transformer = NameTransformer(apply, machine, label or "injective-recursion")
-    transformer.extract = inj.extract
     return InjectiveRecursion(transformer, r_name, inj.extract)
 
 
 # ---------------------------------------------------------------------------
 # self-reproducing name
-
-
-class _PairIdentity(PairFunctional):
-    """F<q, p> = <q, p>: the identity viewed as a pair functional."""
-
-    label = "pair-id"
-
-    def apply(self, q, x, fuel):
-        return interleave_word(available_prefix(q, len(x), fuel), x)
-
-    def apply_structured(self, q, p):
-        return pair_stream(as_stream(q), as_stream(p))
-
-
-def pair_specializer() -> NameTransformer:
-    """S with U_{S(q)}(p) = <q, p>; the quine is its fixed point."""
-    S = smn(_PairIdentity())
-    S.label = "pair-id"
-    return S
 
 
 class SelfPairingName(MachineName):
@@ -640,7 +603,8 @@ class SelfPairingName(MachineName):
 def quine() -> SelfPairingName:
     """A name q with U_q(p) = <q, p> on every determined index.
 
-    This is the fixed point U_q = U_{S(q)} of the pair specializer, whose
+    This is the fixed point U_q = U_{S(q)} of the pair specializer S (the
+    specialization of the pairing <q, p> at its first argument), whose
     existence the uniform recursion theorem guarantees; it is built here
     by self-referential enumeration, which additionally makes the raw
     symbols cheap to produce.
@@ -652,55 +616,35 @@ def quine() -> SelfPairingName:
 # ready-made total transformer names (used by tests and the loop machinery)
 
 
-class _ConstantApplication:
-    def __init__(self, value):
-        self.value = value
-
-    def apply(self, argument):
-        return self.value
-
-
-def const_transformer_name(value: NameLike, label: str = "const") -> MachineName:
+def const_transformer_name(value: NameLike) -> MachineName:
     """Name of the transformer sending every name to `value`."""
 
     def apply(w, fuel):
         return read_prefix(value, len(w), fuel, ())
 
-    n = encode_machine(WordMachine(apply, label), label=label)
-    n.transformer = _ConstantApplication(value)
+    n = encode_machine(WordMachine(apply, "const"), label="const")
+    n.transformer = lambda argument: value
     return n
-
-
-class _IdentityApplication:
-    def apply(self, argument):
-        return argument
 
 
 def identity_transformer_name() -> MachineName:
     n = encode_machine(identity_machine(), label="id-transformer")
-    n.transformer = _IdentityApplication()
+    n.transformer = lambda argument: argument
     return n
 
 
-class _PrependApplication:
-    def __init__(self, noise):
-        self.noise = tuple(noise)
+class _Prefixed(BufferedStream):
+    """A fixed head, then the tail stream one symbol per round."""
 
-    def apply(self, argument):
-        source = as_stream(argument)
+    def __init__(self, head, tail):
+        super().__init__()
+        self._buf = list(head)
+        self.tail = tail
+        self._pos = 0
 
-        class _Prefixed(BufferedStream):
-            def __init__(self, head, tail):
-                super().__init__()
-                self._buf = list(head)
-                self.tail = tail
-                self._pos = 0
-
-            def _extend(self, fuel):
-                self._buf.append(self.tail.at(self._pos, fuel))
-                self._pos += 1
-
-        return _Prefixed(self.noise, source)
+    def _extend(self, fuel):
+        self._buf.append(self.tail.at(self._pos, fuel))
+        self._pos += 1
 
 
 def dummy_prefix_transformer_name(noise: Word) -> MachineName:
@@ -716,5 +660,5 @@ def dummy_prefix_transformer_name(noise: Word) -> MachineName:
         return noise + w
 
     n = encode_machine(WordMachine(apply, "prepend"), label="prepend")
-    n.transformer = _PrependApplication(noise)
+    n.transformer = lambda argument: _Prefixed(noise, as_stream(argument))
     return n

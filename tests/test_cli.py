@@ -302,6 +302,19 @@ def test_limsim_rejects_loop_without_step_instances(countdown_file):
     assert "countdown" in text and "limnat-loop" in text
 
 
+def test_limsim_honours_fuel(tmp_path):
+    # --fuel used to be ignored: the simulation kept its own 4 000 000 steps
+    path = tmp_path / "limnat7.loop"
+    path.write_text("problem limnat-loop seed 7\npublic: steps 5\n")
+    default = run_cli("limsim", str(path))
+    assert default[0] == 0 and "stabilized True" in default[1]
+    code, text = run_cli("--fuel", "1", "limsim", str(path))
+    assert code == 0
+    assert "stabilized False verdict undetermined" in text
+    assert text.endswith("undetermined: budget exhausted before stabilization\n")
+    assert run_cli("--strict", "--fuel", "1", "limsim", str(path))[0] == 3
+
+
 @pytest.mark.parametrize("kind", ["llpo-loop", "cn-loop", "id-loop"])
 def test_limsim_runs_only_eventual_value_loops(tmp_path, kind):
     # these kinds used to run and exit 1, the refutation code, although the
@@ -316,6 +329,12 @@ def test_limsim_runs_only_eventual_value_loops(tmp_path, kind):
 
 
 # --- exit code plumbing ---------------------------------------------------------------
+
+
+def test_format_flag_is_a_usage_error():
+    # --format used to be parsed and ignored, so `records` printed text
+    code, _ = run_cli("--format", "records", "--seeds", "2", "check", "llpo-id")
+    assert code == 2
 
 
 def test_usage_error_exits_two():

@@ -8,10 +8,16 @@ the answers an uninterrupted run produces.
 
 import pytest
 
-from baire.machine import RawEvalStream, decode_entries, eval_stream
+from baire.machine import ExplicitName, RawEvalStream, decode_entries, eval_stream
 from baire.operators import generic_universal, problem_loop
-from baire.streams import Fuel, NeedMoreFuel, unpair_stream
-from baire.transform import injection, smn
+from baire.streams import Fuel, NeedMoreFuel, PlanStream, unpair_stream
+from baire.transform import (
+    const_transformer_name,
+    dummy_prefix_transformer_name,
+    identity_transformer_name,
+    injection,
+    smn,
+)
 from baire.machine import pure_machine
 from baire.streams import odd_part
 
@@ -57,6 +63,42 @@ def test_program_faces_agree(seed):
     )
     agree_on_common(machine_face, structured, floor=6)
     agree_on_common(raw_face, structured, floor=2)
+
+
+# the injected stream's stage i takes the inner symbols computed within i*i
+# fresh steps, and a symbol read from a cache costs none; so when the inner
+# value is cheap on one face and charged on the other, the dummy layout of
+# the two faces differs (the decoded graph and the marker blocks agree)
+_LAYOUT_DEFECT = pytest.mark.xfail(
+    strict=True, reason="injected stream's dummy layout depends on the route"
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: const_transformer_name(PlanStream((5, 7), ("cycle", (2, 9)))),
+        identity_transformer_name,
+        lambda: dummy_prefix_transformer_name((0, 2, 1)),
+        lambda: smn(pure_machine(odd_part, "proj2")).name(),
+        lambda: injection().apply(ChainPlan(3, blocks=8).name),
+        pytest.param(
+            lambda: injection().apply(identity_transformer_name()), marks=_LAYOUT_DEFECT
+        ),
+        pytest.param(
+            lambda: injection().apply(const_transformer_name(ExplicitName([((1,), (4, 4))]))),
+            marks=_LAYOUT_DEFECT,
+        ),
+    ],
+    ids=["const", "identity", "prepend", "smn-name", "injected", "injected-id", "injected-const"],
+)
+def test_structured_face_agrees_with_generic_faces(make):
+    def cycled():
+        return PlanStream((1, 4, 0, 2), ("cycle", (3, 1, 2)))
+
+    structured = det(eval_stream(make(), cycled()), 16)
+    generic = det(generic_universal(make(), cycled()), 16)
+    agree_on_common(structured, generic, floor=16)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -149,8 +191,7 @@ def test_loop_states_resume_exactly():
 def test_injected_explicit_name_decodes_fully():
     # with an inner value that is itself a well-formed name, the injected
     # stream's decode face reproduces the inner graph exactly
-    from baire.machine import ExplicitName, GraphEntry
-    from baire.transform import const_transformer_name
+    from baire.machine import GraphEntry
 
     inj = injection()
     inner = ExplicitName([((1,), (4, 4)), ((1, 2), (4, 4, 9))])

@@ -142,7 +142,6 @@ def test_fixed_point_seeded_total_transformers(seed):
 def test_injected_output_block_layout():
     inj = injection()
     p = PlanStream((4, 0, 2), ("zeros",))
-    out = inj.apply(ZEROS).transformer.apply(p) if False else None
     # evaluate through the name itself
     name = inj.apply(PlanStream((), ("zeros",)))
     stream = eval_stream(name, p)
