@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .machine import eval_stream, parse_machine_text, parse_natural
 from .operators import (
     LoopInstance,
+    TaggedStream,
     classify_run,
     countdown_loop,
     diamond,
@@ -27,7 +28,7 @@ from .operators import (
 )
 from .problems import CONSISTENT, REFUTED, parse_plan
 from .reductions import simulate_limit_machine, witness_library
-from .streams import Fuel, NeedMoreFuel, PlanStream, pair_stream, project
+from .streams import Fuel, NeedMoreFuel, PlanStream, odd_part, pair_stream, project
 from .transform import const_transformer_name, injective_recursion, injection, quine, recursion_T, smn
 
 
@@ -112,6 +113,25 @@ def emit(out, line=""):
     out.write(line + "\n")
 
 
+def emit_report(out, stream, depth: int, fuel: int, prefix: str = "", empty: str = ""):
+    """Print a stream's determined prefix, and the index where it stopped short.
+
+    Returns (fuel spent, whether the report stopped short).
+    """
+    symbols, spent, note = determined_report(stream, depth, fuel)
+    emit(out, prefix + (" ".join(map(str, symbols)) if symbols else empty))
+    if note:
+        emit(out, note)
+    return spent, bool(note)
+
+
+def exit_status(cfg: Config, disagreements: int, short: bool) -> int:
+    """1 on a disagreement; 3 under --strict when something stopped short."""
+    if disagreements:
+        return 1
+    return 3 if cfg.strict and short else 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -120,15 +140,13 @@ def cmd_eval(args, cfg: Config, out) -> int:
     name = read_file(args.machine, parse_machine_text, "machine")
     source = parse_input_spec(args.input)
     stream = eval_stream(name, source)
-    symbols, spent, note = determined_report(stream, cfg.depth, cfg.fuel)
-    emit(out, " ".join(map(str, symbols)) if symbols else "(nothing determined)")
-    if note:
-        emit(out, note)
+    spent, short = emit_report(out, stream, cfg.depth, cfg.fuel, empty="(nothing determined)")
     emit(out, f"fuel {spent}")
-    return 0
+    return exit_status(cfg, 0, short)
 
 
 def _agreement_lines(out, left, right, depth, fuel, label):
+    """Compare two streams index by index; returns (disagreements, compared)."""
     disagreements = 0
     compared = 0
     tank = Fuel(fuel)
@@ -146,21 +164,21 @@ def _agreement_lines(out, left, right, depth, fuel, label):
             emit(out, f"{label} index {i} DISAGREE {a} vs {b}")
             disagreements += 1
     emit(out, f"{label} compared {compared} disagreements {disagreements}")
-    return disagreements
+    return disagreements, compared
 
 
 def cmd_transform(args, cfg: Config, out) -> int:
     kind = args.kind
     disagreements = 0
+    compared = None  # indices a --verify compared
     if kind == "quine":
         q = quine()
-        symbols, spent, note = determined_report(q, cfg.depth, cfg.fuel)
-        emit(out, " ".join(map(str, symbols)))
+        _, short = emit_report(out, q, cfg.depth, cfg.fuel)
         if cfg.verify:
             p = seeded_input(cfg.seed)
             lhs = eval_stream(q, p)
             rhs = pair_stream(q, seeded_input(cfg.seed))
-            disagreements = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "quine")
+            disagreements, compared = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "quine")
     elif kind in ("smn", "fix", "inject", "extract"):
         if not args.machine:
             raise CliError(f"transform {kind} needs --machine FILE")
@@ -171,8 +189,7 @@ def cmd_transform(args, cfg: Config, out) -> int:
         if kind == "smn":
             S = smn(file_name.machine)
             specialized = S.apply(argument)
-            symbols, _, _ = determined_report(specialized, cfg.depth, cfg.fuel)
-            emit(out, " ".join(map(str, symbols)))
+            _, short = emit_report(out, specialized, cfg.depth, cfg.fuel)
             if cfg.verify:
                 p = seeded_input(cfg.seed + 1)
                 lhs = eval_stream(specialized, p)
@@ -180,53 +197,45 @@ def cmd_transform(args, cfg: Config, out) -> int:
                     file_name,
                     pair_stream(argument, seeded_input(cfg.seed + 1)),
                 )
-                disagreements = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "smn")
+                disagreements, compared = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "smn")
         elif kind == "fix":
             p_name = const_transformer_name(file_name)
             fixed = recursion_T().apply(p_name)
-            symbols, _, _ = determined_report(fixed, cfg.depth, cfg.fuel)
-            emit(out, " ".join(map(str, symbols)))
+            _, short = emit_report(out, fixed, cfg.depth, cfg.fuel)
             if cfg.verify:
                 z = argument
                 lhs = eval_stream(fixed, z)
                 rhs = eval_stream(eval_stream(p_name, fixed), z)
-                disagreements = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "fix")
+                disagreements, compared = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "fix")
         else:
             inj = injection()
             injected = eval_stream(inj.apply(file_name), argument)
             if kind == "inject":
-                symbols, _, note = determined_report(injected, cfg.depth, cfg.fuel)
-                emit(out, " ".join(map(str, symbols)))
-                if note:
-                    emit(out, note)
+                _, short = emit_report(out, injected, cfg.depth, cfg.fuel)
             else:  # extract
                 recovered = inj.extract(injected)
-                symbols, _, _ = determined_report(recovered, cfg.depth, cfg.fuel)
-                emit(out, " ".join(map(str, symbols)))
+                _, short = emit_report(out, recovered, cfg.depth, cfg.fuel)
                 if cfg.verify:
-                    disagreements = _agreement_lines(
+                    disagreements, compared = _agreement_lines(
                         out, recovered, argument, min(cfg.depth, 16), cfg.fuel, "extract"
                     )
     elif kind == "injrec":
-        from .streams import odd_part
-
         R = injective_recursion(lambda rn, x, fuel: odd_part(x), "cli")
         argument = (
             parse_input_spec(args.input) if args.input else seeded_input(cfg.seed)
         )
         name = R.apply(argument)
-        symbols, _, _ = determined_report(name, cfg.depth, cfg.fuel)
-        emit(out, " ".join(map(str, symbols)))
+        _, short = emit_report(out, name, cfg.depth, cfg.fuel)
         if cfg.verify:
             p = seeded_input(cfg.seed + 2)
             lhs = eval_stream(name, p)
             rhs = seeded_input(cfg.seed + 2)
-            disagreements = _agreement_lines(
+            disagreements, compared = _agreement_lines(
                 out, lhs, rhs, min(cfg.depth, 16), cfg.fuel * 4, "injrec"
             )
     else:
         raise CliError(f"unknown transform kind: {kind}")
-    return 1 if disagreements else 0
+    return exit_status(cfg, disagreements, short or compared == 0)
 
 
 def parse_loop_file(text: str) -> LoopInstance:
@@ -272,26 +281,24 @@ def cmd_loop(args, cfg: Config, out) -> int:
     loop = read_file(args.instance, parse_loop_file, "instance")
     op = args.op
     status = 0
-    if op == "power":
+    if op in ("power", "star"):
         n = args.n if args.n is not None else 1
-        result, records = power_n(loop.oracle, n, loop.q0)
-        symbols, _, _ = determined_report(result, cfg.depth, cfg.fuel)
-        emit(out, " ".join(map(str, symbols)))
+        if op == "power":
+            result, records = power_n(loop.oracle, n, loop.q0)
+        else:
+            result, records = star(loop.oracle, TaggedStream(n, loop.q0))
+        _, short = emit_report(out, result, cfg.depth, cfg.fuel)
         emit(out, f"calls {len(records)}")
-    elif op == "star":
-        from .operators import TaggedStream
-
-        n = args.n if args.n is not None else 1
-        tagged = TaggedStream(n, loop.q0)
-        result, records = star(loop.oracle, tagged)
-        symbols, _, _ = determined_report(result, cfg.depth, cfg.fuel)
-        emit(out, " ".join(map(str, symbols)))
-        emit(out, f"calls {len(records)}")
+        status = exit_status(cfg, 0, short)
     elif op == "omega":
         result = omega(loop.oracle, loop.q0)
+        short = False
         for i in range(min(cfg.steps, 6)):
-            symbols, _, _ = determined_report(project(result, i), min(cfg.depth, 12), cfg.fuel)
-            emit(out, f"component {i}: " + " ".join(map(str, symbols)))
+            _, stopped = emit_report(
+                out, project(result, i), min(cfg.depth, 12), cfg.fuel, f"component {i}: "
+            )
+            short = short or stopped
+        status = exit_status(cfg, 0, short)
     elif op == "diamond":
         answer, run, cls = diamond(loop.oracle, loop.q0, cfg.steps, cfg.fuel)
         for line in run.trace_lines(cfg.fuel, min(cfg.depth, 10)):
@@ -321,7 +328,8 @@ def cmd_loop(args, cfg: Config, out) -> int:
 def cmd_check(args, cfg: Config, out) -> int:
     library = witness_library()
     if args.witness not in library:
-        raise CliError(f"unknown witness: {args.witness}")
+        known = [f"known witness {e.name}: {e.describe}" for e in library.values()]
+        raise CliError("\n".join([f"unknown witness: {args.witness}"] + known))
     entry = library[args.witness]
     kwargs = {}
     if cfg.seeds is not None:
@@ -355,8 +363,7 @@ def cmd_limsim(args, cfg: Config, out) -> int:
     )
     for line in result.trace_lines():
         emit(out, line)
-    head, _, _ = determined_report(result.run.states[-1], min(cfg.depth, 12), cfg.fuel)
-    emit(out, "final " + " ".join(map(str, head)))
+    emit_report(out, result.run.states[-1], min(cfg.depth, 12), cfg.fuel, "final ")
     if result.verdict == REFUTED:
         return 1
     if not result.stabilized:

@@ -15,10 +15,16 @@ while-loop classifier (0 = done).  The operators here package that step:
 
 The inverse limit is the loop that calls one fixed step forever, and the
 finite operators are prefixes or short chains of that same step, so each
-job has one implementation: `LoopStates` is the one loop driver (run_loop,
-diamond, inverse_limit and parallel_inverse_limit read their states off
-it), `_chain_uses` is the one use-chain (comp_product and power_n), and
-`chain_program` is the one program-chain builder.
+job has one implementation: `LoopStates` is the one loop driver,
+`_chain_uses` is the one use-chain (comp_product and power_n), and
+`chain_program` is the one program-chain builder.  run_loop, diamond,
+inverse_limit and parallel_inverse_limit read their states off
+`LoopStates`, and so do the constructions comparing the inverse limit with
+the other operators: run_lifted_loop, omega_via_inverse_limit and
+diamond_via_inverse_limit run the loop once and map its states.  Two
+drivers are kept apart: `omega`, because every power runs its own chain
+on the shared input, and `reductions.simulate_limit_machine`, because a
+revised guess throws the downstream states away.
 
 Runs carry provenance (which step answered what) and are classified as
 successful / stalled / undetermined at an explicit budget; the generic
@@ -28,6 +34,7 @@ program, so structured shortcuts stay honest.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -36,6 +43,7 @@ from .machine import (
     MachineStream,
     WordMachine,
     apply_name,
+    eval_name,
     eval_stream,
     generic_universal,
     memoized_machine,
@@ -49,20 +57,27 @@ from .problems import (
     get_realizer,
 )
 from .streams import (
+    EvenView,
     Fuel,
     FuelLike,
     NeedMoreFuel,
+    OddView,
     PlanStream,
+    ShiftStream,
     Stream,
     Word,
     ZEROS,
     as_stream,
+    cantor_pair,
     cantor_unpair,
+    even_part,
     interleave_word,
+    odd_part,
     pair_stream,
     tuple_countable,
     unpair_stream,
 )
+from .transform import injective_recursion
 
 # head-flag guard: the symbol after the flag terminates any entry a flag
 # value of 3 would accidentally begin, so flags never disturb decoding
@@ -410,8 +425,6 @@ class TaggedStream(Stream):
 
 def star(oracle: StepOracle, tagged_input: Stream):
     """Dispatch on the input's first symbol: n, then the payload state."""
-    from .streams import ShiftStream
-
     n = tagged_input.at(0)
     if isinstance(tagged_input, TaggedStream):
         payload = tagged_input.payload
@@ -522,9 +535,7 @@ def countdown_loop(n: int, seed: int = 0) -> LoopInstance:
 
 def make_limnat_instance(seed: int, changes: int) -> Instance:
     """Eventual-value instance with an exact number of value changes."""
-    import random as _random
-
-    rng = _random.Random(f"limnat-loop:{seed}")
+    rng = random.Random(f"limnat-loop:{seed}")
     head = []
     value = rng.randrange(5)
     for _ in range(changes):
@@ -545,9 +556,7 @@ def limnat_loop(seed: int, steps: int) -> LoopInstance:
     padding, so downstream states depend on upstream answers and a revised
     guess genuinely invalidates them.
     """
-    import random as _random
-
-    rng = _random.Random(f"limnat-budget:{seed}")
+    rng = random.Random(f"limnat-budget:{seed}")
     total = rng.randrange(4)  # at most 3 mind changes in all
     per_level = [0] * steps
     for _ in range(total):
@@ -578,9 +587,9 @@ class LiftedReduction:
     """Strong witness pair for the loop-to-loop reduction.
 
     K1 is a computable injection building the translated loop's program
-    from the original state (its extractor is the H side's first half);
-    k_map sends an original state to the translated initial state, and
-    h_components recovers the original run from a translated run.
+    from the original state; k_map sends an original state to its
+    translated state, and h1 (the injection's extractor) recovers the
+    original state from a translated program part.
     """
 
     k_machine: WordMachine
@@ -597,9 +606,6 @@ class LiftedReduction:
 
     def h1(self, program_part: Stream) -> Stream:
         return self.injection.extract(program_part)
-
-    def h_components(self, translated_states) -> list:
-        return [self.h1(unpair_stream(z)[0]) for z in translated_states]
 
     def answer_back(self, data_part: Stream, g_answer: Stream) -> Stream:
         return MachineStream(self.h_machine, pair_stream(data_part, g_answer))
@@ -619,10 +625,6 @@ def lift_reduction_to_inverse_limit(
     simulates the original loop step for step, and the extractor recovers
     the original states from the translated programs.
     """
-    from .machine import eval_name
-    from .streams import even_part, odd_part
-    from .transform import injective_recursion
-
     def lifted_step(r_name, x, fuel):
         qp, r = even_part(x), odd_part(x)
         q_pfx, p_pfx = even_part(qp), odd_part(qp)
@@ -642,27 +644,20 @@ def run_lifted_loop(
     g_answer: Callable[[Stream, int], Stream],
     steps: int,
 ):
-    """Run the translated loop structurally, tracking the original states.
+    """Run the original loop on answers pulled back from the target problem,
+    and translate every state.
 
-    Returns (translated run, original-state list); validation compares the
-    translated states against the generic face and the extracted originals
-    against the reference run.
+    Step i hands the translated data K(data) to `g_answer` and brings its
+    answer back through H.  Returns (translated run, original states);
+    validation compares the translated states against the generic face and
+    the extracted originals against the reference run.
     """
-    # kept apart from LoopStates: the original and translated runs grow in step
-    x = f_loop.q0
-    states = [lift.k_map(x)]
-    originals = [x]
-    records = []
-    for i in range(steps):
-        _, g_data = unpair_stream(states[-1])
-        y_g = g_answer(g_data, i)
-        prog, p = unpair_stream(x)
-        y_f = lift.answer_back(p, y_g)
-        x = eval_stream(prog, y_f)
-        originals.append(x)
-        states.append(lift.k_map(x))
-        records.append(StepRecord(i, lift.label, y_f))
-    return Run(states, records), originals
+
+    def answer(data, i):
+        return lift.answer_back(data, g_answer(MachineStream(lift.k_machine, data), i))
+
+    run = LoopStates(f_loop.q0, StepOracle(lift.label, answer)).run(steps)
+    return Run([lift.k_map(x) for x in run.states], run.records), run.states
 
 
 # ---------------------------------------------------------------------------
@@ -684,40 +679,14 @@ def infty_states_from_omega(step_machine: WordMachine, q0: Stream, steps: int):
     return states
 
 
-@dataclass
-class OmegaViaInverseLimit:
-    """The tag-threading construction recovering all powers from one loop."""
-
-    injection: object
-    translated: Run
-    tags: list  # tag i (for i >= 1) is the i-th power of the original input
-    originals: list
-
-    def extracted_power(self, n: int) -> Stream:
-        """Component n of the omega output, read off the translated run."""
-        if n == 0:
-            from .streams import EvenView, OddView
-
-            prog0 = unpair_stream(self.translated.states[0])[0]
-            x0 = self.injection.extract(prog0)
-            return pair_stream(OddView(x0), unpair_stream(self.translated.states[0])[1])
-        prog = unpair_stream(self.translated.states[n])[0]
-        x = self.injection.extract(prog)
-        from .streams import EvenView
-
-        return EvenView(x)
-
-
 def omega_via_inverse_limit(step_machine: WordMachine, q0: Stream, steps: int):
     """Run one loop whose program tags itself with every power's value.
 
-    The program for the next state is R(<tag, q>) where the tag is the pair
-    <current program, current answer>; extracting a translated program
-    therefore yields the n-th power on its even positions.
+    The program for state i+1 is R(<tag, q>) where the tag is the pair
+    <program i, answer i>; extracting a translated program therefore yields
+    the power on its even positions.  Returns (translated run, power), where
+    power(n) is component n of the omega output read off that run.
     """
-    from .machine import eval_name
-    from .streams import even_part, odd_part
-    from .transform import injective_recursion
 
     def tagging_step(r_name, xr, fuel):
         x, r = even_part(xr), odd_part(xr)
@@ -729,25 +698,22 @@ def omega_via_inverse_limit(step_machine: WordMachine, q0: Stream, steps: int):
         return interleave_word(k1a, b)
 
     R = injective_recursion(tagging_step, "omega-tag")
-    # kept apart from LoopStates: each step threads a power's tag into the next program
-    q_prog, p_data = unpair_stream(q0)
-    x = pair_stream(pair_stream(ZEROS, ZEROS), q_prog)
-    states = [pair_stream(R.apply(x), p_data)]
-    originals = [q0]
-    tags = [None]
-    records = []
-    current_prog, current_data = q_prog, p_data
-    for i in range(steps):
-        r = MachineStream(step_machine, current_data)
-        tag = pair_stream(current_prog, r)
-        nxt = eval_stream(current_prog, r)
-        current_prog, current_data = unpair_stream(nxt)
-        originals.append(nxt)
-        tags.append(tag)
-        x = pair_stream(tag, current_prog)
-        states.append(pair_stream(R.apply(x), current_data))
-        records.append(StepRecord(i, f"machine:{step_machine.label}"))
-    return OmegaViaInverseLimit(R, Run(states, records), tags, originals)
+    run = LoopStates(q0, machine_oracle(step_machine)).run(steps)
+    parts = [unpair_stream(x) for x in run.states]
+    tags = [pair_stream(ZEROS, ZEROS)]
+    tags += [pair_stream(program, rec.answer) for (program, _), rec in zip(parts, run.records)]
+    states = [
+        pair_stream(R.apply(pair_stream(tag, program)), data)
+        for tag, (program, data) in zip(tags, parts)
+    ]
+    translated = Run(states, run.records)
+
+    def power(n: int) -> Stream:
+        program, data = unpair_stream(translated.states[n])
+        x = R.extract(program)
+        return pair_stream(OddView(x), data) if n == 0 else EvenView(x)
+
+    return translated, power
 
 
 # ---------------------------------------------------------------------------
@@ -775,50 +741,28 @@ def parallel_inverse_limit(loops: list, big_steps: int):
 # while loops through infinite loops (pointed problems)
 
 
-class PaddingProgram(ProgramName):
-    """Post-success program: flag 0 forever, data pinned to a fixed point."""
-
-    def __init__(self, point: Stream):
-        self.point = point
-        super().__init__(
-            0,
-            lambda head: self,
-            lambda answer: point,
-            lambda y, fuel: point.prefix(len(y), fuel),
-            "pad",
-        )
-
-
 def diamond_via_inverse_limit(loop: LoopInstance, designated: Instance, step_ceiling: int = 8):
     """Solve the while-loop through the infinite loop, padding after success.
 
     Runs the loop until the success flag drops, then keeps the run infinite
-    by repeating the designated (computable) instance; the first 0-headed
-    component of the resulting state stream is the while-loop's answer.
-    Returns (answer state, run, phase records).
+    by repeating the designated (computable) instance under a program with
+    flag 0 forever; the first 0-headed component of the resulting state
+    stream is the while-loop's answer.  Returns (answer state, run, index of
+    the first padded state); a loop that does not succeed within the ceiling
+    returns diamond's own run with no answer and no padding.
     """
-    # kept apart from LoopStates: after success the program switches to padding
-    pad = PaddingProgram(designated.public_name)
-    states = [loop.q0]
-    phases = []
-    records = []
-    success_at = None
-    for i in range(step_ceiling + 1):
-        head = states[i].at(0, Fuel(200_000))
-        if head == 0 and success_at is None:
-            success_at = i
-        if success_at is not None:
-            nxt = pair_stream(pad, designated.public_name)
-            phases.append("pad")
-            records.append(StepRecord(i, "designated"))
-        else:
-            nxt, rec = loop_step(states[i], loop.oracle, i)
-            phases.append("live")
-            records.append(rec)
-        states.append(nxt)
-    run = Run(states, records)
-    answer = states[success_at] if success_at is not None else None
-    return answer, run, phases
+    answer, run, cls = diamond(loop.oracle, loop.q0, step_ceiling, 200_000)
+    if answer is None:
+        return None, run, None
+    point = designated.public_name
+    pad = ProgramName(
+        0, lambda head: pad, lambda a: point, lambda y, fuel: point.prefix(len(y), fuel), "pad"
+    )
+    padded = pair_stream(pad, point)
+    success = cls.index
+    states = run.states + [padded] * (step_ceiling + 1 - success)
+    records = run.records + [StepRecord(i, "designated") for i in range(success, step_ceiling + 1)]
+    return answer, Run(states, records), success + 1
 
 
 def first_success_machine(ceiling: int) -> WordMachine:
@@ -828,7 +772,6 @@ def first_success_machine(ceiling: int) -> WordMachine:
     earlier head is determined and nonzero; total and monotone because a
     found head never changes.
     """
-    from .streams import cantor_pair
 
     def apply(w, fuel):
         chosen = None

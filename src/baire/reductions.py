@@ -248,7 +248,7 @@ def check_lifted_reduction(
         compared = 0
         try:
             for i in range(steps + 1):
-                extracted = lift.h_components([translated.states[i]])[0]
+                extracted = lift.h1(unpair_stream(translated.states[i])[0])
                 verdict, short = check_step(extracted, reference.states[i], depth, tank, tank)
                 if verdict == REFUTED:
                     return REFUTED, ""

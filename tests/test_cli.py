@@ -3,6 +3,7 @@ import io
 import pytest
 
 from baire.cli import main
+from baire.reductions import witness_library
 
 
 def run_cli(*argv):
@@ -52,6 +53,22 @@ def test_eval_identity_machine(identity_machine_file):
     assert code == 0
     assert text.splitlines()[0] == "1 2 3 0 0"
     assert text.splitlines()[-1].startswith("fuel ")
+
+
+@pytest.fixture
+def short_identity_file(tmp_path):
+    path = tmp_path / "identity3.machine"
+    path.write_text("eps -> eps\n1 -> 1\n1 2 -> 1 2\n")
+    return str(path)
+
+
+def test_eval_undetermined_index_exits_three_under_strict(short_identity_file):
+    argv = ("--depth", "4", "eval", short_identity_file, "1", "2", "zeros")
+    code, text = run_cli("--strict", *argv)
+    assert code == 3
+    assert text.splitlines()[:2] == ["1 2", "index 2 undetermined at fuel 1000000"]
+    assert run_cli(*argv) == (0, text)
+    assert run_cli("--strict", "--depth", "2", *argv[2:])[0] == 0
 
 
 def test_eval_empty_machine(tmp_path):
@@ -176,6 +193,25 @@ def test_transform_smn_verify(identity_machine_file):
     assert "DISAGREE" not in text
 
 
+def test_transform_smn_undetermined_name_is_reported(tmp_path):
+    path = tmp_path / "identity.machine"
+    path.write_text("eps -> eps\n1 -> 1\n1 2 -> 1 2\n1 2 3 -> 1 2 3\n")
+    argv = ("--depth", "8", "--fuel", "20000", "transform", "smn", "--machine", str(path))
+    code, text = run_cli("--strict", *argv, "--verify")
+    assert code == 3
+    assert text.splitlines()[:2] == ["", "index 0 undetermined at fuel 20000"]
+    assert "smn compared 0 disagreements 0" in text
+    assert run_cli(*argv)[0] == 0
+
+
+def test_transform_verify_comparing_nothing_exits_three_under_strict():
+    code, text = run_cli("--strict", "--depth", "0", "transform", "quine", "--verify")
+    assert code == 3
+    assert "quine compared 0 disagreements 0" in text
+    assert run_cli("--depth", "0", "transform", "quine", "--verify")[0] == 0
+    assert run_cli("--strict", "--depth", "8", "transform", "quine", "--verify")[0] == 0
+
+
 def test_transform_missing_machine_file_exits_two(tmp_path):
     code, text = run_cli("transform", "smn", "--machine", str(tmp_path / "missing"))
     assert code == 2
@@ -271,6 +307,17 @@ def test_check_unknown_witness_exits_two():
     code, text = run_cli("check", "nonesuch")
     assert code == 2
     assert "unknown witness" in text
+
+
+def test_check_unknown_witness_lists_the_registry():
+    code, text = run_cli("check", "nonesuch")
+    lines = text.splitlines()
+    assert code == 2
+    assert lines[0] == "error: unknown witness: nonesuch"
+    assert lines[1:] == [
+        f"known witness {name}: {entry.describe}" for name, entry in witness_library().items()
+    ]
+    assert all(entry.describe for entry in witness_library().values())
 
 
 def test_check_output_sorted_and_deterministic():

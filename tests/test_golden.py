@@ -60,7 +60,13 @@ WITNESSES = (
     "broken-lpo",
     "broken-c2-nondet",
 )
-LOOP_OPS = (("power", "--n", "2"), ("star", "--n", "2"), ("omega",), ("diamond",), ("infty", "--validate"))
+LOOP_OPS = (
+    ("power", "--n", "2"),
+    ("star", "--n", "2"),
+    ("omega",),
+    ("diamond",),
+    ("infty", "--validate"),
+)
 BATTERY = (
     ("--depth", "3", "eval", G + "identity.machine", "1", "2", "3", "zeros"),
     ("--depth", "5", "eval", G + "identity.machine", "1", "2", "3", "zeros"),

@@ -3,7 +3,6 @@ import pytest
 from baire.machine import ExplicitName, pure_machine
 from baire.operators import (
     LoopStates,
-    PaddingProgram,
     Run,
     StepOracle,
     chain_program,
@@ -307,7 +306,7 @@ def test_lifted_run_tracks_original():
         got = det(originals[i], 5)
         short = min(len(want), len(got))
         assert want[:short] == got[:short]
-        extracted = det(lift.h_components([translated.states[i]])[0], 4, budget=2_000_000)
+        extracted = det(lift.h1(unpair_stream(translated.states[i])[0]), 4, budget=2_000_000)
         assert extracted == want[: len(extracted)]
         assert len(extracted) >= 2
 
@@ -351,11 +350,11 @@ def test_omega_via_inverse_limit_components(seed):
     step = prepend_seven() if seed % 2 else pure_machine(lambda w: w, "id")
     data = PlanStream(((seed % 5), 1 + (seed % 3)), ("zeros",))
     q0 = pair_stream(pass_through_program([1]), data)
-    construction = omega_via_inverse_limit(step, q0, 4)
-    for n in range(1, 5):
+    _, power = omega_via_inverse_limit(step, q0, 4)
+    for n in range(0, 5):
         fresh_q0 = pair_stream(pass_through_program([1]), data)
         want, _ = power_n(machine_oracle(step), n, fresh_q0)
-        got = det(construction.extracted_power(n), 4, budget=3_000_000)
+        got = det(power(n), 4, budget=3_000_000)
         want_w = det(want, 4)
         short = min(len(got), len(want_w))
         assert got[:short] == want_w[:short]
@@ -381,11 +380,29 @@ def test_diamond_padding_matches_diamond():
     loop = countdown_loop(n)
     direct_answer, _, cls = diamond(countdown_loop(n).oracle, countdown_loop(n).q0, step_ceiling=8)
     designated = get_problem("id").generate(0)
-    answer, run, phases = diamond_via_inverse_limit(loop, designated, step_ceiling=8)
+    answer, run, first_pad = diamond_via_inverse_limit(loop, designated, step_ceiling=8)
     assert cls.kind == "successful" and cls.index == n
     assert det(answer, 6) == det(direct_answer, 6)
-    assert phases[:n] == ["live"] * n
-    assert set(phases[n:]) == {"pad"}
+    assert first_pad == n + 1
+    assert len(run.states) == 10
+    assert [r.oracle for r in run.records[:n]] == [countdown_loop(n).oracle.label] * n
+    assert {r.oracle for r in run.records[n:]} == {"designated"}
+    assert len(run.records[n:]) == 9 - n
+    # every padded state signals success and carries the designated instance
+    want = det(designated.public_name, 8)
+    assert len(want) == 8
+    for state in run.states[first_pad:]:
+        assert det(state, 1) == (0,)
+        assert det(unpair_stream(state)[1], 8) == want
+
+
+def test_diamond_via_inverse_limit_without_success_has_no_answer():
+    loop = problem_loop("llpo", 3, 4)
+    designated = get_problem("id").generate(0)
+    answer, run, first_pad = diamond_via_inverse_limit(loop, designated, step_ceiling=5)
+    assert answer is None and first_pad is None
+    assert len(run.states) == 6
+    assert all(det(state, 1) == (1,) for state in run.states)
 
 
 def test_first_success_machine_extracts_component():
