@@ -95,6 +95,10 @@ BATTERY = (
     ("limsim", G + "limnat.loop"),
     ("limsim", G + "cn.loop"),
     *(("--seeds", "3", "check", name) for name in WITNESSES),
+    ("--seeds", "12", "check", "c2-loop-lift"),
+    ("--seeds", "12", "check", "c2-loop-lift-unique"),
+    ("--depth", "4", "--seeds", "6", "check", "c2-loop-lift"),
+    ("--seeds", "2", "--fuel", "50", "check", "c2-cn-loop-lift"),
     ("check", "nosuch"),
     ("loop", "diamond", G + "identity.machine"),
     ("--depth", "-1", "eval", G + "identity.machine", "1", "zeros"),
