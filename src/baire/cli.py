@@ -242,7 +242,7 @@ def parse_loop_file(text: str) -> LoopInstance:
     """Parse the loop file format; raises ValueError naming a bad line."""
     kind = None
     seed = 0
-    params = {}
+    params = {}  # key -> (value, line number)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -250,29 +250,33 @@ def parse_loop_file(text: str) -> LoopInstance:
         tokens = line.split()
         try:
             if tokens[0] == "problem":
+                if len(tokens) != 4 or tokens[2] != "seed":
+                    raise ValueError("expected `problem <kind> seed <n>`")
                 kind, seed = tokens[1], parse_natural(tokens[3])
             elif tokens[0] == "public:":
                 keys, values = tokens[1::2], tokens[2::2]
                 if len(keys) != len(values):
                     raise ValueError("public: takes `key value` pairs")
-                params.update(zip(keys, map(parse_natural, values)))
+                params.update((k, (parse_natural(v), lineno)) for k, v in zip(keys, values))
             elif tokens[0] != "witness:":
                 raise ValueError(f"unrecognized record {tokens[0]}")
-        except IndexError:
-            raise ValueError(f"line {lineno}: expected `problem <kind> seed <n>`") from None
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if kind is None:
         raise ValueError("loop file needs a `problem <kind> seed <n>` line")
-    steps = params.get("steps", 5)
-    if kind == "countdown":
-        loop = countdown_loop(params.get("n", 3), seed)
-    elif kind == "limnat-loop":
-        loop = limnat_loop(seed, steps)
-    elif kind in INSTANCE_LOOP_KINDS:
-        loop = problem_loop(kind[: -len("-loop")], seed, steps)
-    else:
+    if kind != "countdown" and kind not in INSTANCE_LOOP_KINDS:
         raise ValueError(f"unknown loop kind: {kind}")
+    # the one public key a kind reads: countdown's n, the other kinds' steps
+    countdown = kind == "countdown"
+    value, _ = params.pop("n" if countdown else "steps", (3 if countdown else 5, 0))
+    for key, (_, lineno) in params.items():  # the first key left over
+        raise ValueError(f"line {lineno}: loop kind {kind} reads no public key {key}")
+    if countdown:
+        loop = countdown_loop(value, seed)
+    elif kind == "limnat-loop":
+        loop = limnat_loop(seed, value)
+    else:
+        loop = problem_loop(kind[: -len("-loop")], seed, value)
     loop.meta["kind"] = kind
     return loop
 

@@ -101,25 +101,15 @@ class StepOracle:
     instance_at: Optional[Callable[[int], Instance]] = None
 
 
-def oracle_for(problem_name: str, instances) -> StepOracle:
-    """Step oracle solving per-step instances of a named problem.
-
-    `instances` is a function i -> Instance (memoized here) or a sequence.
-    """
+def oracle_for(problem_name: str, instances: Callable[[int], Instance]) -> StepOracle:
+    """Step oracle solving per-step instances i -> Instance (memoized here)."""
     realizer = get_realizer(problem_name)
-    if callable(instances):
-        memo = {}
+    memo = {}
 
-        def instance_at(i):
-            if i not in memo:
-                memo[i] = instances(i)
-            return memo[i]
-
-    else:
-        table = list(instances)
-
-        def instance_at(i):
-            return table[i]
+    def instance_at(i):
+        if i not in memo:
+            memo[i] = instances(i)
+        return memo[i]
 
     return StepOracle(
         problem_name, lambda data, i: realizer.solve(instance_at(i)), instance_at
@@ -507,6 +497,10 @@ class LoopInstance:
 
     def step_instance(self, i: int) -> Instance:
         return self.oracle.instance_at(i)
+
+    @property
+    def public_name(self) -> Stream:
+        return self.q0
 
 
 def problem_loop(problem_name: str, seed: int, steps: int) -> LoopInstance:

@@ -12,7 +12,8 @@ solver plus a Sierpinski-valued advice checker), their lift from one step
 to whole loops, and the mind-change simulation that computes eventual-value
 loops on a guess-and-restart machine.  Every suite runs on one seeded-suite
 driver, `run_suite`: a fresh tank per seed, a per-seed judge, and the tank's
-spending added to the report whatever the verdict.
+spending added to the report whatever the verdict.  A problem with advice
+and its lift to loops share one judge, `advice_judge`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .operators import (
     StepRecord,
     check_step,
     generic_universal,
-    inverse_limit,
     lift_reduction_to_inverse_limit,
     limnat_loop,
     problem_loop,
@@ -246,15 +246,15 @@ def check_lifted_reduction(
         fresh = make_loop(seed)
         reference = run_loop(fresh.q0, fresh.oracle, steps)
         compared = 0
-        try:
-            for i in range(steps + 1):
-                extracted = lift.h1(unpair_stream(translated.states[i])[0])
-                verdict, short = check_step(extracted, reference.states[i], depth, tank, tank)
-                if verdict == REFUTED:
-                    return REFUTED, ""
-                compared += short
-        except NeedMoreFuel:
-            return UNDETERMINED, ""
+        for i in range(steps + 1):
+            extracted = lift.h1(unpair_stream(translated.states[i])[0])
+            verdict, short = check_step(extracted, reference.states[i], depth, tank, tank)
+            if verdict == REFUTED:
+                return REFUTED, ""
+            compared += short
+        if not compared and not tank.remaining:
+            # check_step's reads end quietly on the empty seed tank; say so
+            raise NeedMoreFuel(tank)
         return (CONSISTENT if compared else UNDETERMINED), ""
 
     return run_suite(lift.label, depth, seeds, budget, judge)
@@ -266,11 +266,11 @@ def check_lifted_reduction(
 
 @dataclass
 class AdviceSpace:
-    """Sampler plus oracle-side helpful advice for a guessing solver."""
+    """Oracle-side helpful advice plus a sampler `sample(instance, draw)`."""
 
     label: str
     helpful: Callable[[object], Stream]
-    sample: Callable[[int], Stream]
+    sample: Callable[[object, int], Stream]
 
 
 @dataclass
@@ -304,6 +304,32 @@ def nonzero_within(stream: Stream, depth: int, fuel: Fuel) -> Optional[int]:
         return None
 
 
+def advice_judge(witness, instance, outcome, draws, depth: int, tank: Fuel) -> tuple:
+    """The one judge of the two advice conditions, for a problem and its lift.
+
+    Helpful advice must keep F2 at zero through the depth, and the solver's
+    `outcome(advice)` must not be refuted.  A sample F2 flags is recorded,
+    not failed; an unflagged sample with a refuted outcome is undetermined,
+    since F2 may still flag it past the depth.
+    """
+    helpful = witness.advice.helpful(instance)
+    flagged = nonzero_within(witness.F2(instance.public_name, helpful), depth, tank)
+    if flagged is not None:
+        return REFUTED, f"helpful advice flagged at {flagged}"
+    verdict = outcome(helpful)
+    if verdict == REFUTED:
+        return REFUTED, "helpful advice, refuted output"
+    detail = ""
+    for draw in draws:
+        sample = witness.advice.sample(instance, draw)
+        flagged = nonzero_within(witness.F2(instance.public_name, sample), depth, tank)
+        if flagged is not None:
+            detail = f"sample flagged at {flagged}"
+        elif outcome(sample) == REFUTED:
+            return UNDETERMINED, f"sample unflagged through depth {depth}, refuted output"
+    return verdict, detail
+
+
 def check_nondet(
     witness: NonDetWitness,
     problem_name: str,
@@ -311,37 +337,18 @@ def check_nondet(
     depth: int = 32,
     budget: int = 2_000_000,
 ) -> CheckReport:
-    """One-sided verification of the two advice conditions.
-
-    Helpful advice must keep F2 at zero through the depth and make F1's
-    output pass the checker; sampled advice only obligates F1 when F2
-    shows no nonzero within the depth, and a nonzero F2 is recorded, not
-    failed.  Condition one is checked on the supplied witness advice only
-    and condition two only up to the depth.
-    """
+    """`advice_judge` on seeded instances, three advice samples per seed:
+    helpfulness is checked on the witness advice only, rejection up to depth."""
     problem = get_problem(problem_name)
 
     def judge(seed, tank):
         inst = problem.generate(seed)
-        r = witness.advice.helpful(inst)
-        flagged = nonzero_within(witness.F2(inst.public_name, r), depth, tank)
-        if flagged is not None:
-            return REFUTED, f"helpful advice flagged at {flagged}"
-        got = witness.F1(inst.public_name, r).determined_prefix(6, tank)
-        verdict = problem.check_solution(inst, got, depth)
-        if verdict == REFUTED:
-            return REFUTED, "helpful advice, refuted output"
-        detail = ""
-        for j in range(3):  # sampled advice streams per seed
-            r_bad = witness.advice.sample(seed * 31 + j)
-            flagged = nonzero_within(witness.F2(inst.public_name, r_bad), depth, tank)
-            if flagged is not None:
-                detail = f"sample flagged at {flagged}"
-                continue  # recorded, not a failure
-            got_bad = witness.F1(inst.public_name, r_bad).determined_prefix(6, tank)
-            if problem.check_solution(inst, got_bad, depth) == REFUTED:
-                return REFUTED, "unflagged sample gave refuted output"
-        return verdict, detail
+
+        def outcome(advice):
+            got = witness.F1(inst.public_name, advice).determined_prefix(6, tank)
+            return problem.check_solution(inst, got, depth)
+
+        return advice_judge(witness, inst, outcome, range(31 * seed, 31 * seed + 3), depth, tank)
 
     return run_suite(witness.label, depth, seeds, budget, judge, ADVICE_DISCLAIMER)
 
@@ -365,7 +372,7 @@ def c2_nondet_witness() -> NonDetWitness:
     advice = AdviceSpace(
         "bits",
         helpful=lambda inst: value_stream(inst.hidden[1]),
-        sample=lambda seed: value_stream(random.Random(f"adv:{seed}").randrange(2)),
+        sample=lambda inst, draw: value_stream(random.Random(f"adv:{draw}").randrange(2)),
     )
     return NonDetWitness("c2-nondet", F1, F2, advice)
 
@@ -404,18 +411,17 @@ def broken_c2_nondet_witness() -> NonDetWitness:
 
 
 @dataclass
-class LoopAdviceSpace:
-    label: str
-    helpful: Callable[[LoopInstance], Stream]
-    sample: Callable[[LoopInstance, int], Stream]
-
-
-@dataclass
 class LoopNonDetWitness:
-    """Advice-driven loop runner G1 with the staged advice checker G2."""
+    """The independent-choice lift of a NonDetWitness to whole loops.
+
+    Its advice space is A^N: component i of the advice answers step i.  F2
+    is the staged advice checker on the loop's initial state.  A unique lift
+    has the singleton advice space, so its suites sample no advice.
+    """
 
     label: str
     base: NonDetWitness
+    advice: AdviceSpace
     unique: bool = False
 
     def advice_oracle(self, advice: Stream) -> StepOracle:
@@ -429,12 +435,7 @@ class LoopNonDetWitness:
         oracle.consulted = consulted
         return oracle
 
-    def g1(self, q0: Stream, advice: Stream):
-        oracle = self.advice_oracle(advice)
-        out, loop = inverse_limit(oracle, q0)
-        return out, loop, oracle
-
-    def g2(self, q0: Stream, advice: Stream) -> Stream:
+    def F2(self, q0: Stream, advice: Stream) -> Stream:
         return _StagedAdviceCheck(self, q0, advice)
 
 
@@ -483,26 +484,25 @@ def nondet_lift_inverse_limit(
 ) -> LoopNonDetWitness:
     """Advice space goes from A to A-sequences: component i of the advice
     answers step i, consulted exactly once, and the lifted checker fails
-    exactly when the first per-step check does."""
-    return LoopNonDetWitness(label or f"{base.label}-loop", base, unique)
+    exactly when the first per-step check does.  A sampled sequence keeps
+    helpful advice everywhere but at one poisoned step, where it draws from A.
+    """
 
-
-def loop_advice_space(base: NonDetWitness) -> LoopAdviceSpace:
     def helpful(loop: LoopInstance) -> Stream:
         return tuple_countable(lambda i: base.advice.helpful(loop.step_instance(i)))
 
-    def sample(loop: LoopInstance, seed: int) -> Stream:
-        rng = random.Random(f"loop-adv:{seed}")
-        poison = rng.randrange(loop.steps)
+    def sample(loop: LoopInstance, draw: int) -> Stream:
+        poison = random.Random(f"loop-adv:{draw}").randrange(loop.steps)
 
         def component(i):
             if i == poison:
-                return base.advice.sample(seed * 97 + i)
+                return base.advice.sample(loop.step_instance(i), draw * 97 + i)
             return base.advice.helpful(loop.step_instance(i))
 
         return tuple_countable(component)
 
-    return LoopAdviceSpace(f"{base.advice.label}^w", helpful, sample)
+    advice = AdviceSpace(f"{base.advice.label}^w", helpful, sample)
+    return LoopNonDetWitness(label or f"{base.label}-loop", base, advice, unique)
 
 
 def check_loop_nondet(
@@ -514,38 +514,27 @@ def check_loop_nondet(
     adversarial: int = 2,
     budget: int = 6_000_000,
 ) -> CheckReport:
-    """Verify the lifted witness over seeded loops.
+    """Verify the lifted witness over seeded loops with the one advice judge.
 
-    Helpful advice must keep the staged checker at zero and produce a run
-    every step of which passes the base checker and the generic universal
-    face; flagged samples are recorded; unflagged samples must also yield
-    valid runs.
+    An outcome is refuted unless the `steps`-long run under the advice
+    passes `check_loop_run` and consults each advice component once.  Each
+    seed samples `adversarial` advice sequences, none for a unique lift.
     """
-    space = loop_advice_space(lifted.base)
     base_problem = get_problem(make_loop(0).base_problem)
+    k = 0 if lifted.unique else adversarial
 
     def judge(seed, tank):
         loop = make_loop(seed)
-        advice = space.helpful(loop)
-        flagged = nonzero_within(lifted.g2(loop.q0, advice), depth, tank)
-        if flagged is not None:
-            return REFUTED, f"helpful advice flagged at {flagged}"
-        _, run_handle, oracle = lifted.g1(loop.q0, advice)
-        verdict = check_loop_run(run_handle.run(steps), loop.step_instance, base_problem, 5)
-        if verdict == REFUTED or sorted(set(oracle.consulted)) != list(range(steps)):
-            return REFUTED, ""
-        detail = ""
-        for j in range(adversarial):
-            bad = space.sample(loop, seed * 13 + j)
-            flagged = nonzero_within(lifted.g2(loop.q0, bad), depth, tank)
-            if flagged is not None:
-                detail = f"sample flagged at {flagged}"
-                continue
-            _, bad_handle, _ = lifted.g1(loop.q0, bad)
-            bad_run = bad_handle.run(steps)
-            if check_loop_run(bad_run, loop.step_instance, base_problem, 5) == REFUTED:
-                return REFUTED, "unflagged advice gave an invalid run"
-        return verdict, detail
+
+        def outcome(advice):
+            oracle = lifted.advice_oracle(advice)
+            run = LoopStates(loop.q0, oracle).run(steps)
+            verdict = check_loop_run(run, loop.step_instance, base_problem, 5)
+            if sorted(set(oracle.consulted)) != list(range(steps)):
+                return REFUTED
+            return verdict
+
+        return advice_judge(lifted, loop, outcome, range(13 * seed, 13 * seed + k), depth, tank)
 
     return run_suite(lifted.label, depth, seeds, budget, judge, ADVICE_DISCLAIMER)
 
@@ -829,7 +818,6 @@ def witness_library() -> dict:
             lambda s: problem_loop("llpo", s, 5),
             seeds,
             steps=5,
-            adversarial=0,
             **options,
         ),
         "the unique-advice variant: only the witness advice is consulted",

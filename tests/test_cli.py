@@ -281,6 +281,25 @@ def test_malformed_loop_file_exits_two(tmp_path, command, body):
     assert text.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("problem llpo-loop seed 3\npublic: stesp 2\n", 2),  # used to run 5 steps
+        ("problem llpo-loop banana 7 extra\n", 1),
+        ("problem llpo-loop seed 7 extra\n", 1),
+        ("problem countdown seed 0\npublic: steps 9\n", 2),  # countdown reads n
+        ("problem limnat-loop seed 1\npublic: n 3\n", 2),  # the other kinds read steps
+        ("public: steps 4 n 2\nproblem id-loop seed 1\n", 1),
+    ],
+)
+def test_loop_file_rejects_fields_that_do_nothing(tmp_path, body, line):
+    path = tmp_path / "unread.loop"
+    path.write_text(body)
+    code, text = run_cli("loop", "diamond", str(path))
+    assert code == 2
+    assert text.startswith("error: ") and f"line {line}:" in text
+
+
 # --- check ------------------------------------------------------------------------
 
 

@@ -23,7 +23,6 @@ from baire.operators import (
     make_limnat_instance,
     omega,
     omega_via_inverse_limit,
-    oracle_for,
     parallel_inverse_limit,
     parallelize,
     pass_through_program,

@@ -1,7 +1,7 @@
 import pytest
 
 from baire.machine import MachineStream, pure_machine
-from baire.operators import limnat_loop, problem_loop
+from baire.operators import inverse_limit, limnat_loop, problem_loop
 from baire.problems import CONSISTENT, REFUTED, UNDETERMINED, get_problem
 from baire.reductions import (
     broken_c2_nondet_witness,
@@ -16,7 +16,6 @@ from baire.reductions import (
     identity_llpo_witness,
     limnat_to_lim_witness,
     llpo_to_cantor_witness,
-    loop_advice_space,
     NonDetWitness,
     nondet_lift_inverse_limit,
     nonzero_within,
@@ -141,8 +140,7 @@ def test_lifted_nondet_clean_small_suite():
 def test_lifted_nondet_unhelpful_component_goes_nonzero():
     lifted = nondet_lift_inverse_limit(c2_nondet_witness(), "c2-loop-lift")
     loop = problem_loop("llpo", 3, 5)
-    space = loop_advice_space(lifted.base)
-    helpful = space.helpful(loop)
+    helpful = lifted.advice.helpful(loop)
 
     # poison step 2's advice with the excluded point, if this loop has one
     target = None
@@ -162,12 +160,12 @@ def test_lifted_nondet_unhelpful_component_goes_nonzero():
         return lifted.base.advice.helpful(loop.step_instance(i))
 
     advice = tuple_countable(component)
-    g2 = lifted.g2(loop.q0, advice)
-    hit = nonzero_within(g2, 40, Fuel(6_000_000))
+    F2 = lifted.F2(loop.q0, advice)
+    hit = nonzero_within(F2, 40, Fuel(6_000_000))
     assert hit is not None
-    assert g2.fail_step == 2
+    assert F2.fail_step == 2
     # checks 0 and 1 passed before the failure was staged
-    assert g2.fail_stage >= 2
+    assert F2.fail_stage >= 2
 
 
 def test_lifted_nondet_unique_variant_same_suite():
@@ -187,8 +185,9 @@ def test_lifted_nondet_unique_variant_same_suite():
 def test_lifted_nondet_consults_each_component_once():
     lifted = nondet_lift_inverse_limit(c2_nondet_witness(), "one-shot")
     loop = problem_loop("llpo", 8, 5)
-    advice = loop_advice_space(lifted.base).helpful(loop)
-    _, handle, oracle = lifted.g1(loop.q0, advice)
+    advice = lifted.advice.helpful(loop)
+    oracle = lifted.advice_oracle(advice)
+    _, handle = inverse_limit(oracle, loop.q0)
     handle.run(5)
     assert oracle.consulted == [0, 1, 2, 3, 4]
 
@@ -208,6 +207,54 @@ def test_refuted_loop_nondet_seeds_count_their_fuel():
     )
     assert report.refutations == 3
     assert report.fuel_spent > 0
+
+
+def test_lifted_broken_witness_refutations_state_their_reason():
+    report = check_loop_nondet(
+        nondet_lift_inverse_limit(broken_c2_nondet_witness()),
+        lambda s: problem_loop("llpo", s, 5),
+        seeds=12,
+    )
+    refuted = [detail for _, verdict, detail in report.records if verdict == REFUTED]
+    assert refuted
+    assert all(refuted)
+
+
+def test_unique_lift_samples_no_advice():
+    # the singleton advice space: asking for samples draws none
+    def report(unique, adversarial):
+        lifted = nondet_lift_inverse_limit(c2_nondet_witness(), "lift", unique=unique)
+        return check_loop_nondet(
+            lifted, lambda s: problem_loop("llpo", s, 5), seeds=6, adversarial=adversarial
+        )
+
+    unique = report(True, 2)
+    assert unique.text() == report(True, 0).text()
+    assert unique.fuel_spent < report(False, 2).fuel_spent
+    assert not any(detail for _, _, detail in unique.records)
+
+
+def test_unflagged_sample_with_refuted_output_is_undetermined():
+    # F2 that never flags: a sampled bit that the instance excludes gives a
+    # refuted output, yet F2 might flag it past any finite depth
+    good = c2_nondet_witness()
+    never = pure_machine(lambda w: (0,) * (len(w) // 2), "never-flag")
+    witness = NonDetWitness(
+        "never-flag", good.F1, lambda p, r: MachineStream(never, pair_stream(p, r)), good.advice
+    )
+    report = check_nondet(witness, "llpo", seeds=40)
+    assert report.refutations == 0
+    details = {detail for _, verdict, detail in report.records if verdict == UNDETERMINED}
+    assert details == {"sample unflagged through depth 32, refuted output"}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 4, 6, 8, 12, 16])
+def test_sound_registry_entries_never_refute_at_small_depth(depth):
+    # c2-loop-lift used to refute sound seeds at depths below 10: an
+    # unflagged sample's refuted run counted although F2 flags it later
+    for name, entry in witness_library().items():
+        if entry.kind != "negative-control":
+            assert entry.run_check(seeds=12, depth=depth).refutations == 0, name
 
 
 # --- the lifted reduction witness ----------------------------------------------------
@@ -315,6 +362,12 @@ def test_registry_budget_is_the_seed_tank_and_never_refutes(name):
         assert report.refutations == 0
         assert report.fuel_spent <= 3 * budget
     assert entry.run_check(seeds=3, budget=1).undetermined == 3
+
+
+def test_lifted_reduction_dry_seed_tank_says_budget_exhausted():
+    report = witness_library()["c2-cn-loop-lift"].run_check(seeds=2, budget=50)
+    assert report.records == [(s, UNDETERMINED, "budget exhausted") for s in range(2)]
+    assert report.fuel_spent == 100
 
 
 def test_lifted_identity_witness_checks():
