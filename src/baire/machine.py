@@ -42,7 +42,6 @@ from .streams import (
     Word,
     as_fuel,
     as_stream,
-    comparable,
     even_part,
     is_prefix,
     odd_part,
@@ -139,8 +138,16 @@ class EntryAccumulator:
     def offer(self, entry: GraphEntry) -> Optional[GraphEntry]:
         if entry in self._seen:
             return None
+        inp, out = entry
+        size = len(inp)
         for u, v in self.accepted:
-            if comparable(u, entry.inp) and not comparable(v, entry.out):
+            # only a comparable input constrains the output
+            if len(u) <= size:
+                if inp[: len(u)] != u:
+                    continue
+            elif u[:size] != inp:
+                continue
+            if not (out[: len(v)] == v or v[: len(out)] == out):
                 return None  # rejected: would break consistency
         self.accepted.append(entry)
         self._seen.add(entry)
@@ -427,6 +434,16 @@ class RawEvalStream(BufferedStream):
     Feeds name symbols through the incremental decoder, growing the input
     prefix on a fixed schedule, and emits the supremum of the applicable
     entry outputs as it grows.
+
+    The name is read in runs that end at the next schedule boundary
+    (`Stream.read_run`).  A symbol already paid for (a `PlanStream`'s dense
+    prefix, a buffered stream's produced symbols) costs nothing, a fresh
+    plan symbol one step, and every round that produces nothing one step,
+    exactly as when each symbol is read by `at` and each round ticks.  The
+    run's total is charged with one `Fuel.take`; a run that would outrun
+    `Fuel.headroom` stops at the symbol where the one-step path signals and
+    ticks there, so the same tank signals.  Other names come one symbol a
+    run, read and charged by `at`.
     """
 
     def __init__(self, name: Stream, source: Stream, label: str = ""):
@@ -460,24 +477,52 @@ class RawEvalStream(BufferedStream):
             self._note(entry)
 
     def _extend(self, fuel: Fuel) -> None:
-        # runs rounds until one produces; each round after the first is
-        # charged here, as the caller would have charged it
+        # runs rounds until one produces, one name symbol per round; the
+        # caller charged the first round, and each run of rounds up to the
+        # next schedule boundary is charged here with one take
         buf = self._buf
+        name = self.name
+        parse = self._acc.parser.feed
+        offer = self._acc.offer
         while True:
-            while self._name_pos >= _raw_schedule(len(self._input)):
+            end = _raw_schedule(len(self._input))
+            while self._name_pos >= end:
                 self._grow_input(fuel)
+                end = _raw_schedule(len(self._input))
             if len(self._best) > len(buf):
                 buf.extend(self._best[len(buf) :])
                 return
-            sym = self.name.at(self._name_pos, fuel)
-            self._name_pos += 1
-            entry = self._acc.feed(sym)
-            if entry is not None:
-                self._note(entry)
-                if len(self._best) > len(buf):
-                    buf.extend(self._best[len(buf) :])
-                    return
-            fuel.tick()
+            run, paid = name.read_run(self._name_pos, end, fuel)
+            room = fuel.headroom()
+            cost = used = 0
+            dry = produced = False
+            for sym in run:
+                if used >= paid:  # a fresh symbol costs one step to read
+                    if cost >= room:
+                        dry = True
+                        break
+                    cost += 1
+                used += 1
+                if sym not in DUMMY_SYMBOLS:
+                    entry = parse(sym)
+                    if entry is not None and offer(entry) is not None:
+                        self._note(entry)
+                        if len(self._best) > len(buf):
+                            produced = True
+                            break
+                if cost >= room:  # the next round's step
+                    dry = True
+                    break
+                cost += 1
+            fuel.take(cost)
+            if used > paid:
+                name.record_run(run[paid:used])
+            self._name_pos += used
+            if produced:
+                buf.extend(self._best[len(buf) :])
+                return
+            if dry:
+                fuel.tick()  # raises for the tank the per-step path names
 
 
 def eval_stream(name: NameLike, source: Stream) -> Stream:

@@ -187,6 +187,9 @@ def check_reduction(
         h_in = answer if witness.strong else pair_stream(inst.public_name, answer)
         got = MachineStream(witness.H, h_in).determined_prefix(8, tank)
         verdict = f_problem.check_solution(inst, got, depth)
+        if verdict == UNDETERMINED and len(got) < 8 and not tank.remaining:
+            # the read ended quietly on the empty seed tank; say so
+            raise NeedMoreFuel(tank)
         return verdict, (f"output {list(got)}" if verdict == REFUTED else "")
 
     return run_suite(witness.label, depth, seeds, budget, judge)

@@ -10,15 +10,20 @@ query with more fuel simply resumes.
 Symbols are produced and charged in bulk where that is exact: a prefix read
 of a buffered stream drains its queued symbols at one step each with a
 single :meth:`Fuel.take`, and `take` grants exactly the steps that the
-one-step-at-a-time path would have charged before it signalled.  Every
-`spent` count is therefore the same whichever path a read takes.
+one-step-at-a-time path would have charged before it signalled.  A reader
+that consumes a stream in runs (the decode route, `RawEvalStream`) gets the
+symbols up to a boundary from `Stream.read_run`, with how many are already
+paid for; it sums the steps the run would cost one at a time, stops where
+`Fuel.headroom` says the one-step path would signal, and charges the sum
+with one `take`.  Every `spent` count is therefore the same whichever path a
+read takes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, Iterable, Optional, Union
 
 Word = tuple  # finite word over the naturals
@@ -77,6 +82,19 @@ class Fuel:
             tank.spent += n
             tank = tank.parent
 
+    def headroom(self) -> int:
+        """The smallest `remaining` on the chain; charges nothing.
+
+        This many one-step ticks in a row succeed, and the next one raises.
+        """
+        room = self.remaining
+        tank = self.parent
+        while tank is not None:
+            if tank.remaining < room:
+                room = tank.remaining
+            tank = tank.parent
+        return room
+
     def take(self, n: int) -> int:
         """Charge up to n steps to every tank on the chain; return how many.
 
@@ -85,12 +103,7 @@ class Fuel:
         row.  After a short grant the next `tick()` raises for the same tank
         the one-step path would have named.
         """
-        grant = n
-        tank = self
-        while tank is not None:
-            if tank.remaining < grant:
-                grant = tank.remaining
-            tank = tank.parent
+        grant = min(n, self.headroom())
         if grant <= 0:
             return 0
         tank = self
@@ -118,10 +131,6 @@ def as_fuel(fuel: FuelLike) -> Fuel:
 
 def is_prefix(u: Word, w: Word) -> bool:
     return w[: len(u)] == u
-
-
-def comparable(u: Word, w: Word) -> bool:
-    return is_prefix(u, w) or is_prefix(w, u)
 
 
 def word_sup(a: Word, b: Word) -> Optional[Word]:
@@ -192,6 +201,17 @@ class Stream:
     def determined_prefix(self, k: int, fuel: FuelLike = None) -> Word:
         """Longest prefix of length <= k computable before fuel runs out."""
         return read_prefix(self, k, as_fuel(fuel), None)
+
+    def read_run(self, pos: int, end: int, fuel: Fuel) -> tuple:
+        """(symbols, paid): symbols pos, pos+1, ... before `end`, at least
+        one, for a reader that charges them itself.
+
+        The first `paid` symbols cost nothing more.  Every later one costs
+        one step; only a `PlanStream` returns such symbols, and the reader
+        passes the ones it charged, in order, to its `record_run`.  Here
+        the run is the one symbol `at` reads and charges.
+        """
+        return [self.at(pos, fuel)], 1
 
     def __repr__(self):
         tag = self.label or type(self).__name__
@@ -272,27 +292,50 @@ class PlanStream(_IndexedStream):
             if any(start <= i < k for i in self._cache):
                 return super()._prefix(k, fuel)  # memoized reads in the way are free
             granted = fuel.take(k - start)
-            self._append_symbols(start + granted)
+            self._plan_into(read, start, start + granted)
             if start + granted < k:
                 fuel.tick()  # the first unpaid index: raises for the empty tank
         return tuple(read[:k])
 
-    def _append_symbols(self, end: int) -> None:
-        """Extend the dense read list to `end` symbols straight from the plan."""
+    def read_run(self, pos: int, end: int, fuel: Fuel) -> tuple:
+        # the dense prefix is paid for; the plan symbols after it are not,
+        # up to the first memoized index, as in _prefix
         read = self._read
+        dense = len(read)
+        if pos > dense or (pos == dense and pos in self._cache):
+            return super().read_run(pos, end, fuel)  # sparse reads go by `at`
+        run = read[pos:end]
+        paid = len(run)
+        if dense < end:
+            stop = min([i for i in self._cache if dense <= i < end], default=end)
+            self._plan_into(run, dense, stop)
+        return run, paid
+
+    def record_run(self, symbols: list) -> None:
+        """Keep the unpaid symbols of a `read_run` once they are charged."""
+        read = self._read
+        read.extend(symbols)
+        cache = self._cache
+        while len(read) in cache:  # the dense run reaches earlier sparse reads
+            read.append(cache.pop(len(read)))
+
+    def _plan_into(self, out: list, start: int, end: int) -> None:
+        """Append symbols start .. end-1, straight from the plan, to `out`.
+
+        Charges nothing and records nothing on the stream.
+        """
         head = self.head
-        start = len(read)
-        read.extend(head[start:end])
+        out.extend(head[start:end])
         lo = max(start, len(head))
         if end <= lo:
             return
         if self.tail[0] == "zeros":
-            read.extend([0] * (end - lo))
+            out.extend(repeat(0, end - lo))
             return
         cyc = self.tail[1]
         shift = (lo - len(head)) % len(cyc)
         turn = cyc[shift:] + cyc[:shift]
-        read.extend((turn * ((end - lo) // len(cyc) + 1))[: end - lo])
+        out.extend((turn * ((end - lo) // len(cyc) + 1))[: end - lo])
 
     def _compute(self, n, fuel):
         if n < len(self.head):
@@ -504,6 +547,12 @@ class BufferedStream(Stream):
     def _prefix(self, k: int, fuel: Fuel) -> Word:
         self.fill(k, fuel)
         return tuple(self._buf[:k])
+
+    def read_run(self, pos: int, end: int, fuel: Fuel) -> tuple:
+        run = self._buf[pos:end]
+        if run:
+            return run, len(run)  # produced symbols are paid for
+        return super().read_run(pos, end, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ paths they check.
 
 import random
 
-from baire.machine import GraphEntry, WordMachine, encode_entry_block
+from baire.machine import (
+    GraphEntry,
+    RawEvalStream,
+    WordMachine,
+    _raw_schedule,
+    encode_entry_block,
+)
 from baire.streams import PlanStream, is_prefix
 
 
@@ -52,19 +58,23 @@ def naive_decode(word):
             i = j + 1
         else:
             break  # prefix ends mid-entry
-    accepted = []
+    # two words are comparable when they agree on their common length
+    accepted = []  # (input, output, their lengths)
+    seen = set()
     for u, v in raw:
-        if (u, v) in accepted:
+        if (u, v) in seen:
             continue
-        ok = True
-        for u2, v2 in accepted:
-            if is_prefix(u, u2) or is_prefix(u2, u):
-                if not (is_prefix(v, v2) or is_prefix(v2, v)):
-                    ok = False
+        lu, lv = len(u), len(v)
+        for u2, v2, lu2, lv2 in accepted:
+            n = lu if lu < lu2 else lu2
+            if u[:n] == u2[:n]:
+                m = lv if lv < lv2 else lv2
+                if v[:m] != v2[:m]:
                     break
-        if ok:
-            accepted.append((u, v))
-    return accepted
+        else:
+            accepted.append((u, v, lu, lv))
+            seen.add((u, v))
+    return [(u, v) for u, v, _, _ in accepted]
 
 
 def naive_eval(name_word, input_word):
@@ -74,6 +84,32 @@ def naive_eval(name_word, input_word):
             assert v[: len(best)] == best
             best = v
     return best
+
+
+class PerSymbolRawEval(RawEvalStream):
+    """The decode route reading its name one `at` call and one tick per symbol.
+
+    This is `RawEvalStream._extend` as it was before names were read in
+    runs, kept as the reference the run reader must match step for step.
+    """
+
+    def _extend(self, fuel):
+        buf = self._buf
+        while True:
+            while self._name_pos >= _raw_schedule(len(self._input)):
+                self._grow_input(fuel)
+            if len(self._best) > len(buf):
+                buf.extend(self._best[len(buf) :])
+                return
+            sym = self.name.at(self._name_pos, fuel)
+            self._name_pos += 1
+            entry = self._acc.feed(sym)
+            if entry is not None:
+                self._note(entry)
+                if len(self._best) > len(buf):
+                    buf.extend(self._best[len(buf) :])
+                    return
+            fuel.tick()
 
 
 # --- seeded word machines -----------------------------------------------------

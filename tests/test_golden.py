@@ -99,6 +99,7 @@ BATTERY = (
     ("--seeds", "12", "check", "c2-loop-lift-unique"),
     ("--depth", "4", "--seeds", "6", "check", "c2-loop-lift"),
     ("--seeds", "2", "--fuel", "50", "check", "c2-cn-loop-lift"),
+    ("--strict", "--seeds", "2", "--fuel", "3", "check", "llpo-id"),
     ("check", "nosuch"),
     ("loop", "diamond", G + "identity.machine"),
     ("--depth", "-1", "eval", G + "identity.machine", "1", "zeros"),

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baire.machine import (
+    EntryAccumulator,
+    EntryParser,
     ExplicitName,
     GraphEntry,
     MachineName,
@@ -58,6 +60,38 @@ def test_decode_recovers_from_malformed_fragment():
 def test_stray_symbols_outside_entries_are_ignored():
     word = (9, 4, 5, 3, 4, 13, 5, 4, 4)
     assert decode_entries(word) == (GraphEntry((), (7,)),)
+
+
+def _with_repeats_and_decoys(word, rng):
+    """The word with exact repeats of some of its entries and decoys against
+    them (same, shorter or longer input; an output differing in its last
+    symbol) spliced in at random places, before or after the original."""
+    mixed = list(word)
+    entries = naive_decode(word)
+    for u, v in rng.sample(entries, min(10, len(entries))):
+        wrong = v[:-1] + (v[-1] + 1,) if v else (rng.randrange(4),)
+        for entry in ((u, v), (u, wrong), (u[:-1], wrong), (u + (rng.randrange(3),), wrong)):
+            at = rng.randrange(len(mixed) + 1)
+            mixed[at:at] = encode_entry_block(GraphEntry(*entry))
+    return tuple(mixed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_consistency_filter_matches_naive_oracle(seed):
+    # criterion 1's two corpora: a transducer's encoded graph and a chain name
+    rng = random.Random(f"offer:{seed}")
+    words = (
+        encode_machine(transducer_machine(seed)).prefix(1500, Fuel(10**6)),
+        ChainPlan(seed, blocks=8).name.head[:140],
+    )
+    for word in words:
+        mixed = _with_repeats_and_decoys(word, rng)
+        acc, parser, parsed = EntryAccumulator(), EntryParser(), 0
+        for sym in mixed:
+            acc.feed(sym)
+            parsed += parser.feed(sym) is not None
+        assert acc.accepted == naive_decode(mixed)
+        assert parsed > len(acc.accepted)  # the filter rejected something
 
 
 @settings(max_examples=200)

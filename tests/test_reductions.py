@@ -423,3 +423,15 @@ def test_lifted_program_equation_through_generic_face():
     short = min(len(got), len(want))
     assert got[:short] == want[:short]
     assert short >= 2
+
+
+@pytest.mark.parametrize("name", ["llpo-id", "c2-to-cn"])
+def test_reduction_dry_seed_tank_says_budget_exhausted(name):
+    report = witness_library()[name].run_check(seeds=2, budget=3)
+    assert report.records == [(s, UNDETERMINED, "budget exhausted") for s in range(2)]
+    assert report.fuel_spent == 6
+
+
+def test_reduction_refuted_on_a_short_prefix_stays_refuted():
+    report = witness_library()["broken-lpo"].run_check(seeds=4, budget=3)
+    assert report.count(REFUTED) == 4

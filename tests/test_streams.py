@@ -33,6 +33,7 @@ from baire.streams import (
     word_sup,
 )
 from baire.transform import InjectionOutput, SelfPairingName
+from helpers import PerSymbolRawEval
 
 words = st.lists(st.integers(min_value=0, max_value=30), max_size=8).map(tuple)
 
@@ -475,3 +476,129 @@ def test_bulk_reads_match_per_index_reads(kind, shape, op_index, budget, k, pre_
     ops = _ops(build())
     op = ops[op_index % len(ops)]
     _check_bulk_matches_per_index(build, min(k, limit), op, shape, budget, pre_reads)
+
+
+# The decode route reads its name in runs up to the next schedule boundary
+# and charges each run with one take.  helpers.PerSymbolRawEval, the reader
+# that reads one symbol and ticks once per round, is the reference: both must
+# charge every tank alike, stop at the same symbol, name the same tank and
+# leave name and stream resumable in the same state, at every budget.  Each
+# factory returns a fresh (name, source, k); the value reaches k symbols.
+
+
+def _block(u, v):
+    return encode_entry_block(GraphEntry(u, v))
+
+
+def _raw_symbols():
+    syms = (0, 1) + _block((), (5,)) + (2,) + _block((0,), (5, 7))
+    syms += _block((0,), (6,))  # decoy: rejected
+    syms += (3, 7, 3)  # malformed fragment
+    syms += _block((0, 1), (5, 7, 8, 9)) + (1,) + _block((1,), (4,))
+    syms += _block((0, 1), (5, 7, 8, 9))  # exact repeat: rejected
+    return syms + _block((0, 1, 2, 3), (5, 7, 8, 9) + tuple(range(10, 16)))
+
+
+def _raw_source():
+    return PlanStream((0, 1, 2), ("cycle", (3,)))
+
+
+def _raw_plan(pre_reads=(), dense=0):
+    name = PlanStream(_raw_symbols(), ("zeros",))
+    name.prefix(dense, Fuel(10**5))
+    for i in pre_reads:
+        name.at(i, Fuel(10))
+    return name, _raw_source(), 10
+
+
+def _raw_sparse_at_edge():
+    # a dense read that stops at a memoized index leaves that index sparse
+    name = PlanStream(_raw_symbols(), ("zeros",))
+    name.at(30, Fuel(10))
+    name.prefix(30, Fuel(10**5))
+    return name, _raw_source(), 10
+
+
+def _raw_cycle():
+    syms = _raw_symbols()
+    return PlanStream(syms[:30], ("cycle", syms[30:] + (1, 0))), _raw_source(), 10
+
+
+def _raw_machine_name():
+    name = MachineName(WordMachine(_charging_identity, "id"), head=(2, 0, 1))
+    name.prefix(15, Fuel(10**5))  # a produced prefix is read for free
+    return name, PlanStream((0, 1, 0), ("cycle", (1,))), 3
+
+
+def _raw_explicit_name():
+    entries = [((), (5,)), ((0,), (5, 7)), ((0,), (6,))]
+    entries.append(((0, 1, 2, 3), (5, 7) + tuple(range(8, 16))))
+    return ExplicitName(entries, head=(2,)), _raw_source(), 10
+
+
+RAW_NAMES = {
+    "plan-cold": _raw_plan,
+    "plan-warm": lambda: _raw_plan(dense=20),
+    "plan-sparse": lambda: _raw_plan(pre_reads=(12, 13, 40, 90), dense=3),
+    "plan-sparse-at-edge": _raw_sparse_at_edge,
+    "plan-cycle": _raw_cycle,
+    "machine-name": _raw_machine_name,
+    "explicit-name": _raw_explicit_name,
+}
+
+
+def _charged(name):
+    """What the name has paid for: its dense or produced prefix and memo."""
+    if isinstance(name, PlanStream):
+        return list(name._read), dict(name._cache)
+    return list(name._buf), list(name._pending)
+
+
+def _raw_read(stream_cls, build, shape, budget):
+    name, source, k = build()
+    stream = stream_cls(name, source)
+    tanks = _tanks(shape, budget)
+    try:
+        stream.prefix(k, tanks[0])
+        signal = None
+    except NeedMoreFuel as blocked:
+        signal = _role(blocked.tank, tanks)
+    state = (
+        list(stream._buf),
+        signal,
+        [t.spent for t in tanks],
+        stream._name_pos,
+        _charged(name),
+        _charged(source),
+    )
+    resumed = Fuel(10**5)
+    return state, stream.prefix(k, resumed), resumed.spent
+
+
+@pytest.mark.parametrize("kind", sorted(RAW_NAMES))
+def test_run_reader_matches_per_symbol_reader_at_every_budget(kind):
+    build = RAW_NAMES[kind]
+    name, source, k = build()
+    full = Fuel(10**5)
+    assert len(RawEvalStream(name, source).prefix(k, full)) == k
+    for budget in range(full.spent + 2):
+        for shape in TANK_SHAPES:
+            got = _raw_read(RawEvalStream, build, shape, budget)
+            want = _raw_read(PerSymbolRawEval, build, shape, budget)
+            assert got == want, (budget, shape)
+
+
+@pytest.mark.parametrize("shape", TANK_SHAPES + ("three-deep",))
+@pytest.mark.parametrize("budget", [0, 1, 4])
+def test_headroom_is_the_grant_of_take_and_charges_nothing(shape, budget):
+    if shape == "three-deep":  # the middle tank is the smallest
+        top = Fuel(budget + 2)
+        tanks = [Fuel(budget + 1, parent=Fuel(budget, parent=top))]
+        tanks += [tanks[0].parent, top]
+    else:
+        tanks = _tanks(shape, budget)
+    before = [(t.spent, t.remaining) for t in tanks]
+    room = tanks[0].headroom()
+    assert [(t.spent, t.remaining) for t in tanks] == before
+    assert room == budget
+    assert tanks[0].take(budget + 3) == room
