@@ -17,6 +17,14 @@ by skipping to the next 3.  Entries are accepted in arrival order and an
 entry that would break consistency (comparable inputs must have comparable
 outputs) is silently rejected, which makes every stream a valid name.
 
+Decoding works on runs of symbols:
+`EntryParser.scan` finds a run's structural symbols (3, 4, 5) in one pass
+and takes the payload between them by slices; `EntryAccumulator` indexes the
+accepted inputs in a trie, so an entry is compared only with the accepted
+entries whose inputs are comparable with its own; `decode_entries` resumes
+a longer prefix of a name from the accumulator of its previous schedule
+prefix; and `RawEvalStream` charges each run of name symbols in closed form.
+
 Constructed names additionally carry their word function, so evaluation can
 take a direct route instead of scanning the encoded graph; the two routes
 agree on every determined index and the tests exercise both.  A name that
@@ -28,9 +36,10 @@ flatten.  `eval_stream` and `apply_name_structured` are its only readers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Callable, NamedTuple, Optional, Union
 
 from .streams import (
@@ -48,7 +57,6 @@ from .streams import (
     word_sup,
 )
 
-DUMMY_SYMBOLS = (0, 1, 2)
 ENTRY_BEGIN = 3
 ENTRY_SEP = 4
 ENTRY_END = 5
@@ -74,10 +82,18 @@ def encode_entry_block(entry: GraphEntry) -> Word:
 
 
 _OUTSIDE, _READ_INPUT, _READ_OUTPUT = 0, 1, 2
+_MARKS = frozenset((ENTRY_BEGIN, ENTRY_SEP, ENTRY_END))
 
 
 class EntryParser:
-    """Single-pass block parser with dummy skipping and malformed recovery."""
+    """Block parser with dummy skipping and malformed recovery, run by run.
+
+    `scan` reads a run of symbols: one comprehension finds the structural
+    symbols (3, 4, 5), unless a set test shows the run has none, the
+    payload between them is taken by slices with the dummies dropped, and
+    every completed entry is yielded with the index of its end symbol.  The state carries over from run to run, so a block may straddle
+    runs; `feed` is the run of one symbol.
+    """
 
     __slots__ = ("state", "inp", "out")
 
@@ -87,47 +103,67 @@ class EntryParser:
         self.out = []
 
     def feed(self, sym: int) -> Optional[GraphEntry]:
-        if sym in DUMMY_SYMBOLS:
-            return None
-        if self.state == _OUTSIDE:
+        for _, entry in self.scan((sym,), 0, 1):
+            return entry
+        return None
+
+    def scan(self, run, lo: int, hi: int):
+        """Yield (i, entry) for every entry ended by run[i], lo <= i < hi.
+
+        A caller that stops after an entry leaves the parser just past
+        that entry's end symbol, ready to scan from i + 1.
+        """
+        state = self.state
+        start = lo
+        if _MARKS.isdisjoint(islice(run, lo, hi)):
+            marks = [hi]  # all payload or dummies (a zeros tail, say)
+        else:
+            # literals, not the names: this is the hottest loop of a read
+            marks = [i for i in range(lo, hi) if 2 < run[i] < 6] + [hi]
+        for i in marks:
+            if state and start < i:  # payload up to this mark
+                (self.inp if state == _READ_INPUT else self.out).extend(
+                    [s - PAYLOAD_BASE for s in run[start:i] if s >= PAYLOAD_BASE]
+                )
+            if i == hi:
+                break
+            start = i + 1
+            sym = run[i]
             if sym == ENTRY_BEGIN:
-                self.state = _READ_INPUT
+                # also inside an entry: drop it and start fresh here
+                state = _READ_INPUT
                 self.inp = []
                 self.out = []
-            return None
-        if sym == ENTRY_BEGIN:
-            # unexpected begin inside an entry: drop it, start fresh here
-            self.state = _READ_INPUT
-            self.inp = []
-            self.out = []
-            return None
-        if self.state == _READ_INPUT:
-            if sym >= PAYLOAD_BASE:
-                self.inp.append(sym - PAYLOAD_BASE)
-            elif sym == ENTRY_SEP:
-                self.state = _READ_OUTPUT
-            else:  # end marker before the separator: malformed
-                self.state = _OUTSIDE
-            return None
-        if sym >= PAYLOAD_BASE:
-            self.out.append(sym - PAYLOAD_BASE)
-            return None
-        if sym == ENTRY_END:
-            self.state = _OUTSIDE
-            return GraphEntry(tuple(self.inp), tuple(self.out))
-        self.state = _OUTSIDE  # second separator: malformed
-        return None
+            elif state == _READ_INPUT:
+                # an end marker before the separator is malformed
+                state = _READ_OUTPUT if sym == ENTRY_SEP else _OUTSIDE
+            elif state == _READ_OUTPUT:
+                state = _OUTSIDE  # a second separator is malformed
+                if sym == ENTRY_END:
+                    self.state = state
+                    yield i, GraphEntry(tuple(self.inp), tuple(self.out))
+        self.state = state
 
 
 class EntryAccumulator:
-    """Parser plus the arrival-order consistency filter."""
+    """Parser plus the arrival-order consistency filter.
 
-    __slots__ = ("parser", "accepted", "_seen")
+    The accepted inputs are indexed by a trie keyed by input symbol.  A node
+    is [children, longest output accepted for its input word (the empty
+    word if none, which is comparable with every word), outputs of the
+    entries accepted below it], so an entry is compared with exactly the
+    accepted entries whose inputs are comparable with its own: those on its
+    input's path and those below its input's node.  The outputs on a path
+    form a chain, so only the longest of them needs comparing.
+    """
+
+    __slots__ = ("parser", "accepted", "_seen", "_root")
 
     def __init__(self):
         self.parser = EntryParser()
         self.accepted = []
         self._seen = set()
+        self._root = [{}, (), []]
 
     def feed(self, sym: int) -> Optional[GraphEntry]:
         entry = self.parser.feed(sym)
@@ -135,31 +171,69 @@ class EntryAccumulator:
             return None
         return self.offer(entry)
 
+    def take_run(self, run, lo: int, hi: int) -> None:
+        """Parse run[lo:hi] and offer every entry it completes."""
+        offer = self.offer
+        for _, entry in self.parser.scan(run, lo, hi):
+            offer(entry)
+
     def offer(self, entry: GraphEntry) -> Optional[GraphEntry]:
         if entry in self._seen:
             return None
         inp, out = entry
-        size = len(inp)
-        for u, v in self.accepted:
-            # only a comparable input constrains the output
-            if len(u) <= size:
-                if inp[: len(u)] != u:
-                    continue
-            elif u[:size] != inp:
-                continue
-            if not (out[: len(v)] == v or v[: len(out)] == out):
-                return None  # rejected: would break consistency
+        node = self._root
+        longest = node[1]
+        size = len(longest)
+        for sym in inp:
+            node = node[0].get(sym)
+            if node is None:
+                break  # nothing accepted at or below the rest of the input
+            if len(node[1]) > size:
+                longest = node[1]
+                size = len(longest)
+        else:
+            for v in node[2]:
+                if not (out[: len(v)] == v or v[: len(out)] == out):
+                    return None  # rejected: would break consistency
+        if not (out[:size] == longest or longest[: len(out)] == out):
+            return None
+        node = self._root
+        for sym in inp:
+            node[2].append(out)
+            children = node[0]
+            node = children.get(sym)
+            if node is None:
+                node = children[sym] = [{}, (), []]
+        if len(out) > len(node[1]):
+            node[1] = out
         self.accepted.append(entry)
         self._seen.add(entry)
         return entry
 
 
+# decode_entries hands the accumulator of each prefix it decodes on to the
+# next, longer prefix of the same content; the table keeps the last few
+_HANDOFF_SIZE = 8
+_handoff: dict = {}  # name prefix -> the accumulator that decoded it
+
+
 @lru_cache(maxsize=1 << 14)
 def decode_entries(name_prefix: Word) -> tuple:
-    """Accepted entries of a finite name prefix, in acceptance order."""
-    acc = EntryAccumulator()
-    for sym in name_prefix:
-        acc.feed(sym)
+    """Accepted entries of a finite name prefix, in acceptance order.
+
+    A miss resumes from the accumulator of the previous schedule prefix
+    (the longest (k+3)² shorter than this one) of the same content when
+    the hand-on table still holds it, and decodes from scratch otherwise.
+    """
+    n = len(name_prefix)
+    start = math.isqrt(n - 1) ** 2 if n > 9 else 0  # (k+3)² < n, k >= 0
+    acc = _handoff.pop(name_prefix[:start], None) if start else None
+    if acc is None:
+        acc, start = EntryAccumulator(), 0
+    acc.take_run(name_prefix, start, n)
+    if len(_handoff) >= _HANDOFF_SIZE:
+        del _handoff[next(iter(_handoff))]
+    _handoff[name_prefix] = acc
     return tuple(acc.accepted)
 
 
@@ -440,10 +514,16 @@ class RawEvalStream(BufferedStream):
     prefix, a buffered stream's produced symbols) costs nothing, a fresh
     plan symbol one step, and every round that produces nothing one step,
     exactly as when each symbol is read by `at` and each round ticks.  The
-    run's total is charged with one `Fuel.take`; a run that would outrun
-    `Fuel.headroom` stops at the symbol where the one-step path signals and
-    ticks there, so the same tank signals.  Other names come one symbol a
-    run, read and charged by `at`.
+    first `paid` symbols of a run are the paid ones, so symbols 0 .. i-1
+    cost c(i) = i + max(0, i - paid) steps, and the symbol where the
+    one-step path would signal follows from c and `Fuel.headroom` alone,
+    with no per-symbol count; a run costing exactly the headroom is
+    read to its end, and the next step signals.  Only that stretch is
+    scanned, by `EntryParser.scan`, which skips dummies; an entry that
+    makes the output grow ends the run after its end symbol.  The run's
+    total is charged with one `Fuel.take`, and a run cut short by the
+    headroom ticks after it, so the same tank signals.  Other names come
+    one symbol a run, read and charged by `at`.
     """
 
     def __init__(self, name: Stream, source: Stream, label: str = ""):
@@ -482,7 +562,7 @@ class RawEvalStream(BufferedStream):
         # next schedule boundary is charged here with one take
         buf = self._buf
         name = self.name
-        parse = self._acc.parser.feed
+        scan = self._acc.parser.scan
         offer = self._acc.offer
         while True:
             end = _raw_schedule(len(self._input))
@@ -493,28 +573,27 @@ class RawEvalStream(BufferedStream):
                 buf.extend(self._best[len(buf) :])
                 return
             run, paid = name.read_run(self._name_pos, end, fuel)
+            n = len(run)
             room = fuel.headroom()
-            cost = used = 0
-            dry = produced = False
-            for sym in run:
-                if used >= paid:  # a fresh symbol costs one step to read
-                    if cost >= room:
-                        dry = True
+            # symbols 0 .. i-1 cost c(i) = i + max(0, i - paid) steps, a
+            # round each and a read each fresh one; m rounds fit the room
+            m = room if room <= paid else (room + paid) // 2
+            dry = m < n  # c(n) == room is not dry: the next step signals
+            # c(m) <= room < c(m + 1): symbol m is still read unless it is
+            # fresh and c(m) = 2m - paid leaves no step for its read (a
+            # paid m has c(m) = m = room < paid, and passes the test)
+            used = m + (2 * m - paid < room) if dry else n
+            produced = False
+            for i, entry in scan(run, 0, used):
+                if offer(entry) is not None:
+                    self._note(entry)
+                    if len(self._best) > len(buf):
+                        used, produced = i + 1, True
                         break
-                    cost += 1
-                used += 1
-                if sym not in DUMMY_SYMBOLS:
-                    entry = parse(sym)
-                    if entry is not None and offer(entry) is not None:
-                        self._note(entry)
-                        if len(self._best) > len(buf):
-                            produced = True
-                            break
-                if cost >= room:  # the next round's step
-                    dry = True
-                    break
-                cost += 1
-            fuel.take(cost)
+            if produced:  # no round step after the producing symbol
+                fuel.take(used - 1 + max(0, used - paid))
+            else:
+                fuel.take(room if dry else n + max(0, n - paid))
             if used > paid:
                 name.record_run(run[paid:used])
             self._name_pos += used

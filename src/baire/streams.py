@@ -12,11 +12,11 @@ of a buffered stream drains its queued symbols at one step each with a
 single :meth:`Fuel.take`, and `take` grants exactly the steps that the
 one-step-at-a-time path would have charged before it signalled.  A reader
 that consumes a stream in runs (the decode route, `RawEvalStream`) gets the
-symbols up to a boundary from `Stream.read_run`, with how many are already
-paid for; it sums the steps the run would cost one at a time, stops where
-`Fuel.headroom` says the one-step path would signal, and charges the sum
-with one `take`.  Every `spent` count is therefore the same whichever path a
-read takes.
+symbols up to a boundary from `Stream.read_run`, with how many of them, at
+the front, are already paid for; from that count and `Fuel.headroom` alone
+it works out in closed form the symbol where the one-step path would
+signal, and charges the run's cost with one `take`.  Every `spent` count is therefore the same whichever path a read
+takes.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ class PlanStream(_IndexedStream):
         value = self._compute(n, fuel)
         if n == len(read):
             read.append(value)
-            while len(read) in cache:  # the dense run reaches earlier sparse reads
+            while len(read) in cache:  # inline `_fold`: this is the hot path
                 read.append(cache.pop(len(read)))
         else:
             cache[n] = value
@@ -293,6 +293,7 @@ class PlanStream(_IndexedStream):
                 return super()._prefix(k, fuel)  # memoized reads in the way are free
             granted = fuel.take(k - start)
             self._plan_into(read, start, start + granted)
+            self._fold()
             if start + granted < k:
                 fuel.tick()  # the first unpaid index: raises for the empty tank
         return tuple(read[:k])
@@ -302,7 +303,7 @@ class PlanStream(_IndexedStream):
         # up to the first memoized index, as in _prefix
         read = self._read
         dense = len(read)
-        if pos > dense or (pos == dense and pos in self._cache):
+        if pos > dense:
             return super().read_run(pos, end, fuel)  # sparse reads go by `at`
         run = read[pos:end]
         paid = len(run)
@@ -313,10 +314,15 @@ class PlanStream(_IndexedStream):
 
     def record_run(self, symbols: list) -> None:
         """Keep the unpaid symbols of a `read_run` once they are charged."""
+        self._read.extend(symbols)
+        self._fold()
+
+    def _fold(self) -> None:
+        # the dense run reaches earlier sparse reads: move them over, so the
+        # memo never holds the index at the dense end
         read = self._read
-        read.extend(symbols)
         cache = self._cache
-        while len(read) in cache:  # the dense run reaches earlier sparse reads
+        while len(read) in cache:
             read.append(cache.pop(len(read)))
 
     def _plan_into(self, out: list, start: int, end: int) -> None:

@@ -20,8 +20,9 @@ from baire.streams import PlanStream, is_prefix
 # --- independent decode/eval oracle -----------------------------------------
 
 
-def naive_decode(word):
-    """Entry extraction by explicit index walking; no shared parser code."""
+def naive_blocks(word):
+    """(index of the end symbol, entry) for every well-formed block, in
+    order, by explicit index walking; no shared parser code."""
     raw = []
     i, n = 0, len(word)
     while i < n:
@@ -53,15 +54,22 @@ def naive_decode(word):
                 break
         if bad:
             i = j  # resume at the offending symbol
-        elif j < n and part is out and word[j] == 5:
-            raw.append((tuple(inp), tuple(out)))
+        elif j == n:
+            break  # prefix ends mid-entry
+        elif part is out:  # word[j] == 5 ends the entry
+            raw.append((j, (tuple(inp), tuple(out))))
             i = j + 1
         else:
-            break  # prefix ends mid-entry
+            i = j + 1  # an end symbol before the separator: malformed
+    return raw
+
+
+def naive_decode(word):
+    """The blocks of `naive_blocks` through a quadratic consistency filter."""
     # two words are comparable when they agree on their common length
     accepted = []  # (input, output, their lengths)
     seen = set()
-    for u, v in raw:
+    for _, (u, v) in naive_blocks(word):
         if (u, v) in seen:
             continue
         lu, lv = len(u), len(v)

@@ -10,6 +10,11 @@ The workloads and the runner call library functions directly; every such
 `<baire module>.<name>(...)` call must still bind to the name's signature,
 or a benchmark run dies with a TypeError.
 
+The runner also reads library attributes that are not calls: the decode and
+evaluation caches' `cache_info()` and the size of `_word_pool`.  Every such
+`<baire module>.<name>[.<attribute>...]` read must resolve, or a run dies with
+an AttributeError after its operations are done.
+
 The tracer wraps `Stream.prefix` and `Stream.determined_prefix` on the base
 class only, so a stream class overriding either would read outside the
 `streams.prefix` and `streams.determined_prefix` spans without a trace.
@@ -111,6 +116,50 @@ def test_library_calls_found():
 def test_library_call_binds(where, mod, name, positional, keywords):
     target = getattr(importlib.import_module(mod), name)
     inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def _attribute_reads():
+    """(module, dotted path) for every attribute chain rooted at a library
+    module in the workloads and the runner."""
+    reads = set()
+    for path in (BENCH / "workloads.py", BENCH / "run.py"):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name: f"baire.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "baire"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if parts and isinstance(node, ast.Name) and node.id in modules:
+                reads.add((modules[node.id], ".".join(reversed(parts))))
+    return sorted(reads)
+
+
+READS = _attribute_reads()
+
+
+def test_cache_and_pool_reads_found():
+    # bench/spans.py's decode wrapper also calls decode_entries.cache_info()
+    # on the function it wraps
+    assert {
+        ("baire.machine", "decode_entries.cache_info"),
+        ("baire.machine", "eval_name.cache_info"),
+        ("baire.machine", "_word_pool"),
+    } <= set(READS)
+
+
+@pytest.mark.parametrize("mod, path", READS)
+def test_attribute_read_resolves(mod, path):
+    target = importlib.import_module(mod)
+    for attr in path.split("."):
+        target = getattr(target, attr)
+    if path.endswith(".cache_info"):
+        assert target()._asdict()  # run.py records the CacheInfo fields
 
 
 def _stream_classes_defining(methods):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baire import machine
 from baire.machine import (
     EntryAccumulator,
     EntryParser,
@@ -27,7 +28,14 @@ from baire.machine import (
 )
 from baire.streams import Fuel, NeedMoreFuel, PlanStream, ZEROS, pair_stream
 
-from helpers import ChainPlan, naive_decode, naive_eval, seeded_plan_stream, transducer_machine
+from helpers import (
+    ChainPlan,
+    naive_blocks,
+    naive_decode,
+    naive_eval,
+    seeded_plan_stream,
+    transducer_machine,
+)
 
 
 # --- codec -------------------------------------------------------------------
@@ -92,6 +100,103 @@ def test_consistency_filter_matches_naive_oracle(seed):
             parsed += parser.feed(sym) is not None
         assert acc.accepted == naive_decode(mixed)
         assert parsed > len(acc.accepted)  # the filter rejected something
+
+
+def _corpus(seed, rng):
+    """Criterion 1's two corpora, with repeats and decoys spliced in, and a
+    random word over every symbol class (malformed fragments included)."""
+    return (
+        _with_repeats_and_decoys(encode_machine(transducer_machine(seed)).prefix(1500, Fuel(10**6)), rng),
+        _with_repeats_and_decoys(ChainPlan(seed, blocks=8).name.head[:140], rng),
+        tuple(rng.choice((0, 1, 2, 3, 3, 4, 5, 6, 7, 8)) for _ in range(400)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_run_scanner_matches_naive_oracle_at_any_split(seed):
+    # the word scanned in random runs, with a block straddling any of them,
+    # yields the oracle's blocks at the oracle's end indices
+    rng = random.Random(f"scan:{seed}")
+    for word in _corpus(seed, rng):
+        cuts = sorted(rng.sample(range(1, len(word)), 12))
+        parser, acc, found = EntryParser(), EntryAccumulator(), []
+        for lo, hi in zip([0] + cuts, cuts + [len(word)]):
+            found += parser.scan(word, lo, hi)
+            acc.take_run(word, lo, hi)
+        assert found == naive_blocks(word)
+        assert acc.accepted == naive_decode(word)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_stopped_after_an_entry_resumes_past_its_end(seed):
+    # runs start inside blocks too, and each scan is dropped after one entry
+    rng = random.Random(f"stop:{seed}")
+    for word in _corpus(seed, rng):
+        cuts = sorted(rng.sample(range(1, len(word)), 12))
+        parser, found = EntryParser(), []
+        for pos, hi in zip([0] + cuts, cuts + [len(word)]):
+            while pos < hi:
+                got = next(parser.scan(word, pos, hi), None)
+                if got is None:
+                    break
+                found.append(got)
+                pos = got[0] + 1
+        assert found == naive_blocks(word)
+
+
+def _schedule_lengths(top):
+    return [(k + 3) * (k + 3) for k in range(top)]
+
+
+def _decode_names():
+    return (
+        encode_machine(transducer_machine(5)).prefix(1300, Fuel(10**6)),
+        ChainPlan(3).name.prefix(1300, Fuel(10**6)),
+        _corpus(7, random.Random("decode-names"))[2] * 4,
+    )
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "other-lengths"])
+def test_resumed_decode_matches_naive_oracle(order):
+    rng = random.Random(f"resume:{order}")
+    lengths = _schedule_lengths(34)
+    if order == "descending":
+        lengths.reverse()
+    elif order == "shuffled":
+        rng.shuffle(lengths)
+    elif order == "other-lengths":
+        lengths = sorted(rng.sample(range(1300), 60))
+    decode_entries.cache_clear()
+    for _ in range(2):  # the second round after cache_clear: a stale table
+        for word in _decode_names():
+            for n in lengths:
+                assert list(decode_entries(word[:n])) == naive_decode(word[:n]), (order, n)
+        decode_entries.cache_clear()
+
+
+def test_resumed_decode_with_a_full_hand_on_table():
+    # the names' ladders interleave with more names than the table holds,
+    # so it is full and evicts entries the ladders would resume from
+    rng = random.Random("resume-full")
+    words = [ChainPlan(seed).name.prefix(700, Fuel(10**6)) for seed in range(12)]
+    decode_entries.cache_clear()
+    steps = [(w, n) for w in words for n in _schedule_lengths(24)]
+    steps.sort(key=lambda step: step[1] + rng.randrange(60))
+    for w, n in steps:
+        assert list(decode_entries(w[:n])) == naive_decode(w[:n])
+        assert len(machine._handoff) <= machine._HANDOFF_SIZE
+    assert len(machine._handoff) == machine._HANDOFF_SIZE
+
+
+def test_decode_hands_its_accumulator_on_without_copying():
+    word = ChainPlan(11).name.prefix(400, Fuel(10**6))
+    decode_entries.cache_clear()
+    decode_entries(word[:9])
+    acc = machine._handoff[word[:9]]
+    decode_entries(word[:16])
+    assert machine._handoff[word[:16]] is acc and word[:9] not in machine._handoff
+    decode_entries(word[:20])  # resumes from the 16-prefix too
+    assert machine._handoff[word[:20]] is acc
 
 
 @settings(max_examples=200)

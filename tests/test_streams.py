@@ -512,10 +512,50 @@ def _raw_plan(pre_reads=(), dense=0):
 
 
 def _raw_sparse_at_edge():
-    # a dense read that stops at a memoized index leaves that index sparse
+    # a dense read that reaches a memoized index folds it in
     name = PlanStream(_raw_symbols(), ("zeros",))
     name.at(30, Fuel(10))
     name.prefix(30, Fuel(10**5))
+    return name, _raw_source(), 10
+
+
+def _raw_zeros_tail():
+    # the last entry waits for a 9-symbol input, so the reader crosses about
+    # a hundred dummies of the zeros tail in long runs to reach index 121
+    syms = _block((), (5,)) + _block((0, 1, 2) + (3,) * 6, (5, 7, 8, 9, 10, 11))
+    return PlanStream(syms, ("zeros",)), _raw_source(), 6
+
+
+def _raw_run_ends_at_headroom():
+    # the first run (indices 0 .. 8) holds an entry waiting for one input
+    # symbol; the source is paid for, so when the run's cost is exactly the
+    # headroom the input grows for free and the entry produces
+    syms = _block((0,), (5,)) + (1,) * 4 + _block((0, 1), (5, 7)) + (0,) * 9
+    syms += _block((0, 1, 2), (5, 7, 8, 9))
+    source = _raw_source()
+    source.prefix(8, Fuel(10**5))
+    return PlanStream(syms, ("zeros",)), source, 4
+
+
+def _raw_straddle():
+    # blocks across the schedule boundaries 9, 16 and 25
+    syms = (0,) * 6 + _block((), (5, 7)) + (2,) * 3 + _block((0,), (5, 7, 8))
+    syms += (1,) * 4 + _block((0, 1, 2), (5, 7, 8, 9, 10))
+    return PlanStream(syms, ("zeros",)), _raw_source(), 5
+
+
+def _raw_dummies_in_blocks():
+    syms = (3, 0, 4, 1, 11, 2, 5, 0, 3, 6, 2, 4, 0, 11, 13, 1, 14, 5)
+    syms += (3, 6, 1, 7, 0, 2, 8, 4, 2, 11, 13, 0, 0, 14, 15, 16, 1, 5)
+    return PlanStream(syms, ("zeros",)), _raw_source(), 5
+
+
+def _raw_paid():
+    # every name symbol is paid, so entries end on paid symbols, also at
+    # zero headroom, where only the round steps cost
+    syms = _raw_symbols()
+    name = PlanStream(syms, ("zeros",))
+    name.prefix(len(syms), Fuel(10**5))
     return name, _raw_source(), 10
 
 
@@ -544,6 +584,11 @@ RAW_NAMES = {
     "plan-cycle": _raw_cycle,
     "machine-name": _raw_machine_name,
     "explicit-name": _raw_explicit_name,
+    "plan-zeros-tail": _raw_zeros_tail,
+    "plan-run-ends-at-headroom": _raw_run_ends_at_headroom,
+    "plan-straddle": _raw_straddle,
+    "plan-dummies-in-blocks": _raw_dummies_in_blocks,
+    "plan-paid": _raw_paid,
 }
 
 
@@ -602,3 +647,16 @@ def test_headroom_is_the_grant_of_take_and_charges_nothing(shape, budget):
     assert [(t.spent, t.remaining) for t in tanks] == before
     assert room == budget
     assert tanks[0].take(budget + 3) == room
+
+
+def test_plan_prefix_folds_a_memo_at_its_new_dense_end():
+    plan = PlanStream(tuple(range(100)), ("zeros",))
+    tank = Fuel(10**5)
+    plan.at(30, tank)
+    for k in (30, 60, 80):
+        assert plan.prefix(k, tank) == tuple(range(k))
+    assert len(plan._read) == 80 and plan._cache == {}
+    ref, ref_tank = PlanStream(tuple(range(100)), ("zeros",)), Fuel(10**5)
+    for i in (30, *range(80)):
+        ref.at(i, ref_tank)
+    assert tank.spent == ref_tank.spent == 80
