@@ -512,7 +512,8 @@ class RawEvalStream(BufferedStream):
     The name is read in runs that end at the next schedule boundary
     (`Stream.read_run`).  A symbol already paid for (a `PlanStream`'s dense
     prefix, a buffered stream's produced symbols) costs nothing, a fresh
-    plan symbol one step, and every round that produces nothing one step,
+    plan symbol or a queued one one step, and every round that produces
+    nothing one step,
     exactly as when each symbol is read by `at` and each round ticks.  The
     first `paid` symbols of a run are the paid ones, so symbols 0 .. i-1
     cost c(i) = i + max(0, i - paid) steps, and the symbol where the
@@ -522,8 +523,9 @@ class RawEvalStream(BufferedStream):
     scanned, by `EntryParser.scan`, which skips dummies; an entry that
     makes the output grow ends the run after its end symbol.  The run's
     total is charged with one `Fuel.take`, and a run cut short by the
-    headroom ticks after it, so the same tank signals.  Other names come
-    one symbol a run, read and charged by `at`.
+    headroom ticks after it, so the same tank signals.  A buffered name
+    runs its producer rounds inside `read_run`, charged as `at` charges
+    them; other names come one symbol a run, read and charged by `at`.
     """
 
     def __init__(self, name: Stream, source: Stream, label: str = ""):

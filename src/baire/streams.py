@@ -11,19 +11,22 @@ Symbols are produced and charged in bulk where that is exact: a prefix read
 of a buffered stream drains its queued symbols at one step each with a
 single :meth:`Fuel.take`, and `take` grants exactly the steps that the
 one-step-at-a-time path would have charged before it signalled.  A reader
-that consumes a stream in runs (the decode route, `RawEvalStream`) gets the
-symbols up to a boundary from `Stream.read_run`, with how many of them, at
-the front, are already paid for; from that count and `Fuel.headroom` alone
-it works out in closed form the symbol where the one-step path would
-signal, and charges the run's cost with one `take`.  Every `spent` count is therefore the same whichever path a read
-takes.
+that consumes a stream in runs (the decode route, `RawEvalStream`, and the
+injected output, `InjectionOutput`) gets the symbols up to a boundary from
+`Stream.read_run`, with how many of them, at the front, are already paid
+for: a plan's dense prefix, a buffered stream's produced symbols.  The rest
+(plan symbols, a buffered stream's queued ones) cost a step each.  From
+that count and `Fuel.headroom` alone the reader works out in closed form
+the symbol where the one-step path would signal, and charges the run's
+cost with one `take`.  Every `spent` count is therefore the same whichever
+path a read takes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from typing import Callable, Iterable, Optional, Union
 
 Word = tuple  # finite word over the naturals
@@ -146,14 +149,11 @@ def word_sup(a: Word, b: Word) -> Optional[Word]:
 
 def interleave_word(a: Word, b: Word) -> Word:
     """Longest word u with u(2i)=a(i), u(2i+1)=b(i) determined by a and b."""
-    out = []
-    for i in range(max(len(a), len(b)) + 1):
-        if i >= len(a):
-            break
-        out.append(a[i])
-        if i >= len(b):
-            break
-        out.append(b[i])
+    n = min(len(a), len(b))
+    out = [0] * (2 * n)
+    out[0::2] = a[:n]
+    out[1::2] = b[:n]
+    out.extend(a[n : n + 1])
     return tuple(out)
 
 
@@ -207,9 +207,10 @@ class Stream:
         one, for a reader that charges them itself.
 
         The first `paid` symbols cost nothing more.  Every later one costs
-        one step; only a `PlanStream` returns such symbols, and the reader
-        passes the ones it charged, in order, to its `record_run`.  Here
-        the run is the one symbol `at` reads and charges.
+        one step; a `PlanStream` and a `BufferedStream` return such
+        symbols, and the reader passes the ones it charged, in order, to
+        their `record_run`.  Here the run is the one symbol `at` reads and
+        charges.
         """
         return [self.at(pos, fuel)], 1
 
@@ -504,7 +505,9 @@ class BufferedStream(Stream):
     may also produce nothing.  Each round costs one step, and so does each
     queued symbol moved to the buffer, so the step count bounds unproductive
     rounds.  `fill` drains queued symbols in bulk with one exact
-    `Fuel.take`, which charges what the symbol-by-symbol path of `at` would.
+    `Fuel.take`, which charges what the symbol-by-symbol path of `at` would;
+    `read_run` hands them to a run reader unpaid, after running rounds, as
+    `at` does, when nothing is produced or queued at the position.
     All producer state lives on the instance, so an interrupted query
     resumes exactly where it stopped.
     """
@@ -555,10 +558,31 @@ class BufferedStream(Stream):
         return tuple(self._buf[:k])
 
     def read_run(self, pos: int, end: int, fuel: Fuel) -> tuple:
-        run = self._buf[pos:end]
-        if run:
-            return run, len(run)  # produced symbols are paid for
-        return super().read_run(pos, end, fuel)
+        # produced symbols are paid for and queued ones are not; with
+        # neither at pos, producer rounds run first, one step each as in `at`
+        buf = self._buf
+        pending = self._pending
+        if pos > len(buf):
+            return super().read_run(pos, end, fuel)
+        while pos == len(buf) and not pending:
+            fuel.tick()
+            self._extend(fuel)
+        run = buf[pos:end]
+        paid = len(run)
+        if pos + paid < end:
+            run.extend(islice(pending, end - pos - paid))
+        return run, paid
+
+    def record_run(self, symbols: list) -> None:
+        """Move the queued symbols of a `read_run` to the buffer once they
+        are charged."""
+        self._buf.extend(symbols)
+        pending = self._pending
+        if len(symbols) == len(pending):
+            pending.clear()
+        else:
+            for _ in symbols:
+                pending.popleft()
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,26 @@ def split_source(pair_like):
     return unpair_stream(pair_like)
 
 
+class _KeyedMemo:
+    """Values built once per key, for as long as the memo lives.
+
+    A key may name a stream by its id, so each entry keeps the objects
+    given with it alive and their ids are never reused while it stands.  A
+    build that raises (a fuel signal, say) stores nothing.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self):
+        self._table = {}
+
+    def get(self, key, build: Callable, *alive):
+        got = self._table.get(key)
+        if got is None:
+            got = self._table[key] = (build(), alive)
+        return got[0]
+
+
 def join_sources(left, right):
     if isinstance(left, tuple) and isinstance(right, tuple):
         return interleave_word(left, right)
@@ -250,15 +270,10 @@ class _SelfApplication(PairFunctional):
     label = "self-apply"
 
     def __init__(self):
-        self._inner = {}
+        self._inner = _KeyedMemo()
 
     def _self_value(self, u):
-        key = id(u)
-        got = self._inner.get(key)
-        if got is None:
-            got = (apply_name_structured(u, u), u)  # keep u alive with its id
-            self._inner[key] = got
-        return got[0]
+        return self._inner.get(id(u), lambda: apply_name_structured(u, u), u)
 
     def apply(self, u, z, fuel):
         w = word_face(u, fuel)
@@ -279,15 +294,11 @@ class _ApplyThroughSpecializer(PairFunctional):
 
     def __init__(self, specializer: NameTransformer):
         self.specializer = specializer
-        self._cache = {}
+        self._cache = _KeyedMemo()
 
     def _specialized(self, u):
         key = u if isinstance(u, tuple) else id(u)
-        got = self._cache.get(key)
-        if got is None:
-            got = (self.specializer.apply(u), u)  # keep u alive with its id
-            self._cache[key] = got
-        return got[0]
+        return self._cache.get(key, lambda: self.specializer.apply(u), u)
 
     def apply(self, p, u, fuel):
         p_word = word_face(p, fuel)
@@ -340,6 +351,11 @@ class InjectionOutput(BufferedStream):
     with inner 0s and 1s rewritten to 2.  Blocks are all dummies and the
     rewrite moves between dummies, so decoding still yields the graph of
     U_{U_s(p)}; scanning the marker blocks recovers p exactly.
+
+    A stage drains the inner name a run at a time (`Stream.read_run`): each
+    run's unpaid symbols are charged with one `Fuel.take`, capped by the
+    headroom, and the stage stops at the symbol, and signals for the tank,
+    where reading one symbol per `at` while the stage tank has steps would.
     """
 
     def __init__(self, s_source, p_source, label: str = ""):
@@ -375,9 +391,23 @@ class InjectionOutput(BufferedStream):
         inner = self._inner_stream()
         try:
             while tank.remaining > 0:
-                sym = inner.at(self._inner_taken, tank)
-                self._inner_taken += 1
-                self._pending.append(2 if sym < 2 else sym)
+                pos = self._inner_taken
+                run, paid = inner.read_run(pos, pos + tank.remaining, tank)
+                if tank.remaining == 0:
+                    # a producer round spent the stage: the one-step loop
+                    # keeps the symbol it read and stops, free ones or not
+                    used = min(paid, 1)
+                else:  # the free symbols, then what the headroom pays for
+                    used = min(len(run), paid + tank.headroom())
+                    tank.take(used - paid)
+                    if used > paid:
+                        inner.record_run(run[paid:used])
+                self._inner_taken += used
+                self._pending.extend([2 if sym < 2 else sym for sym in run[:used]])
+                if used < len(run) and (not used or tank.remaining > 0):
+                    # the one-step loop would read on: it signals here, for
+                    # the tank that the next read's tick names
+                    tank.tick()
         except NeedMoreFuel as blocked:
             if blocked.tank is not tank and blocked.tank is not WORD_EDGE:
                 self._stage_spent += tank.spent
@@ -460,14 +490,20 @@ def injection() -> Injection:
 
 
 class _ReferencingFunctional(PairFunctional):
-    """A<(s, q), p> = f(name of I(s), <q, p>) for a host functional f."""
+    """A<(s, q), p> = f(name of I(s), <q, p>) for a host functional f.
+
+    Every graph candidate of the specialized name applies this to a slice
+    of the same parameter, so the injected name and the q prefix are kept
+    per (slice, argument length).
+    """
 
     label = "self-ref"
 
     def __init__(self, f, inj: Injection):
         self.f = f
         self.inj = inj
-        self._names = {}
+        self._names = _KeyedMemo()
+        self._slices = _KeyedMemo()
 
     @staticmethod
     def _key(s):
@@ -477,18 +513,17 @@ class _ReferencingFunctional(PairFunctional):
             return (_ReferencingFunctional._key(s.base), s.limit)
         return id(s)
 
-    def _injected(self, s, fuel):
-        key = self._key(s)
-        got = self._names.get(key)
-        if got is None:
-            got = (self.inj.apply(s), s)  # keep s alive with its id
-            self._names[key] = got
-        return got[0]
+    def _split(self, sq, n: int, fuel: Fuel) -> tuple:
+        s, q = split_source(sq)
+        q_pfx = available_prefix(q, n + 1, fuel)
+        return self._names.get(self._key(s), lambda: self.inj.apply(s), s), q_pfx
 
     def apply(self, sq, p_word, fuel):
-        s, q = split_source(sq)
-        q_pfx = available_prefix(q, len(p_word) + 1, fuel)
-        return self.f(self._injected(s, fuel), interleave_word(q_pfx, p_word), fuel)
+        n = len(p_word)
+        injected, q_pfx = self._slices.get(
+            (self._key(sq), n), lambda: self._split(sq, n, fuel), sq
+        )
+        return self.f(injected, interleave_word(q_pfx, p_word), fuel)
 
 
 class _NamePrefixFunctional(PairFunctional):
@@ -498,15 +533,11 @@ class _NamePrefixFunctional(PairFunctional):
 
     def __init__(self, inner: NameTransformer):
         self.inner = inner
-        self._targets = {}
+        self._targets = _KeyedMemo()
 
     def _target(self, s, q):
         key = (_ReferencingFunctional._key(s), q if isinstance(q, tuple) else id(q))
-        got = self._targets.get(key)
-        if got is None:
-            got = (self.inner.apply(join_sources(s, q)), s, q)
-            self._targets[key] = got
-        return got[0]
+        return self._targets.get(key, lambda: self.inner.apply(join_sources(s, q)), s, q)
 
     def apply(self, s, q_word, fuel):
         length_cap = (len(q_word) + 2) * (len(q_word) + 2)

@@ -14,7 +14,8 @@ from baire.machine import (
     _raw_schedule,
     encode_entry_block,
 )
-from baire.streams import PlanStream, is_prefix
+from baire.streams import WORD_EDGE, Fuel, NeedMoreFuel, PlanStream, is_prefix
+from baire.transform import InjectionOutput
 
 
 # --- independent decode/eval oracle -----------------------------------------
@@ -118,6 +119,36 @@ class PerSymbolRawEval(RawEvalStream):
                     buf.extend(self._best[len(buf) :])
                     return
             fuel.tick()
+
+
+class PerSymbolInjectionOutput(InjectionOutput):
+    """The injected output reading its inner name one `at` call per symbol.
+
+    This is `InjectionOutput._extend` as it was before the inner name was
+    drained in runs, kept as the reference the run drain must match step
+    for step.
+    """
+
+    def _extend(self, fuel):
+        if not self._block_emitted:
+            v = self.p_stream.at(self._stage, fuel)
+            self._pending.extend((1,) + (0,) * v + (1,))
+            self._block_emitted = True
+            return
+        tank = Fuel(self._stage * self._stage - self._stage_spent, parent=fuel)
+        inner = self._inner_stream()
+        try:
+            while tank.remaining > 0:
+                sym = inner.at(self._inner_taken, tank)
+                self._inner_taken += 1
+                self._pending.append(2 if sym < 2 else sym)
+        except NeedMoreFuel as blocked:
+            if blocked.tank is not tank and blocked.tank is not WORD_EDGE:
+                self._stage_spent += tank.spent
+                raise
+        self._stage += 1
+        self._block_emitted = False
+        self._stage_spent = 0
 
 
 # --- seeded word machines -----------------------------------------------------

@@ -1,13 +1,17 @@
 """The benchmark's raw-name operations give the same answers at the same fuel.
 
-No command in the CLI battery reaches the decode route (`RawEvalStream`), so
-this test pins it: `codec` operations 0-29 and the first three `inject`
-operations of `transform`, for seed 7, built by bench/workloads.py.  Each row
-is (index, kind, fuel on the benchmark's root tanks, digest of the answer);
-the digest is the first 16 hex digits of the SHA-256 of the answer's repr.
-The rows were captured before the decode route read its names in runs.
-bench/workloads.py is imported with bytecode writing off, so nothing under
-bench/ is written.
+No command in the CLI battery reaches the decode route (`RawEvalStream`) or
+drains an injected name (`InjectionOutput`) at the benchmark's depth, so
+this test pins them: `codec` operations 0-29 and the first three `inject`
+and `injrec_extract` operations of `transform`, for seed 7, built by
+bench/workloads.py.  Each row is (index, kind, fuel on the benchmark's root
+tanks, digest of the answer); the digest is the first 16 hex digits of the
+SHA-256 of the answer's repr.  The `codec` and `inject` rows were captured
+before the decode route read its names in runs, the `injrec_extract` rows
+before the injected output drained its inner name in runs.  Those run on
+one `R_drop`, built as bench/run.py's `build_shared` builds it, in index
+order.  bench/workloads.py is imported with bytecode writing off, so
+nothing under bench/ is written.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from baire import transform
+from baire import streams, transform
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -60,6 +64,12 @@ INJECT = (
     (13, 'inject', 208785, '673da96234e11fff'),
 )
 
+INJREC_EXTRACT = (
+    (8, 'injrec_extract', 274768, '6179536ccfc1a6a1'),
+    (11, 'injrec_extract', 274768, '3edf9a100fc3f5a1'),
+    (14, 'injrec_extract', 274768, '19add985d0a186ce'),
+)
+
 
 @pytest.fixture(scope="module")
 def workloads():
@@ -86,3 +96,12 @@ def test_codec_answers_and_fuel(workloads):
 def test_inject_answers_and_fuel(workloads):
     ops = workloads.TransformOps(7, {"inj": transform.injection()}, None)
     assert tuple(_row(ops.op(i), i) for i, *_ in INJECT) == INJECT
+
+
+def test_injrec_extract_answers_and_fuel(workloads):
+    def drop(r_name, x, fuel):
+        return streams.odd_part(x)
+
+    R_drop = transform.injective_recursion(drop, "drop")
+    ops = workloads.TransformOps(7, {"R_drop": R_drop}, None)
+    assert tuple(_row(ops.op(i), i) for i, *_ in INJREC_EXTRACT) == INJREC_EXTRACT

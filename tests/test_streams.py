@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from baire.streams import (
     cantor_unpair,
     constant_stream,
     interleave_word,
+    odd_part,
     pair_stream,
     project,
     read_prefix,
@@ -32,8 +35,13 @@ from baire.streams import (
     unpair_stream,
     word_sup,
 )
-from baire.transform import InjectionOutput, SelfPairingName
-from helpers import PerSymbolRawEval
+from baire.transform import (
+    InjectionOutput,
+    SelfPairingName,
+    const_transformer_name,
+    injective_recursion,
+)
+from helpers import PerSymbolInjectionOutput, PerSymbolRawEval
 
 words = st.lists(st.integers(min_value=0, max_value=30), max_size=8).map(tuple)
 
@@ -165,6 +173,8 @@ def test_interleave_parts(a, b):
     w = interleave_word(a, b)
     assert w[0::2] == a[: len(w[0::2])]
     assert w[1::2] == b[: len(w[1::2])]
+    # longest: it stops only where the next symbol's side has run out
+    assert len(w) == 2 * min(len(a), len(b)) + (len(a) > len(b))
 
 
 # --- determinism and fuel ----------------------------------------------------
@@ -576,6 +586,18 @@ def _raw_explicit_name():
     return ExplicitName(entries, head=(2,)), _raw_source(), 10
 
 
+def _raw_cold_machine_name():
+    # nothing produced yet: every block is queued by a round, then read
+    name = MachineName(WordMachine(_charging_identity, "id"), head=(2, 0, 1))
+    return name, PlanStream((0, 1, 0), ("cycle", (1,))), 3
+
+
+def _raw_injection_output():
+    # the value's graph is `_raw_symbols`' once its 0s and 1s are dummies
+    s = const_transformer_name(PlanStream(_raw_symbols(), ("zeros",)))
+    return InjectionOutput(s, PlanStream((1, 0, 2), ("zeros",))), _raw_source(), 10
+
+
 RAW_NAMES = {
     "plan-cold": _raw_plan,
     "plan-warm": lambda: _raw_plan(dense=20),
@@ -583,7 +605,9 @@ RAW_NAMES = {
     "plan-sparse-at-edge": _raw_sparse_at_edge,
     "plan-cycle": _raw_cycle,
     "machine-name": _raw_machine_name,
+    "machine-name-cold": _raw_cold_machine_name,
     "explicit-name": _raw_explicit_name,
+    "injection-output": _raw_injection_output,
     "plan-zeros-tail": _raw_zeros_tail,
     "plan-run-ends-at-headroom": _raw_run_ends_at_headroom,
     "plan-straddle": _raw_straddle,
@@ -630,6 +654,126 @@ def test_run_reader_matches_per_symbol_reader_at_every_budget(kind):
         for shape in TANK_SHAPES:
             got = _raw_read(RawEvalStream, build, shape, budget)
             want = _raw_read(PerSymbolRawEval, build, shape, budget)
+            assert got == want, (budget, shape)
+
+
+# Buffered names hand their queued symbols to a run reader as unpaid and run
+# producer rounds when nothing is queued.  The decode route over them is
+# pinned by rows captured before buffered names were read in runs: for every
+# budget up to the full cost and every tank shape, the value's symbols, the
+# tank the signal names and every tank's `spent`, each followed by the same
+# three after resuming with a second tank of the same shape and budget.  The
+# rows are kept as the full cost and the first 16 hex digits of the SHA-256
+# of their repr.
+
+
+BUFFERED_NAMES = {
+    "explicit-name": (_raw_explicit_name, 77, "4f3be34ca1e823e7"),
+    "injection-output": (_raw_injection_output, 276, "94a6159d388ecfb3"),
+    "machine-name": (_raw_cold_machine_name, 300, "de9eb3849c755987"),
+}
+
+
+def _contract_rows(build):
+    name, source, k = build()
+    full = Fuel(10**5)
+    RawEvalStream(name, source).prefix(k, full)
+    rows = []
+    for budget in range(full.spent + 2):
+        for shape in TANK_SHAPES:
+            name, source, k = build()
+            stream = RawEvalStream(name, source)
+            for _ in range(2):
+                tanks = _tanks(shape, budget)
+                try:
+                    stream.prefix(k, tanks[0])
+                    signal = None
+                except NeedMoreFuel as blocked:
+                    signal = _role(blocked.tank, tanks)
+                rows.append((tuple(stream._buf), signal, [t.spent for t in tanks]))
+    return full.spent, hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind", sorted(BUFFERED_NAMES))
+def test_run_reader_over_buffered_names_keeps_pinned_rows(kind):
+    build, full, digest = BUFFERED_NAMES[kind]
+    assert _contract_rows(build) == (full, digest)
+
+
+# The injected output drains its inner name a run at a time and charges each
+# run with one take.  helpers.PerSymbolInjectionOutput, the drain that reads
+# one symbol by `at` per loop turn, is the reference: at every budget from 0
+# past 600 and every tank shape both must leave the same buffer, queue and
+# stage state, name the same tank and charge every tank alike, and again
+# after a second tank of the same shape resumes the read.  Each factory
+# takes the output class and returns a fresh output; its inner name is:
+
+
+def _injected_machine_stream(cls):
+    # a MachineStream whose rounds fill its buffer directly; at root budget
+    # 22 a round spends the stage tank with later produced symbols unread
+    return cls(identity_name(), PlanStream((2, 0, 1, 3), ("cycle", (1, 4))))
+
+
+def _injected_plan(cls):
+    # a PlanStream with a dense, paid prefix, then plan symbols
+    value = PlanStream(_raw_symbols(), ("cycle", (1, 7)))
+    value.prefix(12, Fuel(100))
+    return cls(const_transformer_name(value), PlanStream((1, 0, 2), ("zeros",)))
+
+
+def _injected_raw_eval(cls):
+    # a RawEvalStream: the raw plan name decoded on the marker source
+    return cls(PlanStream(_raw_symbols(), ("zeros",)), _raw_source())
+
+
+def _injected_fixed_point(cls):
+    # a MachineName with queued blocks: injective recursion's fixed point
+    q = PlanStream((1, 2, 0, 3), ("cycle", (2,)))
+    R = injective_recursion(lambda r_name, x, fuel: odd_part(x), "drop")
+    return cls(R.apply(q).s_source, q)
+
+
+INJECTED = {
+    "machine-stream": (_injected_machine_stream, 300),
+    "plan": (_injected_plan, 300),
+    "raw-eval": (_injected_raw_eval, 70),
+    "fixed-point": (_injected_fixed_point, 300),
+}
+
+
+def _injected_read(cls, build, k, shape, budget):
+    out = build(cls)
+    states = []
+    for _ in range(2):
+        tanks = _tanks(shape, budget)
+        try:
+            out.fill(k, tanks[0])
+            signal = None
+        except NeedMoreFuel as blocked:
+            signal = _role(blocked.tank, tanks)
+        states.append(
+            (
+                list(out._buf),
+                list(out._pending),
+                signal,
+                [t.spent for t in tanks],
+                (out._stage, out._block_emitted, out._stage_spent, out._inner_taken),
+            )
+        )
+    return states
+
+
+@pytest.mark.parametrize("kind", sorted(INJECTED))
+def test_run_drain_matches_per_symbol_drain_at_every_budget(kind):
+    build, k = INJECTED[kind]
+    full = Fuel(10**6)
+    assert len(build(InjectionOutput).prefix(k, full)) == k
+    assert full.spent > 600
+    for budget in range(full.spent + 2):
+        for shape in TANK_SHAPES:
+            got = _injected_read(InjectionOutput, build, k, shape, budget)
+            want = _injected_read(PerSymbolInjectionOutput, build, k, shape, budget)
             assert got == want, (budget, shape)
 
 

@@ -11,6 +11,7 @@ from baire.machine import (
 )
 from baire.streams import (
     Fuel,
+    NeedMoreFuel,
     PlanStream,
     ZEROS,
     EvenView,
@@ -20,6 +21,8 @@ from baire.streams import (
     pair_stream,
 )
 from baire.transform import (
+    SliceSource,
+    _ReferencingFunctional,
     const_transformer_name,
     dummy_prefix_transformer_name,
     identity_transformer_name,
@@ -250,6 +253,37 @@ def test_injective_recursion_extractor(seed):
     got = determined(R.extract(R.apply(q)), 64, budget=2_000_000)
     assert len(got) >= 48
     assert got == q.prefix(len(got))
+
+
+def test_referencing_slice_memo_never_keeps_a_signalled_read():
+    # an outer tank cuts the q read short; retried under a larger tank, the
+    # functional answers as a fresh one does over sources read alike
+    p = (1, 2, 0, 3, 1)
+
+    def cut_then_retry(fresh):
+        q = PlanStream((4, 1, 3, 0, 2, 2, 5), ("zeros",))  # every read charges
+        sq = SliceSource(pair_stream(seeded_plan_stream(3), q), 2 * len(p) + 2)
+        A = _ReferencingFunctional(use_name_functional, injection())
+        outer = Fuel(3)
+        with pytest.raises(NeedMoreFuel) as cut:
+            A.apply(sq, p, Fuel(10**5, parent=outer))
+        assert cut.value.tank is outer
+        if fresh:
+            A = _ReferencingFunctional(use_name_functional, injection())
+        retry = Fuel(10**5)
+        return A.apply(sq, p, retry), retry.spent, q.prefix(len(p) + 1)
+
+    got, want = cut_then_retry(False), cut_then_retry(True)
+    assert got == want
+    assert len(got[0]) == 2 * len(p) + 1  # a truncated q prefix answers less
+
+
+def test_referencing_slice_memo_keeps_argument_lengths_apart():
+    sq = pair_stream(seeded_plan_stream(3), seeded_plan_stream(4))
+    kept = _ReferencingFunctional(use_name_functional, injection())
+    for p in ((1,), (1, 2, 0, 3), (1, 2)):
+        fresh = _ReferencingFunctional(use_name_functional, injection())
+        assert kept.apply(sq, p, Fuel(10**5)) == fresh.apply(sq, p, Fuel(10**5))
 
 
 # --- quine -----------------------------------------------------------------------
