@@ -510,22 +510,22 @@ class RawEvalStream(BufferedStream):
     entry outputs as it grows.
 
     The name is read in runs that end at the next schedule boundary
-    (`Stream.read_run`).  A symbol already paid for (a `PlanStream`'s dense
-    prefix, a buffered stream's produced symbols) costs nothing, a fresh
-    plan symbol or a queued one one step, and every round that produces
-    nothing one step,
-    exactly as when each symbol is read by `at` and each round ticks.  The
-    first `paid` symbols of a run are the paid ones, so symbols 0 .. i-1
-    cost c(i) = i + max(0, i - paid) steps, and the symbol where the
-    one-step path would signal follows from c and `Fuel.headroom` alone,
-    with no per-symbol count; a run costing exactly the headroom is
-    read to its end, and the next step signals.  Only that stretch is
-    scanned, by `EntryParser.scan`, which skips dummies; an entry that
-    makes the output grow ends the run after its end symbol.  The run's
-    total is charged with one `Fuel.take`, and a run cut short by the
-    headroom ticks after it, so the same tank signals.  A buffered name
-    runs its producer rounds inside `read_run`, charged as `at` charges
-    them; other names come one symbol a run, read and charged by `at`.
+    (`Stream.read_run`).  A symbol already paid for (a dense stream's
+    `_buf`) costs nothing, a queued one (`queued()`) one step, and every
+    round that produces nothing one step, exactly as when each symbol is
+    read by `at` and each round ticks.  The first `paid` symbols of a run
+    are the paid ones, so symbols 0 .. i-1 cost c(i) = i + max(0, i - paid)
+    steps, and the symbol where the one-step path would signal follows from
+    c and `Fuel.headroom` alone, with no per-symbol count; a run costing
+    exactly the headroom is read to its end, and the next step signals.
+    Only that stretch is scanned, by `EntryParser.scan`, which skips
+    dummies; an entry that makes the output grow ends the run after its end
+    symbol.  The run's total is charged with one `Fuel.take`, the queued
+    symbols read go to the name's `_buf` by `commit`, and a run cut short
+    by the headroom ticks after it, so the same tank signals.  A buffered
+    name runs its producer rounds inside `read_run`, charged as `at`
+    charges them; other names come one symbol a run, read and charged by
+    `at`.
     """
 
     def __init__(self, name: Stream, source: Stream, label: str = ""):
@@ -592,12 +592,13 @@ class RawEvalStream(BufferedStream):
                     if len(self._best) > len(buf):
                         used, produced = i + 1, True
                         break
+            # not `charge_run`: this one take also pays for the rounds
             if produced:  # no round step after the producing symbol
                 fuel.take(used - 1 + max(0, used - paid))
             else:
                 fuel.take(room if dry else n + max(0, n - paid))
             if used > paid:
-                name.record_run(run[paid:used])
+                name.commit(used - paid)
             self._name_pos += used
             if produced:
                 buf.extend(self._best[len(buf) :])

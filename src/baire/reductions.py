@@ -235,7 +235,8 @@ def check_lifted_reduction(
     budget: int = 4_000_000,
 ) -> CheckReport:
     """Verify a loop-to-loop witness: run the translated loop, extract the
-    original run from the program parts, and validate it step by step."""
+    original run from the program parts, validate it step by step, and
+    judge every pulled-back answer with the source problem's checker."""
     g_realizer = get_realizer(g_name)
 
     def judge(seed, tank):
@@ -258,6 +259,13 @@ def check_lifted_reduction(
         if not compared and not tank.remaining:
             # check_step's reads end quietly on the empty seed tank; say so
             raise NeedMoreFuel(tank)
+        # the states never depend on the answers, so judge those too, each
+        # under its own tank as in check_loop_run
+        problem = get_problem(loop.base_problem)
+        for record in translated.records:
+            answer = record.answer.determined_prefix(4, Fuel(600_000))
+            if problem.check_solution(loop.step_instance(record.index), answer, depth) == REFUTED:
+                return REFUTED, ""
         return (CONSISTENT if compared else UNDETERMINED), ""
 
     return run_suite(lift.label, depth, seeds, budget, judge)

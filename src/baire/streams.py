@@ -7,19 +7,20 @@ any larger budget.  Running out of budget raises :class:`NeedMoreFuel`; it
 never produces a wrong symbol and never corrupts cached state, so a later
 query with more fuel simply resumes.
 
-Symbols are produced and charged in bulk where that is exact: a prefix read
-of a buffered stream drains its queued symbols at one step each with a
-single :meth:`Fuel.take`, and `take` grants exactly the steps that the
-one-step-at-a-time path would have charged before it signalled.  A reader
-that consumes a stream in runs (the decode route, `RawEvalStream`, and the
-injected output, `InjectionOutput`) gets the symbols up to a boundary from
-`Stream.read_run`, with how many of them, at the front, are already paid
-for: a plan's dense prefix, a buffered stream's produced symbols.  The rest
-(plan symbols, a buffered stream's queued ones) cost a step each.  From
-that count and `Fuel.headroom` alone the reader works out in closed form
-the symbol where the one-step path would signal, and charges the run's
-cost with one `take`.  Every `spent` count is therefore the same whichever
-path a read takes.
+Symbols are produced and charged in bulk where that is exact.  A dense
+stream (`PlanStream`, `BufferedStream`) keeps the symbols it has paid for,
+from index 0 on, in the list `_buf`.  `queued()` says how many unpaid
+symbols wait after them, one step each: a plan's symbols up to its next
+memoized index, a buffered stream's queued ones.  `commit(n)` moves the
+next n of them into `_buf` once they are charged.  `charge_run` is the one
+charger: it takes up to n steps with a single `Fuel.take`, commits what was
+granted, and after a short grant ticks, so the tank that reading one symbol
+at a time would name signals.  `read_prefix` reads dense streams with it.
+A reader that consumes a stream in runs (the decode route, `RawEvalStream`,
+and the injected output, `InjectionOutput`) gets the symbols up to a
+boundary from `Stream.read_run`, paid ones first, and charges and commits
+the unpaid ones it keeps.  Every `spent` count is therefore the same
+whichever path a read takes.
 """
 
 from __future__ import annotations
@@ -62,27 +63,27 @@ class Fuel:
         self.spent = 0
         self.parent = parent
 
-    def tick(self, n: int = 1) -> None:
+    def tick(self) -> None:
         if self.parent is None:
-            if self.remaining < n:
+            if self.remaining <= 0:
                 raise NeedMoreFuel(self)
-            self.remaining -= n
-            self.spent += n
+            self.remaining -= 1
+            self.spent += 1
             return
         # check the whole chain before charging any tank, so an exhausted
         # budget never records phantom work and resumption stays exact
         exhausted = None
         tank = self
         while tank is not None:
-            if tank.remaining < n:
+            if tank.remaining <= 0:
                 exhausted = tank  # outermost exhausted tank wins
             tank = tank.parent
         if exhausted is not None:
             raise NeedMoreFuel(exhausted)
         tank = self
         while tank is not None:
-            tank.remaining -= n
-            tank.spent += n
+            tank.remaining -= 1
+            tank.spent += 1
             tank = tank.parent
 
     def headroom(self) -> int:
@@ -190,13 +191,7 @@ class Stream:
 
     def prefix(self, k: int, fuel: FuelLike = None) -> Word:
         """First k symbols; raises NeedMoreFuel if any is undetermined."""
-        # kept apart from read_prefix: this strict read is the hot path
-        return self._prefix(k, as_fuel(fuel))
-
-    def _prefix(self, k: int, fuel: Fuel) -> Word:
-        # the bulk step behind `prefix`; subclasses that can produce a run
-        # of symbols at once override this, never `prefix` itself
-        return tuple(self.at(i, fuel) for i in range(k))
+        return read_prefix(self, k, as_fuel(fuel), ())
 
     def determined_prefix(self, k: int, fuel: FuelLike = None) -> Word:
         """Longest prefix of length <= k computable before fuel runs out."""
@@ -206,11 +201,11 @@ class Stream:
         """(symbols, paid): symbols pos, pos+1, ... before `end`, at least
         one, for a reader that charges them itself.
 
-        The first `paid` symbols cost nothing more.  Every later one costs
-        one step; a `PlanStream` and a `BufferedStream` return such
-        symbols, and the reader passes the ones it charged, in order, to
-        their `record_run`.  Here the run is the one symbol `at` reads and
-        charges.
+        The first `paid` symbols cost nothing more.  Every later one is one
+        of a dense stream's `queued()` symbols and costs one step; the
+        reader charges those it keeps, in order, and passes their count to
+        `commit` (`charge_run` does both).  Here the run is the one symbol
+        `at` reads and charges.
         """
         return [self.at(pos, fuel)], 1
 
@@ -256,7 +251,8 @@ class PlanStream(_IndexedStream):
 
     This is the serializable stream shape used by instance files and the
     command-line input syntax.  The symbols read so far from index 0 on are
-    kept in a dense list; reads past its end keep the per-index memo.
+    kept in the dense list `_buf`; reads past its end keep the per-index
+    memo, which therefore only holds indices past the dense end.
     """
 
     def __init__(self, head: Iterable = (), tail=("zeros",), label: str = ""):
@@ -266,65 +262,50 @@ class PlanStream(_IndexedStream):
             raise ValueError("cycle tail needs a nonempty word")
         self.tail = (tail[0], tuple(tail[1])) if tail[0] == "cycle" else ("zeros",)
         self.label = label
-        self._read = []  # symbols 0 .. len-1, each already charged
+        self._buf = []  # symbols 0 .. len-1, each already charged
 
     def at(self, n: int, fuel: FuelLike = None) -> int:
-        read = self._read
-        if n < len(read):
-            return read[n]
+        buf = self._buf
+        if n < len(buf):
+            return buf[n]
         cache = self._cache
         got = cache.get(n)
         if got is not None:
             return got
         as_fuel(fuel).tick()
         value = self._compute(n, fuel)
-        if n == len(read):
-            read.append(value)
-            while len(read) in cache:  # inline `_fold`: this is the hot path
-                read.append(cache.pop(len(read)))
+        if n == len(buf):
+            buf.append(value)
+            while len(buf) in cache:  # the memo past the dense end folds in
+                buf.append(cache.pop(len(buf)))
         else:
             cache[n] = value
         return value
 
-    def _prefix(self, k: int, fuel: Fuel) -> Word:
-        read = self._read
-        start = len(read)
-        if k > start:
-            if any(start <= i < k for i in self._cache):
-                return super()._prefix(k, fuel)  # memoized reads in the way are free
-            granted = fuel.take(k - start)
-            self._plan_into(read, start, start + granted)
-            self._fold()
-            if start + granted < k:
-                fuel.tick()  # the first unpaid index: raises for the empty tank
-        return tuple(read[:k])
+    def queued(self) -> Union[int, float]:
+        """The plan symbols after `_buf` up to the first memoized index
+        (math.inf when nothing is memoized); none is paid for."""
+        return min(self._cache, default=math.inf) - len(self._buf)
+
+    def commit(self, n: int) -> None:
+        """Append the next n plan symbols, charged by the caller, to `_buf`."""
+        buf = self._buf
+        self._plan_into(buf, len(buf), len(buf) + n)
+        cache = self._cache
+        while len(buf) in cache:
+            buf.append(cache.pop(len(buf)))
 
     def read_run(self, pos: int, end: int, fuel: Fuel) -> tuple:
-        # the dense prefix is paid for; the plan symbols after it are not,
-        # up to the first memoized index, as in _prefix
-        read = self._read
-        dense = len(read)
+        # the dense prefix is paid for; the queued plan symbols after it are not
+        buf = self._buf
+        dense = len(buf)
         if pos > dense:
             return super().read_run(pos, end, fuel)  # sparse reads go by `at`
-        run = read[pos:end]
+        run = buf[pos:end]
         paid = len(run)
         if dense < end:
-            stop = min([i for i in self._cache if dense <= i < end], default=end)
-            self._plan_into(run, dense, stop)
+            self._plan_into(run, dense, min(end, dense + self.queued()))
         return run, paid
-
-    def record_run(self, symbols: list) -> None:
-        """Keep the unpaid symbols of a `read_run` once they are charged."""
-        self._read.extend(symbols)
-        self._fold()
-
-    def _fold(self) -> None:
-        # the dense run reaches earlier sparse reads: move them over, so the
-        # memo never holds the index at the dense end
-        read = self._read
-        cache = self._cache
-        while len(read) in cache:
-            read.append(cache.pop(len(read)))
 
     def _plan_into(self, out: list, start: int, end: int) -> None:
         """Append symbols start .. end-1, straight from the plan, to `out`.
@@ -461,6 +442,20 @@ class WordStream(Stream):
 WORD_EDGE = Fuel(0)
 
 
+def charge_run(source, n: Union[int, float], fuel: Fuel) -> None:
+    """Charge the next n queued symbols of a dense stream and commit them.
+
+    One `Fuel.take` charges what the headroom grants, and those symbols go
+    to `_buf`.  After a short grant the next tick raises, for the tank that
+    reading the symbols one step at a time would have named.
+    """
+    granted = fuel.take(n)
+    if granted:
+        source.commit(granted)
+    if granted < n:
+        fuel.tick()
+
+
 def read_prefix(source, k: Optional[int], fuel: Fuel, stop: Optional[tuple]) -> Word:
     """The one budgeted-prefix reader: symbols 0, 1, ... of a word or stream.
 
@@ -474,14 +469,21 @@ def read_prefix(source, k: Optional[int], fuel: Fuel, stop: Optional[tuple]) -> 
     """
     if isinstance(source, tuple):
         return source[:k]
-    if isinstance(source, BufferedStream):
-        # on a signal the buffer holds exactly the determined prefix
+    if isinstance(source, (PlanStream, BufferedStream)):
+        # on a signal `_buf` holds exactly the determined prefix
+        buf = source._buf
+        want = math.inf if k is None else k
         try:
-            source.fill(math.inf if k is None else k, fuel)
+            while len(buf) < want:
+                n = min(want - len(buf), source.queued())
+                if n:
+                    charge_run(source, n, fuel)
+                else:
+                    source.at(len(buf), fuel)  # producer rounds, a step each
         except NeedMoreFuel as blocked:
             if stop is not None and blocked.tank not in stop:
                 raise
-        return tuple(source._buf[:k])
+        return tuple(buf[:k])
     out = []
     for i in range(k) if k is not None else count():
         try:
@@ -504,12 +506,12 @@ class BufferedStream(Stream):
     self._buf, queues them on self._pending, or raises NeedMoreFuel; a round
     may also produce nothing.  Each round costs one step, and so does each
     queued symbol moved to the buffer, so the step count bounds unproductive
-    rounds.  `fill` drains queued symbols in bulk with one exact
-    `Fuel.take`, which charges what the symbol-by-symbol path of `at` would;
-    `read_run` hands them to a run reader unpaid, after running rounds, as
-    `at` does, when nothing is produced or queued at the position.
-    All producer state lives on the instance, so an interrupted query
-    resumes exactly where it stopped.
+    rounds.  The queued symbols are the dense protocol's `queued()` ones:
+    `read_prefix` charges them with `charge_run`, and `read_run` hands them
+    to a run reader unpaid, after running rounds, as `at` does, when
+    nothing is produced or queued at the position.  All producer state
+    lives on the instance, so an interrupted query resumes exactly where it
+    stopped.
     """
 
     def __init__(self):
@@ -533,29 +535,18 @@ class BufferedStream(Stream):
                 self._extend(fuel)
         return buf[n]
 
-    def fill(self, k: Union[int, float], fuel: Fuel) -> None:
-        """Produce until the buffer holds k symbols (k may be math.inf).
+    def queued(self) -> int:
+        return len(self._pending)
 
-        Charges exactly what reading indices 0 .. k-1 through `at` would,
-        and on a signal leaves the buffer at the same length.  Producer
-        rounds still run through `at`, so a span around `at` times them.
-        """
-        buf = self._buf
+    def commit(self, n: int) -> None:
+        """Move the next n queued symbols, charged by the caller, to `_buf`."""
         pending = self._pending
-        while len(buf) < k:
-            if not pending:
-                self.at(len(buf), fuel)
-                continue
-            want = min(k - len(buf), len(pending))
-            granted = fuel.take(want)
+        if n == len(pending):
+            self._buf.extend(pending)
+            pending.clear()
+        else:
             popleft = pending.popleft
-            buf.extend([popleft() for _ in range(granted)])
-            if granted < want:
-                fuel.tick()  # the first unpaid symbol: raises for the empty tank
-
-    def _prefix(self, k: int, fuel: Fuel) -> Word:
-        self.fill(k, fuel)
-        return tuple(self._buf[:k])
+            self._buf.extend([popleft() for _ in range(n)])
 
     def read_run(self, pos: int, end: int, fuel: Fuel) -> tuple:
         # produced symbols are paid for and queued ones are not; with
@@ -572,17 +563,6 @@ class BufferedStream(Stream):
         if pos + paid < end:
             run.extend(islice(pending, end - pos - paid))
         return run, paid
-
-    def record_run(self, symbols: list) -> None:
-        """Move the queued symbols of a `read_run` to the buffer once they
-        are charged."""
-        self._buf.extend(symbols)
-        pending = self._pending
-        if len(symbols) == len(pending):
-            pending.clear()
-        else:
-            for _ in symbols:
-                pending.popleft()
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .streams import (
     Word,
     WordStream,
     as_stream,
+    charge_run,
     even_part,
     interleave_word,
     odd_part,
@@ -352,10 +353,11 @@ class InjectionOutput(BufferedStream):
     rewrite moves between dummies, so decoding still yields the graph of
     U_{U_s(p)}; scanning the marker blocks recovers p exactly.
 
-    A stage drains the inner name a run at a time (`Stream.read_run`): each
-    run's unpaid symbols are charged with one `Fuel.take`, capped by the
-    headroom, and the stage stops at the symbol, and signals for the tank,
-    where reading one symbol per `at` while the stage tank has steps would.
+    A stage drains the inner name a run at a time (`Stream.read_run`): the
+    run's paid symbols are free, its queued ones, up to the headroom, are
+    charged and committed by `charge_run`, and the stage stops at the
+    symbol, and signals for the tank, where reading one symbol per `at`
+    while the stage tank has steps would.
     """
 
     def __init__(self, s_source, p_source, label: str = ""):
@@ -399,9 +401,7 @@ class InjectionOutput(BufferedStream):
                     used = min(paid, 1)
                 else:  # the free symbols, then what the headroom pays for
                     used = min(len(run), paid + tank.headroom())
-                    tank.take(used - paid)
-                    if used > paid:
-                        inner.record_run(run[paid:used])
+                    charge_run(inner, used - paid, tank)
                 self._inner_taken += used
                 self._pending.extend([2 if sym < 2 else sym for sym in run[:used]])
                 if used < len(run) and (not used or tank.remaining > 0):

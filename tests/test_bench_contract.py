@@ -18,6 +18,8 @@ an AttributeError after its operations are done.
 The tracer wraps `Stream.prefix` and `Stream.determined_prefix` on the base
 class only, so a stream class overriding either would read outside the
 `streams.prefix` and `streams.determined_prefix` spans without a trace.
+Dense streams are read and charged through one charger, `charge_run`, so
+no stream class brings back a bulk reader of its own.
 """
 
 import ast
@@ -185,3 +187,33 @@ def _stream_classes_defining(methods):
 def test_stream_classes_leave_traced_readers_alone():
     assert _stream_classes_defining(("at",))  # the scan sees stream classes
     assert _stream_classes_defining(("prefix", "determined_prefix")) == []
+
+
+def _take_callers():
+    """Qualified names of the library functions that call `<x>.take(...)`."""
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "take"
+        ):
+            callers.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(LIBRARY.glob("*.py")):
+        visit(ast.parse(path.read_text()), ())
+    return callers
+
+
+def test_dense_streams_charge_through_one_charger():
+    from baire.streams import Stream
+
+    assert _take_callers() == {"charge_run", "RawEvalStream._extend"}
+    gone = ("_prefix", "fill", "record_run")
+    assert [m for m in gone if hasattr(Stream, m)] == []
+    assert _stream_classes_defining(gone) == []

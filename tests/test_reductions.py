@@ -274,6 +274,28 @@ def test_lifted_reduction_small_suite():
     assert report.count(CONSISTENT) == 6
 
 
+def test_lifted_reduction_refutes_answers_outside_the_problem():
+    # H answers 7, no LLPO point; the loop's program ignores its answers, so
+    # the extracted states still match the reference run and only the
+    # pulled-back answers show the broken H
+    from baire.operators import lift_reduction_to_inverse_limit
+    from baire.reductions import embed_llpo_in_cn_machine
+
+    lift = lift_reduction_to_inverse_limit(
+        embed_llpo_in_cn_machine(), pure_machine(lambda w: (7,) * (len(w) // 2), "H-bad")
+    )
+    report = check_lifted_reduction(
+        lift,
+        lambda s: problem_loop("llpo", s, 5),
+        _translate_llpo_step_to_cn,
+        "cn",
+        seeds=6,
+        depth=5,
+        steps=5,
+    )
+    assert report.refutations == 6
+
+
 # --- the mind-change simulation -------------------------------------------------------
 
 
