@@ -71,14 +71,13 @@ class GraphEntry(NamedTuple):
     out: Word
 
 
+_to_payload = PAYLOAD_BASE.__add__
+
+
 def encode_entry_block(entry: GraphEntry) -> Word:
-    return (
-        ENTRY_BEGIN,
-        *(s + PAYLOAD_BASE for s in entry.inp),
-        ENTRY_SEP,
-        *(s + PAYLOAD_BASE for s in entry.out),
-        ENTRY_END,
-    )
+    """The block 3, inp + 6, 4, out + 6, 5 of an entry (any (inp, out) pair)."""
+    inp, out = entry
+    return (ENTRY_BEGIN, *map(_to_payload, inp), ENTRY_SEP, *map(_to_payload, out), ENTRY_END)
 
 
 _OUTSIDE, _READ_INPUT, _READ_OUTPUT = 0, 1, 2
@@ -335,6 +334,12 @@ class MachineName(BufferedStream):
     word; constructions whose machine reads live sources pass a version
     restricted to finite slices here so the raw face never recurses into
     itself and never changes as the sources grow.
+
+    One producer round, `_round`, applies `raw_apply` to the next candidate
+    and returns the entry's block, which `_extend` queues.  An injected
+    output draining this name runs `_round` itself (`InjectionOutput`): its
+    stage tank pays the round's step, then whatever `raw_apply` charges,
+    then the block's symbols, queued here and charged by `charge_run`.
     """
 
     def __init__(
@@ -356,12 +361,17 @@ class MachineName(BufferedStream):
         self._cand = 0
 
     def _extend(self, fuel: Fuel) -> None:
-        # one round queues the next candidate's block, if its entry is nonempty
+        self._pending.extend(self._round(fuel))
+
+    def _round(self, fuel: Fuel) -> Word:
+        """The block of the next candidate, or () when its entry is empty.
+
+        The round's own step is the caller's; `raw_apply` charges the rest.
+        """
         u = candidate_word(self._cand)
         v = self._raw_apply(u, fuel)
         self._cand += 1
-        if v:
-            self._pending.extend(encode_entry_block(GraphEntry(u, v)))
+        return encode_entry_block((u, v)) if v else ()
 
 
 class ExplicitName(MachineName):

@@ -509,9 +509,12 @@ class BufferedStream(Stream):
     rounds.  The queued symbols are the dense protocol's `queued()` ones:
     `read_prefix` charges them with `charge_run`, and `read_run` hands them
     to a run reader unpaid, after running rounds, as `at` does, when
-    nothing is produced or queued at the position.  All producer state
-    lives on the instance, so an interrupted query resumes exactly where it
-    stopped.
+    nothing is produced or queued at the position.  A run reader may run a
+    subclass's rounds itself if it charges them alike: `InjectionOutput`
+    runs a `MachineName`'s, a tick each before the round's own charges,
+    queues each block on `_pending` and charges it with `charge_run`.  All
+    producer state lives on the instance, so an interrupted query resumes
+    exactly where it stopped.
     """
 
     def __init__(self):

@@ -135,18 +135,26 @@ class _KeyedMemo:
 
     A key may name a stream by its id, so each entry keeps the objects
     given with it alive and their ids are never reused while it stands.  A
-    build that raises (a fuel signal, say) stores nothing.
+    build that raises (a fuel signal, say) stores nothing.  A memo with a
+    bound keeps only its `bound` most recently used entries; an evicted
+    entry is built again when it is asked for.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_bound")
 
-    def __init__(self):
+    def __init__(self, bound: Optional[int] = None):
         self._table = {}
+        self._bound = bound
 
     def get(self, key, build: Callable, *alive):
-        got = self._table.get(key)
+        table = self._table
+        got = table.get(key)
         if got is None:
-            got = self._table[key] = (build(), alive)
+            got = table[key] = (build(), alive)
+            if self._bound is not None and len(table) > self._bound:
+                del table[next(iter(table))]  # the least recently used
+        elif self._bound is not None:
+            table[key] = table.pop(key)  # now the most recently used
         return got[0]
 
 
@@ -240,11 +248,18 @@ def smn(target) -> NameTransformer:
     label = f"smn({F.label})" if F.label else "smn"
 
     def specialize(param) -> MachineName:
+        slices = {}  # candidate length -> the parameter slice of that length
+
         def raw_apply(u, fuel):
             # fix the parameter slice at the candidate's length so emitted
             # blocks never change as the parameter grows; the slice stays a
-            # lazy view, so unread parameter components cost nothing
-            return F.apply(limit_source(param, len(u)), u, fuel)
+            # lazy view, so unread parameter components cost nothing, and
+            # the candidates of one length share it
+            n = len(u)
+            piece = slices.get(n)
+            if piece is None:
+                piece = slices[n] = limit_source(param, n)
+            return F.apply(piece, u, fuel)
 
         name = MachineName(
             memoized_machine(lambda x, fuel: F.apply(param, x, fuel), label),
@@ -357,7 +372,13 @@ class InjectionOutput(BufferedStream):
     run's paid symbols are free, its queued ones, up to the headroom, are
     charged and committed by `charge_run`, and the stage stops at the
     symbol, and signals for the tank, where reading one symbol per `at`
-    while the stage tank has steps would.
+    while the stage tank has steps would.  When the inner name is a plain
+    `MachineName` with nothing produced or queued at the read position,
+    the stage runs its producer rounds itself (`MachineName._round`), as
+    `read_run` would: each round ticks the stage tank, `raw_apply` charges
+    what it reads to the same tank, and the first nonempty block is queued
+    on the inner name and charged from there by `charge_run`.  The charges
+    thus keep their order, round by round: tick, apply, block symbols.
     """
 
     def __init__(self, s_source, p_source, label: str = ""):
@@ -391,20 +412,41 @@ class InjectionOutput(BufferedStream):
         # signal interrupts the stage, which resumes with the rest
         tank = Fuel(self._stage * self._stage - self._stage_spent, parent=fuel)
         inner = self._inner_stream()
+        rounds = type(inner) is MachineName
+        out = self._pending
         try:
             while tank.remaining > 0:
                 pos = self._inner_taken
-                run, paid = inner.read_run(pos, pos + tank.remaining, tank)
+                fused = rounds and pos == len(inner._buf) and not inner._pending
+                if fused:
+                    # the rounds `read_run` would run, run here, each a step
+                    # and then raw_apply's own charges, until one queues a
+                    # block; block symbols are >= 3, so none is rewritten
+                    run = ()
+                    while not run:
+                        tank.tick()
+                        run = inner._round(tank)
+                    inner._pending.extend(run)
+                    paid = 0
+                else:
+                    # other inner streams (the `inject` kind's `RawEvalStream`,
+                    # a `PlanStream`, a `MachineStream`) have no block rounds
+                    # to run here: `read_run` runs and charges their own
+                    run, paid = inner.read_run(pos, pos + tank.remaining, tank)
+                n = len(run)
                 if tank.remaining == 0:
                     # a producer round spent the stage: the one-step loop
                     # keeps the symbol it read and stops, free ones or not
                     used = min(paid, 1)
                 else:  # the free symbols, then what the headroom pays for
-                    used = min(len(run), paid + tank.headroom())
+                    used = min(n, paid + tank.headroom())
                     charge_run(inner, used - paid, tank)
-                self._inner_taken += used
-                self._pending.extend([2 if sym < 2 else sym for sym in run[:used]])
-                if used < len(run) and (not used or tank.remaining > 0):
+                self._inner_taken = pos + used
+                if fused:
+                    out.extend(run if used == n else run[:used])
+                else:
+                    out.extend([2 if sym < 2 else sym for sym in run[:used]])
+                if used < n and (not used or tank.remaining > 0):
                     # the one-step loop would read on: it signals here, for
                     # the tank that the next read's tick names
                     tank.tick()
@@ -494,7 +536,9 @@ class _ReferencingFunctional(PairFunctional):
 
     Every graph candidate of the specialized name applies this to a slice
     of the same parameter, so the injected name and the q prefix are kept
-    per (slice, argument length).
+    per (slice, argument length).  `smn` hands the candidates of one length
+    one slice object, so the entry of the last call is looked up by that
+    object first, without deriving its key.
     """
 
     label = "self-ref"
@@ -504,6 +548,7 @@ class _ReferencingFunctional(PairFunctional):
         self.inj = inj
         self._names = _KeyedMemo()
         self._slices = _KeyedMemo()
+        self._last = (None, None, None)  # (slice, argument length, its entry)
 
     @staticmethod
     def _key(s):
@@ -520,10 +565,17 @@ class _ReferencingFunctional(PairFunctional):
 
     def apply(self, sq, p_word, fuel):
         n = len(p_word)
-        injected, q_pfx = self._slices.get(
-            (self._key(sq), n), lambda: self._split(sq, n, fuel), sq
-        )
+        last_sq, last_n, split = self._last
+        if last_sq is not sq or last_n != n:
+            split = self._slices.get(
+                (self._key(sq), n), lambda: self._split(sq, n, fuel), sq
+            )
+            self._last = (sq, n, split)
+        injected, q_pfx = split
         return self.f(injected, interleave_word(q_pfx, p_word), fuel)
+
+
+_TARGETS_KEPT = 8  # specialized names `_NamePrefixFunctional` keeps alive
 
 
 class _NamePrefixFunctional(PairFunctional):
@@ -533,7 +585,9 @@ class _NamePrefixFunctional(PairFunctional):
 
     def __init__(self, inner: NameTransformer):
         self.inner = inner
-        self._targets = _KeyedMemo()
+        # a target and its drained graph hold about 1 MB; a new q stream
+        # makes a new key, so an unbounded memo grows with every q applied
+        self._targets = _KeyedMemo(_TARGETS_KEPT)
 
     def _target(self, s, q):
         key = (_ReferencingFunctional._key(s), q if isinstance(q, tuple) else id(q))

@@ -30,6 +30,7 @@ from baire.streams import Fuel, NeedMoreFuel, PlanStream, ZEROS, pair_stream
 
 from helpers import (
     ChainPlan,
+    generator_entry_block,
     naive_blocks,
     naive_decode,
     naive_eval,
@@ -44,6 +45,18 @@ from helpers import (
 def test_entry_block_shapes():
     assert encode_entry_block(GraphEntry((), (7,))) == (3, 4, 13, 5)
     assert encode_entry_block(GraphEntry((2,), (0,))) == (3, 8, 4, 6, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inp=st.lists(st.integers(0, 60), max_size=10).map(tuple),
+    out=st.lists(st.integers(0, 60), max_size=10).map(tuple),
+)
+def test_entry_block_round_trips_and_equals_the_generator_form(inp, out):
+    entry = GraphEntry(inp, out)
+    block = encode_entry_block(entry)
+    assert block == generator_entry_block(entry)
+    assert list(EntryParser().scan(block, 0, len(block))) == [(len(block) - 1, entry)]
 
 
 def test_decode_single_block():

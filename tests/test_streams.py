@@ -40,8 +40,9 @@ from baire.transform import (
     SelfPairingName,
     const_transformer_name,
     injective_recursion,
+    smn,
 )
-from helpers import PerSymbolInjectionOutput, PerSymbolRawEval
+from helpers import PerSymbolInjectionOutput, PerSymbolRawEval, transducer_machine
 
 words = st.lists(st.integers(min_value=0, max_value=30), max_size=8).map(tuple)
 
@@ -751,11 +752,33 @@ def _injected_fixed_point(cls):
     return cls(R.apply(q).s_source, q)
 
 
+def _charging_transducer(seed):
+    # a pair transducer that charges a step per symbol it reads
+    table = transducer_machine(seed)
+
+    def apply(w, fuel):
+        for _ in w:
+            fuel.tick()
+        return table.apply(w, fuel)
+
+    return WordMachine(apply, table.label)
+
+
+def _injected_specialized(cls):
+    # a MachineName whose rounds charge the stage tank: smn specializes the
+    # charging transducer to the marker source, a PlanStream, so each
+    # round's raw_apply pays for the parameter symbols it reads first and
+    # for every symbol the transducer reads, and can signal inside a round
+    S = smn(_charging_transducer(5))
+    return cls(S.name(), PlanStream((1, 0, 2, 1), ("cycle", (3, 0))))
+
+
 INJECTED = {
     "machine-stream": (_injected_machine_stream, 300),
     "plan": (_injected_plan, 300),
     "raw-eval": (_injected_raw_eval, 70),
     "fixed-point": (_injected_fixed_point, 300),
+    "specialized": (_injected_specialized, 300),
 }
 
 

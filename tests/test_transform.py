@@ -21,7 +21,10 @@ from baire.streams import (
     pair_stream,
 )
 from baire.transform import (
+    _TARGETS_KEPT,
+    PairFunctional,
     SliceSource,
+    _NamePrefixFunctional,
     _ReferencingFunctional,
     const_transformer_name,
     dummy_prefix_transformer_name,
@@ -255,35 +258,96 @@ def test_injective_recursion_extractor(seed):
     assert got == q.prefix(len(got))
 
 
+def _referencing_apply(route, sq, x_len):
+    """A fresh self-referencing functional, applied as (x, fuel) -> word.
+
+    `functional` applies it to one slice of `sq` of length 2 * x_len + 2;
+    `smn` reads it as the raw face of the name smn specializes it to, which
+    slices `sq` at each argument's length, one slice per length.
+    """
+    A = _ReferencingFunctional(use_name_functional, injection())
+    if route == "smn":
+        return smn(A).apply(sq)._raw_apply
+    piece = SliceSource(sq, 2 * x_len + 2)
+    return lambda x, fuel: A.apply(piece, x, fuel)
+
+
 def test_referencing_slice_memo_never_keeps_a_signalled_read():
     # an outer tank cuts the q read short; retried under a larger tank, the
     # functional answers as a fresh one does over sources read alike
-    p = (1, 2, 0, 3, 1)
+    p = (1, 2, 0, 3, 1, 0, 2, 1)
 
-    def cut_then_retry(fresh):
+    def cut_then_retry(route, fresh):
         q = PlanStream((4, 1, 3, 0, 2, 2, 5), ("zeros",))  # every read charges
-        sq = SliceSource(pair_stream(seeded_plan_stream(3), q), 2 * len(p) + 2)
-        A = _ReferencingFunctional(use_name_functional, injection())
+        sq = pair_stream(seeded_plan_stream(3), q)
+        apply = _referencing_apply(route, sq, len(p))
         outer = Fuel(3)
         with pytest.raises(NeedMoreFuel) as cut:
-            A.apply(sq, p, Fuel(10**5, parent=outer))
+            apply(p, Fuel(10**5, parent=outer))
         assert cut.value.tank is outer
+        assert len(q._buf) == 3  # the signal came inside the q read
         if fresh:
-            A = _ReferencingFunctional(use_name_functional, injection())
+            apply = _referencing_apply(route, sq, len(p))
         retry = Fuel(10**5)
-        return A.apply(sq, p, retry), retry.spent, q.prefix(len(p) + 1)
+        return apply(p, retry), retry.spent, q.prefix(len(p) + 1)
 
-    got, want = cut_then_retry(False), cut_then_retry(True)
-    assert got == want
-    assert len(got[0]) == 2 * len(p) + 1  # a truncated q prefix answers less
+    for route in ("functional", "smn"):
+        got = cut_then_retry(route, False)
+        assert got == cut_then_retry(route, True), route
+        if route == "functional":
+            assert len(got[0]) == 2 * len(p) + 1  # a truncated q prefix answers less
+
+
+class _Recording(PairFunctional):
+    """Records the parameter source and argument length of every apply."""
+
+    def __init__(self):
+        self.seen = []
+
+    def apply(self, param, x, fuel):
+        self.seen.append((param, len(x)))
+        return ()
 
 
 def test_referencing_slice_memo_keeps_argument_lengths_apart():
     sq = pair_stream(seeded_plan_stream(3), seeded_plan_stream(4))
+    lengths = ((1,), (1, 2, 0, 3), (1, 2), (1, 2, 0, 3), (2, 1), (3,))
     kept = _ReferencingFunctional(use_name_functional, injection())
-    for p in ((1,), (1, 2, 0, 3), (1, 2)):
+    for p in lengths:
         fresh = _ReferencingFunctional(use_name_functional, injection())
         assert kept.apply(sq, p, Fuel(10**5)) == fresh.apply(sq, p, Fuel(10**5))
+    kept_raw = _referencing_apply("smn", sq, 0)
+    for p in lengths:
+        fresh_raw = _referencing_apply("smn", sq, 0)
+        assert kept_raw(p, Fuel(10**5)) == fresh_raw(p, Fuel(10**5))
+    # smn hands every candidate of one length the same slice, of that length
+    recorder = _Recording()
+    raw = smn(recorder).apply(sq)._raw_apply
+    for p in lengths:
+        raw(p, Fuel(10))
+    by_length = {}
+    for piece, n in recorder.seen:
+        assert piece.base is sq and piece.limit == n
+        assert by_length.setdefault(n, piece) is piece
+    assert len({id(piece) for piece in by_length.values()}) == len(by_length) == 3
+
+
+def test_name_prefix_memo_keeps_a_bounded_number_of_targets(monkeypatch):
+    made = []
+    init = _NamePrefixFunctional.__init__
+
+    def recording_init(self, inner):
+        init(self, inner)
+        made.append(self)
+
+    monkeypatch.setattr(_NamePrefixFunctional, "__init__", recording_init)
+    R = injective_recursion(ignore_name_functional, "drop-name")
+    (C,) = made
+    for seed in range(_TARGETS_KEPT + 4):
+        q = seeded_plan_stream(seed)
+        got = determined(R.extract(R.apply(q)), 6, budget=2_000_000)
+        assert got == q.prefix(6)
+        assert len(C._targets._table) == min(seed + 1, _TARGETS_KEPT)
 
 
 # --- quine -----------------------------------------------------------------------
