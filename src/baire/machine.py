@@ -375,17 +375,24 @@ class MachineName(BufferedStream):
 
 
 class ExplicitName(MachineName):
-    """Name with a fixed finite entry list, padded with dummies forever."""
+    """Name with a fixed finite entry list, padded with dummies forever.
+
+    The raw face emits every entry; the direct face applies only those the
+    decoder accepts in arrival order, filtered once here.
+    """
 
     def __init__(self, entries, head: Word = (), label: str = ""):
         entries = [GraphEntry(tuple(u), tuple(v)) for u, v in entries]
+        acc = EntryAccumulator()
+        for e in entries:
+            acc.offer(e)
+        accepted = acc.accepted
 
         def apply(w, fuel):
             best = ()
-            for e in _filter_consistent(tuple(entries)):
-                if is_prefix(e.inp, w):
-                    joined = word_sup(best, e.out)
-                    best = joined if joined is not None else best
+            for u, v in accepted:
+                if is_prefix(u, w):
+                    best = word_sup(best, v)  # applicable accepted outputs nest
             return best
 
         super().__init__(WordMachine(apply, label or "table"), head, label)
@@ -396,14 +403,6 @@ class ExplicitName(MachineName):
 
     def _extend(self, fuel):
         self._buf.append(0)  # dummy padding once the blocks are drained
-
-
-@lru_cache(maxsize=1 << 12)
-def _filter_consistent(entries: tuple) -> tuple:
-    acc = EntryAccumulator()
-    for e in entries:
-        acc.offer(e)
-    return tuple(acc.accepted)
 
 
 def encode_machine(machine: WordMachine, head: Word = (), label: str = "") -> MachineName:

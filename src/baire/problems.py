@@ -484,7 +484,11 @@ def parse_instance(text: str) -> Instance:
         tokens = line.split()
         try:
             if tokens[0] == "problem":
+                if len(tokens) != 4 or tokens[2] != "seed":
+                    raise ValueError("expected `problem <name> seed <n>`")
                 problem, seed = tokens[1], parse_natural(tokens[3])
+                if problem not in PROBLEMS:
+                    raise ValueError(f"unknown problem {problem}")
             elif tokens[0] == "public:":
                 if tokens[1:] != ["commits"]:
                     public_plan = parse_plan(tokens[1:])

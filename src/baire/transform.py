@@ -135,26 +135,21 @@ class _KeyedMemo:
 
     A key may name a stream by its id, so each entry keeps the objects
     given with it alive and their ids are never reused while it stands.  A
-    build that raises (a fuel signal, say) stores nothing.  A memo with a
-    bound keeps only its `bound` most recently used entries; an evicted
-    entry is built again when it is asked for.
+    build that raises (a fuel signal, say) stores nothing.  The values kept
+    are structures whose later reads are cached on them (a specialized
+    name, a self-value, an injected name), so building one again would
+    charge those reads again.
     """
 
-    __slots__ = ("_table", "_bound")
+    __slots__ = ("_table",)
 
-    def __init__(self, bound: Optional[int] = None):
+    def __init__(self):
         self._table = {}
-        self._bound = bound
 
     def get(self, key, build: Callable, *alive):
-        table = self._table
-        got = table.get(key)
+        got = self._table.get(key)
         if got is None:
-            got = table[key] = (build(), alive)
-            if self._bound is not None and len(table) > self._bound:
-                del table[next(iter(table))]  # the least recently used
-        elif self._bound is not None:
-            table[key] = table.pop(key)  # now the most recently used
+            got = self._table[key] = (build(), alive)
         return got[0]
 
 
@@ -391,7 +386,7 @@ class InjectionOutput(BufferedStream):
         self._block_emitted = False
         self._stage_spent = 0
         self._inner_taken = 0
-        self.machine = memoized_machine(self._apply_word, f"inj-out({label})")
+        self.machine = WordMachine(self._apply_word, f"inj-out({label})")
 
     def _inner_stream(self) -> Stream:
         if self._inner is None:
@@ -421,7 +416,9 @@ class InjectionOutput(BufferedStream):
                 if fused:
                     # the rounds `read_run` would run, run here, each a step
                     # and then raw_apply's own charges, until one queues a
-                    # block; block symbols are >= 3, so none is rewritten
+                    # block; block symbols are >= 3, so none is rewritten.
+                    # Kept apart from `read_run`: routing these blocks
+                    # through it measured 13-25 % slower on `injrec_extract`
                     run = ()
                     while not run:
                         tank.tick()
@@ -535,10 +532,11 @@ class _ReferencingFunctional(PairFunctional):
     """A<(s, q), p> = f(name of I(s), <q, p>) for a host functional f.
 
     Every graph candidate of the specialized name applies this to a slice
-    of the same parameter, so the injected name and the q prefix are kept
-    per (slice, argument length).  `smn` hands the candidates of one length
-    one slice object, so the entry of the last call is looked up by that
-    object first, without deriving its key.
+    of the same parameter.  The injected name is kept per content key of
+    s, so every split of the parameter shares it.  `smn` hands the
+    candidates of one length one slice object, so `_last` keeps the split
+    of the last (slice, argument length) only: a split made again reads
+    only q symbols read before, which costs no fuel.
     """
 
     label = "self-ref"
@@ -547,8 +545,7 @@ class _ReferencingFunctional(PairFunctional):
         self.f = f
         self.inj = inj
         self._names = _KeyedMemo()
-        self._slices = _KeyedMemo()
-        self._last = (None, None, None)  # (slice, argument length, its entry)
+        self._last = (None, None, None)  # (slice, argument length, its split)
 
     @staticmethod
     def _key(s):
@@ -567,15 +564,10 @@ class _ReferencingFunctional(PairFunctional):
         n = len(p_word)
         last_sq, last_n, split = self._last
         if last_sq is not sq or last_n != n:
-            split = self._slices.get(
-                (self._key(sq), n), lambda: self._split(sq, n, fuel), sq
-            )
+            split = self._split(sq, n, fuel)
             self._last = (sq, n, split)
         injected, q_pfx = split
         return self.f(injected, interleave_word(q_pfx, p_word), fuel)
-
-
-_TARGETS_KEPT = 8  # specialized names `_NamePrefixFunctional` keeps alive
 
 
 class _NamePrefixFunctional(PairFunctional):
@@ -585,40 +577,35 @@ class _NamePrefixFunctional(PairFunctional):
 
     def __init__(self, inner: NameTransformer):
         self.inner = inner
-        # a target and its drained graph hold about 1 MB; a new q stream
-        # makes a new key, so an unbounded memo grows with every q applied
-        self._targets = _KeyedMemo(_TARGETS_KEPT)
-
-    def _target(self, s, q):
-        key = (_ReferencingFunctional._key(s), q if isinstance(q, tuple) else id(q))
-        return self._targets.get(key, lambda: self.inner.apply(join_sources(s, q)), s, q)
 
     def apply(self, s, q_word, fuel):
         length_cap = (len(q_word) + 2) * (len(q_word) + 2)
         # deterministic sweep budget; stops where this approximation of s/q
         # determines no more
         return bounded_value_prefix(
-            self._target(s, q_word), length_cap, fuel, 64 * length_cap
+            self.apply_structured(s, q_word), length_cap, fuel, 64 * length_cap
         )
 
     def apply_structured(self, s, q):
-        return self._target(s, q)
+        return self.inner.apply(join_sources(s, q))
 
 
 @dataclass
 class InjectiveRecursion:
     """Total computable injection R with U_{R(q)}(p) = f(R, <q, p>).
 
-    `name_stream` is the verbatim name of R handed to f as its first
-    argument; `extract` undoes R on every tested prefix.
+    R(q) is the output of the injected fixed point I(t*) on q, built by
+    `apply`.  `name_stream` is the verbatim name of R handed to f as its
+    first argument; `extract` undoes R on every tested prefix.
     """
 
-    transformer: NameTransformer
+    fixed: MachineName  # t*
     name_stream: Stream
     extract: Callable[[Stream], Stream]
+    label: str
 
-    def apply(self, q) -> Stream:
-        return self.transformer.apply(q)
+    def apply(self, q) -> InjectionOutput:
+        return InjectionOutput(self.fixed, q, label=self.label)
 
 
 def injective_recursion(f, label: str = "") -> InjectiveRecursion:
@@ -634,17 +621,7 @@ def injective_recursion(f, label: str = "") -> InjectiveRecursion:
     t = S.name()
     T = recursion_T()
     t_fixed = T.apply(t)
-    r_name = inj.apply(t_fixed)
-
-    def apply(q) -> InjectionOutput:
-        return InjectionOutput(t_fixed, q, label=label or "R(q)")
-
-    machine = memoized_machine(
-        lambda q_word, fuel: _InjectionFunctional().apply(t_fixed, q_word, fuel),
-        f"R({label})",
-    )
-    transformer = NameTransformer(apply, machine, label or "injective-recursion")
-    return InjectiveRecursion(transformer, r_name, inj.extract)
+    return InjectiveRecursion(t_fixed, inj.apply(t_fixed), inj.extract, label or "R(q)")
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +641,7 @@ class SelfPairingName(MachineName):
     def __init__(self, transform=None, head: Word = (), label: str = "quine"):
         self._transform = transform or (lambda w: w)
         self._header_done = False
-        super().__init__(memoized_machine(self._apply, label), head, label)
+        super().__init__(WordMachine(self._apply, label), head, label)
 
     def _apply(self, x: Word, fuel: Fuel) -> Word:
         return interleave_word(self.prefix(len(x), fuel), self._transform(x))

@@ -66,6 +66,12 @@ def test_decode_single_block():
 def test_decode_rejects_conflicting_entry():
     # second entry (eps, [6]) conflicts with accepted (eps, [5])
     assert decode_entries((3, 4, 11, 5, 3, 4, 12, 5)) == (GraphEntry((), (5,)),)
+    # an explicit name's direct face drops it too, as its decode face does
+    name = ExplicitName([((), (5,)), ((), (6,)), ((1,), (5, 2)), ((1, 0), (6, 6))])
+    raw = name.prefix(40)
+    for w in ((), (0,), (1,), (1, 0), (1, 0, 3)):
+        assert name.machine.apply(w, Fuel(10)) == eval_name(raw, w)
+    assert name.machine.apply((1, 0), Fuel(10)) == (5, 2)
 
 
 def test_decode_skips_dummies_everywhere():

@@ -326,6 +326,9 @@ def test_instance_file_rejects_bad_plan_with_line(public):
         "problem llpo\nwitness: choice 0",
         "problem llpo seed 0\nwitness: choice -2",
         "problem lim seed 0\npublic: commits\ncommit 0 1\nwitness: limit 1",
+        "problem llpo x 3\nwitness: choice 0",
+        "problem llpo seed 3 extra\nwitness: choice 0",
+        "problem bogus seed 3\nwitness: choice 0",
     ],
 )
 def test_instance_file_rejects_bad_naturals(text):

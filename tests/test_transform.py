@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from baire.machine import (
@@ -21,10 +24,8 @@ from baire.streams import (
     pair_stream,
 )
 from baire.transform import (
-    _TARGETS_KEPT,
     PairFunctional,
     SliceSource,
-    _NamePrefixFunctional,
     _ReferencingFunctional,
     const_transformer_name,
     dummy_prefix_transformer_name,
@@ -332,22 +333,18 @@ def test_referencing_slice_memo_keeps_argument_lengths_apart():
     assert len({id(piece) for piece in by_length.values()}) == len(by_length) == 3
 
 
-def test_name_prefix_memo_keeps_a_bounded_number_of_targets(monkeypatch):
-    made = []
-    init = _NamePrefixFunctional.__init__
-
-    def recording_init(self, inner):
-        init(self, inner)
-        made.append(self)
-
-    monkeypatch.setattr(_NamePrefixFunctional, "__init__", recording_init)
+def test_extractions_on_one_R_keep_only_the_last_q_alive():
     R = injective_recursion(ignore_name_functional, "drop-name")
-    (C,) = made
-    for seed in range(_TARGETS_KEPT + 4):
+    held = []
+    for seed in range(8):
         q = seeded_plan_stream(seed)
         got = determined(R.extract(R.apply(q)), 6, budget=2_000_000)
         assert got == q.prefix(6)
-        assert len(C._targets._table) == min(seed + 1, _TARGETS_KEPT)
+        held.append(weakref.ref(q))
+        del q
+    gc.collect()
+    # the self-referencing functional keeps its last split, of the last q
+    assert [ref() is None for ref in held] == [True] * 7 + [False]
 
 
 # --- quine -----------------------------------------------------------------------
