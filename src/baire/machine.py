@@ -677,14 +677,11 @@ def identity_name() -> MachineName:
 
 
 def parse_natural(token: str) -> int:
-    """A natural number written in decimal; raises ValueError otherwise."""
-    try:
-        value = int(token)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
+    """A natural number written in ASCII decimal digits; raises ValueError
+    otherwise (`int` alone would take `+3`, `1_0`, ` 3` and non-ASCII digits)."""
+    if not (token.isascii() and token.isdigit()):
         raise ValueError(f"not a natural: {token!r}")
-    return value
+    return int(token)
 
 
 def parse_word_text(text: str) -> Word:

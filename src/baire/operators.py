@@ -538,7 +538,7 @@ def make_limnat_instance(seed: int, changes: int) -> Instance:
     stable_from = len(head)
     head.append(value)
     plan = PlanStream(tuple(head), ("cycle", (value,)))
-    spec = {"plan": plan, "commits": [(0, value, stable_from)]}
+    spec = {"commits": [(0, value, stable_from)]}
     return Instance("limnat", seed, plan, ("value", value, stable_from), spec)
 
 

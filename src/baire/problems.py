@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .machine import parse_natural, parse_word_text
+from .machine import parse_word_text
 from .streams import (
     FuelLike,
     FunctionStream,
@@ -47,7 +47,7 @@ class Instance:
     seed: int
     public_name: Stream
     hidden: tuple  # witness data; only generators and oracle realizers read it
-    public_spec: dict = field(default_factory=dict)  # finite description
+    public_spec: dict = field(default_factory=dict)  # "commits", for the lim checkers
 
 
 @dataclass
@@ -109,8 +109,7 @@ def problem_id() -> Problem:
     def generate(seed):
         rng = _rng("id", seed)
         head = tuple(rng.randrange(4) for _ in range(12))
-        plan = PlanStream(head, ("zeros",))
-        return Instance("id", seed, plan, ("copy",), {"plan": plan})
+        return Instance("id", seed, PlanStream(head, ("zeros",)), ("copy",))
 
     def check(instance, output, depth):
         if not output:
@@ -137,13 +136,11 @@ def problem_lpo() -> Problem:
     def generate(seed):
         rng = _rng("lpo", seed)
         if rng.random() < 1 / 3:
-            plan = PlanStream((), ("zeros",))
-            return Instance("lpo", seed, plan, ("allzero",), {"plan": plan})
+            return Instance("lpo", seed, PlanStream((), ("zeros",)), ("allzero",))
         k = rng.randrange(12)
         v = 1 + rng.randrange(9)
         head = (0,) * k + (v,) + tuple(rng.randrange(3) for _ in range(4))
-        plan = PlanStream(head, ("zeros",))
-        return Instance("lpo", seed, plan, ("nonzero", k, v), {"plan": plan})
+        return Instance("lpo", seed, PlanStream(head, ("zeros",)), ("nonzero", k, v))
 
     def check(instance, output, depth):
         if not output:
@@ -180,8 +177,7 @@ def problem_llpo() -> Problem:
         head = [0] * 10
         if rng.random() < 0.7:
             head[1 + rng.randrange(8)] = (1 - witness) + 1  # exclude the other
-        plan = PlanStream(tuple(head), ("zeros",))
-        return Instance("llpo", seed, plan, ("choice", witness), {"plan": plan})
+        return Instance("llpo", seed, PlanStream(tuple(head), ("zeros",)), ("choice", witness))
 
     def check(instance, output, depth):
         if not output:
@@ -214,10 +210,7 @@ def problem_cn() -> Problem:
         head = [0] * (2 * len(excluded) + 4)
         for i, e in enumerate(excluded):
             head[2 * i + 1] = e + 1
-        plan = PlanStream(tuple(head), ("zeros",))
-        return Instance(
-            "cn", seed, plan, ("choice", witness), {"plan": plan, "excluded": excluded}
-        )
+        return Instance("cn", seed, PlanStream(tuple(head), ("zeros",)), ("choice", witness))
 
     def check(instance, output, depth):
         if not output:
@@ -274,8 +267,7 @@ def problem_lim() -> Problem:
         public = _lim_public(commits, noise)
         limit_head = tuple(v for _, v, _ in commits)
         hidden = ("limit", limit_head)
-        spec = {"commits": commits, "noise": noise}
-        return Instance("lim", seed, public, hidden, spec)
+        return Instance("lim", seed, public, hidden, {"commits": commits})
 
     def check(instance, output, depth):
         if not output:
@@ -311,7 +303,7 @@ def problem_lim_nat() -> Problem:
         stable_from = len(head)
         head.extend([value] * 2)
         plan = PlanStream(tuple(head), ("cycle", (value,)))
-        spec = {"plan": plan, "commits": [(0, value, stable_from)]}
+        spec = {"commits": [(0, value, stable_from)]}
         return Instance("limnat", seed, plan, ("value", value, stable_from), spec)
 
     def check(instance, output, depth):
@@ -351,8 +343,7 @@ def problem_path_choice() -> Problem:
         for i, c in enumerate(codes):
             head[2 * i + 1] = c + 1
         plan = PlanStream(tuple(head), ("zeros",))
-        spec = {"plan": plan, "codes": sorted(set(codes))}
-        return Instance("wkl", seed, plan, ("path", path_head, path_cycle), spec)
+        return Instance("wkl", seed, plan, ("path", path_head, path_cycle))
 
     def check(instance, output, depth):
         if not output:
@@ -376,7 +367,7 @@ def realizer_path_choice() -> OracleRealizer:
 
 
 # ---------------------------------------------------------------------------
-# registry and instance file format
+# registry and the plan syntax
 
 PROBLEMS = {
     "id": (problem_id, realizer_id),
@@ -395,42 +386,6 @@ def get_problem(name: str) -> Problem:
 
 def get_realizer(name: str) -> OracleRealizer:
     return PROBLEMS[name][1]()
-
-
-def instance_text(instance: Instance) -> str:
-    """Serialize an instance to the line-oriented file format."""
-    lines = [f"problem {instance.problem} seed {instance.seed}"]
-    spec = instance.public_spec
-    if "plan" in spec:
-        lines.append(f"public: {spec['plan'].spec_text()}")
-    else:
-        lines.append("public: commits")
-    kind = instance.hidden[0]
-    if kind in ("copy",):
-        lines.append("witness: copy")
-    elif kind == "allzero":
-        lines.append("witness: allzero")
-    elif kind == "nonzero":
-        lines.append(f"witness: nonzero {instance.hidden[1]} {instance.hidden[2]}")
-    elif kind == "choice":
-        lines.append(f"witness: choice {instance.hidden[1]}")
-    elif kind == "value":
-        lines.append(f"witness: value {instance.hidden[1]} {instance.hidden[2]}")
-    elif kind == "limit":
-        lines.append("witness: limit " + " ".join(map(str, instance.hidden[1])))
-    elif kind == "path":
-        head, cycle = instance.hidden[1], instance.hidden[2]
-        lines.append(
-            "witness: path "
-            + " ".join(map(str, head))
-            + " cycle "
-            + " ".join(map(str, cycle))
-        )
-    for k, v, s in spec.get("commits", []):
-        lines.append(f"commit {k} {v} {s}")
-    for n, k, v in spec.get("noise", []):
-        lines.append(f"noise {n} {k} {v}")
-    return "\n".join(lines)
 
 
 def parse_plan(tokens) -> PlanStream:
@@ -452,69 +407,3 @@ def parse_plan(tokens) -> PlanStream:
         return PlanStream(head, ("zeros",))
     return PlanStream(head, ("cycle", parse_word_text(" ".join(tokens[i + 1 :]))))
 
-
-def _parse_witness(kind: str, rest) -> tuple:
-    if kind in ("copy", "allzero"):
-        return (kind,)
-    if kind in ("nonzero", "value"):
-        return (kind, parse_natural(rest[0]), parse_natural(rest[1]))
-    if kind == "choice":
-        return ("choice", parse_natural(rest[0]))
-    if kind == "limit":
-        return ("limit", parse_word_text(" ".join(rest)))
-    if kind == "path":
-        split = rest.index("cycle")
-        head, cycle = " ".join(rest[:split]), " ".join(rest[split + 1 :])
-        return ("path", parse_word_text(head), parse_word_text(cycle))
-    raise ValueError(f"unknown witness kind {kind}")
-
-
-def parse_instance(text: str) -> Instance:
-    """Parse the instance file format back into an Instance."""
-    problem = None
-    seed = 0
-    public_plan = None
-    hidden = None
-    commits = []
-    noise = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        try:
-            if tokens[0] == "problem":
-                if len(tokens) != 4 or tokens[2] != "seed":
-                    raise ValueError("expected `problem <name> seed <n>`")
-                problem, seed = tokens[1], parse_natural(tokens[3])
-                if problem not in PROBLEMS:
-                    raise ValueError(f"unknown problem {problem}")
-            elif tokens[0] == "public:":
-                if tokens[1:] != ["commits"]:
-                    public_plan = parse_plan(tokens[1:])
-            elif tokens[0] == "witness:":
-                hidden = _parse_witness(tokens[1], tokens[2:])
-            elif tokens[0] in ("commit", "noise"):
-                row = parse_word_text(" ".join(tokens[1:]))
-                if len(row) != 3:
-                    raise ValueError(f"{tokens[0]} takes three naturals")
-                (commits if tokens[0] == "commit" else noise).append(row)
-            else:
-                raise ValueError(f"unrecognized record {tokens[0]}")
-        except IndexError:
-            raise ValueError(f"line {lineno}: {tokens[0]} is missing a field") from None
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if problem is None or hidden is None:
-        raise ValueError("instance file needs `problem` and `witness:` lines")
-    spec = {}
-    if public_plan is not None:
-        spec["plan"] = public_plan
-        public = public_plan
-    else:
-        spec["commits"] = commits
-        spec["noise"] = noise
-        public = _lim_public(commits, noise)
-    if commits and public_plan is not None:
-        spec["commits"] = commits
-    return Instance(problem, seed, public, hidden, spec)

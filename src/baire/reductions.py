@@ -157,9 +157,10 @@ class ReductionWitness:
     """Machines (K, H) reducing problem `f_name` to problem `g_name`.
 
     `translate(f_instance, k_output)` builds the target-side instance an
-    oracle realizer can answer; checkers never see it.  The weak form
-    feeds H the pair <original input, answer>, the strong form only the
-    answer.
+    oracle realizer can answer from its hidden witness; the g-checker
+    judges that answer on the instance's public data, which a translation
+    takes from K's output.  The weak form feeds H the pair <original
+    input, answer>, the strong form only the answer.
     """
 
     label: str
@@ -174,23 +175,34 @@ class ReductionWitness:
 def check_reduction(
     witness: ReductionWitness, seeds: int = 50, depth: int = 32, budget: int = 10**6
 ) -> CheckReport:
-    """Run a witness over seeded instances and judge with the f-checker."""
+    """Run a witness over seeded instances and judge with the f-checker,
+    then judge the oracle's answer on K's instance with the g-checker."""
     if witness.translate is None:
         raise ValueError(f"witness {witness.label} has no instance translation")
     f_problem = get_problem(witness.f_name)
+    g_problem = get_problem(witness.g_name)
     g_realizer = get_realizer(witness.g_name)
 
     def judge(seed, tank):
         inst = f_problem.generate(seed)
         k_out = MachineStream(witness.K, inst.public_name)
-        answer = g_realizer.solve(witness.translate(inst, k_out))
+        target = witness.translate(inst, k_out)
+        answer = g_realizer.solve(target)
         h_in = answer if witness.strong else pair_stream(inst.public_name, answer)
         got = MachineStream(witness.H, h_in).determined_prefix(8, tank)
         verdict = f_problem.check_solution(inst, got, depth)
         if verdict == UNDETERMINED and len(got) < 8 and not tank.remaining:
             # the read ended quietly on the empty seed tank; say so
             raise NeedMoreFuel(tank)
-        return verdict, (f"output {list(got)}" if verdict == REFUTED else "")
+        if verdict == REFUTED:
+            return verdict, f"output {list(got)}"
+        # the realizer answers from the hidden witness, so only the g-checker
+        # reads K: an answer it refutes means K(x) is no valid g-instance.
+        # Read under its own tank, as check_lifted_reduction does
+        g_answer = answer.determined_prefix(8, Fuel(600_000))
+        if g_problem.check_solution(target, g_answer, depth) == REFUTED:
+            return REFUTED, f"target answer {list(g_answer)}"
+        return verdict, ""
 
     return run_suite(witness.label, depth, seeds, budget, judge)
 
@@ -680,7 +692,7 @@ def c2_to_cn_witness() -> ReductionWitness:
     H = pure_machine(_answer_back, "H-back")
 
     def translate(inst, k_out):
-        return Instance("cn", inst.seed, k_out, inst.hidden, {"from": "llpo"})
+        return Instance("cn", inst.seed, k_out, inst.hidden)
 
     return ReductionWitness("c2-to-cn", "llpo", "cn", K, H, False, translate)
 
@@ -692,7 +704,7 @@ def llpo_to_cantor_witness() -> ReductionWitness:
 
     def translate(inst, k_out):
         bit = inst.hidden[1]
-        return Instance("wkl", inst.seed, k_out, ("path", (bit,), (0, 0)), {})
+        return Instance("wkl", inst.seed, k_out, ("path", (bit,), (0, 0)))
 
     return ReductionWitness("llpo-to-cantor", "llpo", "wkl", K, H, False, translate)
 
@@ -741,7 +753,7 @@ def c2_cn_lift():
 
 def _translate_llpo_step_to_cn(inst: Instance, data: Stream) -> Instance:
     k_out = MachineStream(embed_llpo_in_cn_machine(), inst.public_name)
-    return Instance("cn", inst.seed, k_out, inst.hidden, {"from": "llpo"})
+    return Instance("cn", inst.seed, k_out, inst.hidden)
 
 
 def simulation_report(

@@ -426,9 +426,10 @@ def test_machine_text_error_names_line():
         parse_machine_text("eps -> 1\nbogus line")
 
 
-@pytest.mark.parametrize("line", ["eps -> -3", "-1 -> 2"])
+@pytest.mark.parametrize("line", ["eps -> -3", "-1 -> 2", "eps -> +3", "1_0 -> 2", "\u0663 -> 1"])
 def test_machine_text_rejects_non_naturals(line):
-    # -3 would be emitted as codec symbol 3, the entry-begin marker
+    # -3 would be emitted as codec symbol 3, the entry-begin marker; `int`
+    # alone reads +3, 1_0 and the Arabic-Indic digit three as naturals
     with pytest.raises(ValueError, match="line 2"):
         parse_machine_text("eps -> 1\n" + line)
 

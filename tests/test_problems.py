@@ -11,8 +11,6 @@ from baire.problems import (
     exclusions_upto,
     get_problem,
     get_realizer,
-    instance_text,
-    parse_instance,
     parse_plan,
     problem_cn,
     problem_id,
@@ -285,55 +283,7 @@ def test_refuted_verdicts_absorb(name, seed):
         assert all(v == REFUTED for v in verdicts[first:])
 
 
-# --- instance files ---------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["id", "lpo", "llpo", "cn", "lim", "limnat", "wkl"])
-def test_instance_file_round_trip(name):
-    prob, real = get_problem(name), get_realizer(name)
-    inst = prob.generate(11)
-    text = instance_text(inst)
-    back = parse_instance(text)
-    assert back.problem == inst.problem
-    assert back.hidden == inst.hidden
-    assert back.public_name.prefix(24) == inst.public_name.prefix(24)
-    out = real.solve(back).prefix(6)
-    assert prob.check_solution(back, out, 24) != REFUTED
-
-
-def test_instance_file_header():
-    prob = problem_llpo()
-    text = instance_text(prob.generate(5))
-    assert text.splitlines()[0] == "problem llpo seed 5"
-    assert text.splitlines()[1].startswith("public: ")
-    with pytest.raises(ValueError):
-        parse_instance("problem x seed 0\nbogus: 1")
-
-
-@pytest.mark.parametrize(
-    "public", ["1 cycle x", "-3 zeros", "1 2 cycle -1", "1 2", "x zeros", "4 cycle"]
-)
-def test_instance_file_rejects_bad_plan_with_line(public):
-    text = f"problem llpo seed 0\npublic: {public}\nwitness: choice 0"
-    with pytest.raises(ValueError, match=r"^line 2: "):
-        parse_instance(text)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "problem llpo seed -1\nwitness: choice 0",
-        "problem llpo\nwitness: choice 0",
-        "problem llpo seed 0\nwitness: choice -2",
-        "problem lim seed 0\npublic: commits\ncommit 0 1\nwitness: limit 1",
-        "problem llpo x 3\nwitness: choice 0",
-        "problem llpo seed 3 extra\nwitness: choice 0",
-        "problem bogus seed 3\nwitness: choice 0",
-    ],
-)
-def test_instance_file_rejects_bad_naturals(text):
-    with pytest.raises(ValueError, match=r"^line \d: "):
-        parse_instance(text)
+# --- the plan syntax ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(

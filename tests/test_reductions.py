@@ -63,6 +63,18 @@ def test_broken_lpo_is_refuted_on_nonzero_instances():
     assert len(refuted) >= 0.9 * len(applicable)
 
 
+def test_reduction_refutes_a_K_whose_instance_has_no_valid_answer():
+    # K excludes every point, so K(x) is no CN instance with a solution; H
+    # still answers right from the hidden witness, and only the g-checker
+    # on K's output shows the broken K
+    import dataclasses
+
+    K = pure_machine(lambda w: tuple(t + 1 for t in range(len(w))), "K-over")
+    report = check_reduction(dataclasses.replace(c2_to_cn_witness(), K=K), seeds=5)
+    assert report.refutations == 5
+    assert report.fuel_spent == check_reduction(c2_to_cn_witness(), seeds=5).fuel_spent
+
+
 def test_report_format_lines():
     report = check_reduction(identity_llpo_witness(), seeds=3, depth=8)
     lines = report.lines()
