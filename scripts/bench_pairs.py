@@ -1,0 +1,120 @@
+"""Compare a git revision with the working tree on one benchmark workload.
+
+    python scripts/bench_pairs.py REF --workload W --pairs N --seed S [--seconds T]
+
+REF is extracted with `git archive` into a temporary directory (the
+repository's `.git` is only read), and `bench/run.py --trace 0` runs N
+times on REF and N times on the working tree, one run of each per pair,
+with the side that runs first alternating from pair to pair.  For every
+end-to-end metric of BENCHMARK.json it prints each side's median and
+quartiles, the number of pairs the working tree wins, and whether the
+medians lie further apart than REF's interquartile range.  The temporary
+directory is deleted at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values):
+    """(q1, median, q3) of the values, inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, end_to_end):
+    """One row per metric of `end_to_end` for a list of (ref, tree) results.
+
+    A result is the parsed last line of `bench/run.py`; a metric is a
+    BENCHMARK.json entry with `name` and `better`.  A row holds the metric
+    name, its direction, REF's and the tree's (q1, median, q3), the pairs
+    the tree wins (strictly better than REF in the same pair) and whether
+    the medians are further apart than REF's interquartile range.
+    """
+    rows = []
+    for metric in end_to_end:
+        name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
+        ref = [r["metrics"][name]["value"] for r, _ in pairs]
+        tree = [t["metrics"][name]["value"] for _, t in pairs]
+        wins = sum(sign * (t - r) > 0 for r, t in zip(ref, tree))
+        ref_q, tree_q = quartiles(ref), quartiles(tree)
+        apart = abs(tree_q[1] - ref_q[1]) > ref_q[2] - ref_q[0]
+        rows.append((name, metric["better"], ref_q, tree_q, wins, apart))
+    return rows
+
+
+def format_rows(rows, n_pairs):
+    def show(q):
+        return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+    row = "{:16s} {:6s} {:36s} {:36s} {:5s} {}".format
+    lines = [row("metric", "better", "REF median [q1, q3]", "tree median [q1, q3]", "wins", "apart")]
+    for name, better, ref_q, tree_q, wins, apart in rows:
+        verdict = "yes" if apart else "no"
+        lines.append(row(name, better, show(ref_q), show(tree_q), f"{wins}/{n_pairs}", verdict))
+    return "\n".join(lines)
+
+
+def extract(ref: str, into: Path) -> None:
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        sys.exit(f"error: incorrect run in {checkout}: {result}")
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref")
+    parser.add_argument("--workload", required=True, choices=("codec", "transform", "check"))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=25)
+    args = parser.parse_args(argv)
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        extract(args.ref, scratch)
+        pairs = []
+        for i in range(args.pairs):
+            order = (scratch, ROOT) if i % 2 == 0 else (ROOT, scratch)
+            runs = {c: run_bench(c, args.workload, args.seed, args.seconds) for c in order}
+            pairs.append((runs[scratch], runs[ROOT]))
+            ops = [p["metrics"]["ops_per_s"]["value"] for p in pairs[-1]]
+            print(f"pair {i + 1}: ops_per_s REF {ops[0]:.4g} tree {ops[1]:.4g}", flush=True)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    print(format_rows(summarize(pairs, end_to_end), len(pairs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

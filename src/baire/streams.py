@@ -16,6 +16,9 @@ next n of them into `_buf` once they are charged.  `charge_run` is the one
 charger: it takes up to n steps with a single `Fuel.take`, commits what was
 granted, and after a short grant ticks, so the tank that reading one symbol
 at a time would name signals.  `read_prefix` reads dense streams with it.
+A specialized name whose rounds are certified empty (`transform._SilentName`)
+charges them with it too: its `commit(n)` counts n paid round steps, two per
+round, and queues nothing.
 A reader that consumes a stream in runs (the decode route, `RawEvalStream`,
 and the injected output, `InjectionOutput`) gets the symbols up to a
 boundary from `Stream.read_run`, paid ones first, and charges and commits

@@ -15,6 +15,7 @@ determined index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,6 +31,7 @@ from .machine import (
     apply_name,
     apply_name_structured,
     candidate_word,
+    decode_entries,
     encode_entry_block,
     encode_machine,
     eval_name,
@@ -170,6 +172,14 @@ class PairFunctional:
     and in the parameter source.  Subclasses may add `apply_structured`
     (lazy, structure-preserving application used by the fixed-point
     machinery).
+
+    `silent(param)` is a certificate for `smn`: True promises that for
+    every candidate u, `apply` on the slice of `param` at len(u) returns ()
+    after exactly one `apply_name` call on a word (its tick, then the
+    nesting check) and charges or reads nothing else.  Every round of the
+    specialized name then costs exactly two steps and produces nothing, so
+    `smn` charges them in bulk (`_SilentName`).  False, the default,
+    promises nothing.
     """
 
     label = ""
@@ -177,6 +187,9 @@ class PairFunctional:
 
     def apply(self, param, x: Word, fuel: Fuel) -> Word:
         raise NotImplementedError
+
+    def silent(self, param) -> bool:
+        return False
 
 
 class MachinePair(PairFunctional):
@@ -238,6 +251,9 @@ def smn(target) -> NameTransformer:
 
     `target` is a word machine on interleaved pairs or a PairFunctional.
     The specialized name's graph holds entries (u, F(q-prefix-of-|u|, u)).
+    A parameter that `F.silent` certifies gets a `_SilentName`, whose empty
+    rounds are charged in bulk; its symbols, charges and signals are those
+    of the plain `MachineName`.
     """
     F = target if isinstance(target, PairFunctional) else MachinePair(target)
     label = f"smn({F.label})" if F.label else "smn"
@@ -256,7 +272,8 @@ def smn(target) -> NameTransformer:
                 piece = slices[n] = limit_source(param, n)
             return F.apply(piece, u, fuel)
 
-        name = MachineName(
+        cls = _SilentName if F.silent(param) else MachineName
+        name = cls(
             memoized_machine(lambda x, fuel: F.apply(param, x, fuel), label),
             label=label,
             raw_apply=raw_apply,
@@ -269,6 +286,29 @@ def smn(target) -> NameTransformer:
         lambda w, fuel: transformer_word_prefix(F, w, fuel), label
     )
     return NameTransformer(specialize, machine, label)
+
+
+class _SilentName(MachineName):
+    """A specialized name whose every round is certified empty
+    (`PairFunctional.silent`): each costs two steps, the round's own and
+    `apply_name`'s, and queues nothing.
+
+    `_extend` runs one real round, which keeps `apply_name`'s tick and
+    nesting check, and then charges the rest of the headroom with one
+    `charge_run`.  `commit(n)` takes the n charged steps as round steps and
+    moves the candidate past the n // 2 rounds they pay in full.  The short
+    grant then ticks for the tank the round-by-round path names, with every
+    tank's `spent` and `_cand` as that path leaves them.
+    """
+
+    def _extend(self, fuel: Fuel) -> None:
+        self._round(fuel)  # () by the certificate
+        charge_run(self, math.inf, fuel)
+
+    def commit(self, n: int) -> None:
+        # an odd last step is the next round's own; its `apply_name` tick
+        # is the one that signals, so that round does not count
+        self._cand += n // 2
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +331,12 @@ class _SelfApplication(PairFunctional):
         if w is not None:
             return apply_name(eval_name(w, w), z, fuel)
         return apply_name(self._self_value(u), z, fuel)
+
+    def silent(self, u):
+        # a slice of a word u is a prefix of it, so its self-value is a
+        # prefix of eval_name(u, u) and its accepted entries a prefix of
+        # those; if none of them has an output, every round returns ()
+        return isinstance(u, tuple) and not any(v for _, v in decode_entries(eval_name(u, u)))
 
     def apply_structured(self, u, z):
         if isinstance(u, tuple):

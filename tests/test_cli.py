@@ -1,8 +1,13 @@
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baire.cli import main
+from baire.machine import machine_text
 from baire.reductions import witness_library
 
 
@@ -118,6 +123,56 @@ def test_eval_is_byte_deterministic(identity_machine_file):
         for _ in range(3)
     }
     assert len(runs) == 1
+
+
+# `eval` never prints a symbol that a larger budget contradicts: over small
+# machine files and plan inputs, the symbols printed at --fuel b are a
+# prefix of those printed at any b' > b, at the same depth.
+
+input_symbols = st.integers(min_value=0, max_value=2)
+short_words = st.lists(input_symbols, max_size=4).map(tuple)
+
+
+@st.composite
+def machine_and_input(draw):
+    """A machine file's entries and an input spec: a chain of entries along
+    the input's head, whose outputs grow with the input prefix, among
+    entries over random short words."""
+    head = draw(st.lists(input_symbols, max_size=5))
+    value = draw(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
+    cut = st.integers(min_value=0, max_value=len(value))
+    cuts = sorted(draw(st.lists(cut, min_size=1, max_size=len(head) + 1)))
+    entries = [(tuple(head[:j]), tuple(value[:c])) for j, c in enumerate(cuts)]
+    entries += draw(st.lists(st.tuples(short_words, short_words), max_size=3))
+    tail = draw(st.one_of(st.just([]), st.lists(input_symbols, min_size=1, max_size=3)))
+    spec = head + (["cycle"] + tail if tail else ["zeros"])
+    return draw(st.permutations(entries)), [str(s) for s in spec]
+
+
+def _printed_symbols(text):
+    first = text.splitlines()[0]
+    return () if first == "(nothing determined)" else tuple(map(int, first.split()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    machine_and_input(),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=6),  # a few steps determine a symbol here
+    st.integers(min_value=1, max_value=200),
+)
+def test_eval_symbols_never_contradicted_by_a_larger_budget(machine, depth, fuel, more):
+    entries, spec = machine
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.machine"
+        path.write_text(machine_text(entries) + "\n")
+        printed = []
+        for b in (fuel, fuel + more):
+            code, text = run_cli("--depth", str(depth), "--fuel", str(b), "eval", str(path), *spec)
+            assert code == 0, text
+            printed.append(_printed_symbols(text))
+    small, large = printed
+    assert large[: len(small)] == small
 
 
 # --- transform --------------------------------------------------------------------

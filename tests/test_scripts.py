@@ -1,5 +1,8 @@
-"""The demos the README documents under scripts/ run to completion."""
+"""The demos the README documents under scripts/ run to completion, and the
+benchmark-pairs script summarizes result lines as it says."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +28,53 @@ def test_script_runs(argv):
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout
+
+
+def _bench_pairs():
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(ops_per_s, p50):
+    # a `bench/run.py` result line carrying two of its metrics
+    return json.dumps(
+        {
+            "correct": True,
+            "attempted": 200,
+            "failed": 0,
+            "metrics": {
+                "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+                "op_s.p50": {"value": p50, "unit": "s"},
+            },
+        }
+    )
+
+
+def test_bench_pairs_summarizes_medians_quartiles_and_wins():
+    bench_pairs = _bench_pairs()
+    ref = [_result_line(ops, 0.007) for ops in (31.0, 32.0, 33.0, 34.0, 35.0)]
+    tree = [
+        _result_line(ops, p50)
+        for ops, p50 in ((48.0, 0.005), (47.0, 0.007), (30.0, 0.008), (49.0, 0.004), (50.0, 0.005))
+    ]
+    pairs = [(json.loads(r), json.loads(t)) for r, t in zip(ref, tree)]
+    metrics = [{"name": "ops_per_s", "better": "higher"}, {"name": "op_s.p50", "better": "lower"}]
+    ops, p50 = bench_pairs.summarize(pairs, metrics)
+    assert ops == ("ops_per_s", "higher", (32.0, 33.0, 34.0), (47.0, 48.0, 49.0), 4, True)
+    # a tie is not a win, and a median inside REF's (empty) spread is apart
+    assert p50 == ("op_s.p50", "lower", (0.007, 0.007, 0.007), (0.005, 0.005, 0.007), 3, True)
+    table = bench_pairs.format_rows([ops, p50], len(pairs)).splitlines()
+    assert table[1].split() == [
+        "ops_per_s", "higher", "33", "[32,", "34]", "48", "[47,", "49]", "4/5", "yes"
+    ]
+    assert table[2].split()[-2:] == ["3/5", "yes"]
+
+
+def test_bench_pairs_summarizes_one_pair():
+    bench_pairs = _bench_pairs()
+    pairs = [(json.loads(_result_line(30.0, 0.01)), json.loads(_result_line(29.0, 0.01)))]
+    (row,) = bench_pairs.summarize(pairs, [{"name": "ops_per_s", "better": "higher"}])
+    assert row == ("ops_per_s", "higher", (30.0, 30.0, 30.0), (29.0, 29.0, 29.0), 0, True)

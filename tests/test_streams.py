@@ -11,6 +11,9 @@ from baire.machine import (
     MachineStream,
     RawEvalStream,
     WordMachine,
+    _DEPTH_EDGE,
+    _DEPTH_LIMIT,
+    _NestingGuard,
     encode_entry_block,
     identity_name,
 )
@@ -38,6 +41,8 @@ from baire.streams import (
 from baire.transform import (
     InjectionOutput,
     SelfPairingName,
+    _SelfApplication,
+    _SilentName,
     const_transformer_name,
     injective_recursion,
     smn,
@@ -815,6 +820,82 @@ def test_run_drain_matches_per_symbol_drain_at_every_budget(kind):
             got = _injected_read(InjectionOutput, build, k, shape, budget)
             want = _injected_read(PerSymbolInjectionOutput, build, k, shape, budget)
             assert got == want, (budget, shape)
+
+
+# A specialized name whose rounds `_SelfApplication.silent` certifies empty
+# (`transform._SilentName`) runs one round and charges the rest of the
+# headroom with one take.  The same name with its class set back to
+# `MachineName`, over the same `raw_apply`, runs its rounds one at a time
+# and is the reference: at every budget from 0 past 40 and every tank shape,
+# and again after a second, larger tank of the same shape resumes the read,
+# both must name the same tank, charge every tank alike and stop at the
+# same candidate.  Each read is `at(0)`, `read_run` or the decode route
+# (`RawEvalStream`), which reads the name through `read_run`.
+
+SILENT_WORDS = {
+    "empty": (),
+    "candidate": (0, 1, 2, 0),
+    # one entry for every input, whose output decodes to ((0,), ())
+    "entry-without-output": encode_entry_block(((), (3, 6, 4, 5))),
+}
+SILENT_READS = {
+    "at": (lambda name: name, lambda reader, fuel: reader.at(0, fuel)),
+    "read-run": (lambda name: name, lambda reader, fuel: reader.read_run(0, 8, fuel)),
+    "raw-eval": (
+        lambda name: RawEvalStream(name, PlanStream((1, 2), ("zeros",))),
+        lambda reader, fuel: reader.prefix(2, fuel),
+    ),
+}
+
+
+def _silent_names(w):
+    D = smn(_SelfApplication())
+    name, plain = D.apply(w), D.apply(w)
+    assert type(name) is _SilentName
+    plain.__class__ = MachineName
+    return name, plain
+
+
+def _silent_read(name, read, shape, budget):
+    wrap, op = SILENT_READS[read]
+    reader = wrap(name)
+    states = []
+    for steps in (budget, budget + 11):
+        tanks = _tanks(shape, steps)
+        try:
+            op(reader, tanks[0])
+            signal = None
+        except NeedMoreFuel as blocked:
+            signal = _role(blocked.tank, tanks)
+        states.append((signal, [t.spent for t in tanks], name._cand, list(name._buf)))
+    return states
+
+
+@pytest.mark.parametrize("read", sorted(SILENT_READS))
+@pytest.mark.parametrize("word", sorted(SILENT_WORDS))
+def test_silent_name_matches_its_rounds_one_by_one_at_every_budget(word, read):
+    for budget in range(48):
+        for shape in TANK_SHAPES:
+            name, plain = _silent_names(SILENT_WORDS[word])
+            got = _silent_read(name, read, shape, budget)
+            want = _silent_read(plain, read, shape, budget)
+            assert got == want, (budget, shape)
+            assert None not in [state[0] for state in got]  # nothing is ever determined
+
+
+@pytest.mark.parametrize("word", sorted(SILENT_WORDS))
+def test_silent_name_signals_the_nesting_limit_after_two_steps(word):
+    depth = _NestingGuard.depth
+    for name in _silent_names(SILENT_WORDS[word]):
+        tank = Fuel(100)
+        saved, depth[0] = depth[0], _DEPTH_LIMIT
+        try:
+            with pytest.raises(NeedMoreFuel) as blocked:
+                name.at(0, tank)
+        finally:
+            depth[0] = saved
+        assert blocked.value.tank is _DEPTH_EDGE
+        assert (tank.spent, name._cand) == (2, 0)
 
 
 @pytest.mark.parametrize("shape", TANK_SHAPES + ("three-deep",))

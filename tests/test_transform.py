@@ -2,12 +2,18 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baire.machine import (
+    MachineName,
     MachineStream,
     WordMachine,
     apply_name,
+    candidate_word,
     decode_entries,
+    encode_entry_block,
+    eval_name,
     eval_stream,
     identity_name,
     pure_machine,
@@ -27,6 +33,8 @@ from baire.transform import (
     PairFunctional,
     SliceSource,
     _ReferencingFunctional,
+    _SelfApplication,
+    _SilentName,
     const_transformer_name,
     dummy_prefix_transformer_name,
     identity_transformer_name,
@@ -141,6 +149,69 @@ def test_fixed_point_seeded_total_transformers(seed):
         floor = 0  # semantics-preserving noise; determinacy follows the argument
     lhs, rhs = fixed_point_sides(p_name, z)
     common_agree(lhs, rhs, min_len=floor)
+
+
+# `_SelfApplication.silent(w)` certifies a word parameter whose self-value
+# decodes to entries without output, so that every round of D(w) = smn(G)(w)
+# is empty and costs two steps.  The rounds are run one by one on the plain
+# name, the `_SilentName`'s class set back to `MachineName`: the first 300
+# candidates reach the short ones of the late stages, such as (6,).
+
+SILENT_ROUNDS = 300
+small_words = st.lists(st.integers(min_value=0, max_value=12), max_size=6).map(tuple)
+# self-values of entries without output: blocks (b, ()) among dummies and payload
+empty_output_blocks = st.lists(
+    st.one_of(small_words.map(lambda b: encode_entry_block((b, ()))), small_words), max_size=4
+).map(lambda parts: sum(parts, ()))
+
+
+def test_silent_rounds_reach_the_late_short_candidates():
+    assert (6,) in [candidate_word(i) for i in range(SILENT_ROUNDS)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        small_words,
+        # a word whose one entry applies to every input and returns the value
+        st.tuples(st.sampled_from(((), (3,))), empty_output_blocks).map(encode_entry_block),
+    )
+)
+def test_silent_certificate_means_every_round_is_empty_and_costs_two_steps(w):
+    G = _SelfApplication()
+    if not G.silent(w):
+        assert any(v for _, v in decode_entries(eval_name(w, w)))
+        return
+    name = smn(G).apply(w)
+    assert type(name) is _SilentName
+    name.__class__ = MachineName
+    for _ in range(SILENT_ROUNDS):
+        tank = Fuel(10)
+        tank.tick()  # the round's own step, as `at` and `read_run` charge it
+        assert name._round(tank) == ()
+        assert tank.spent == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(small_words, small_words.filter(bool)), st.sampled_from(((), (3,))))
+def test_silent_certificate_refuses_a_self_value_with_output(entry, inp):
+    w = encode_entry_block((inp, encode_entry_block(entry)))
+    G = _SelfApplication()
+    assert not G.silent(w)
+    assert type(smn(G).apply(w)) is MachineName
+
+
+def test_silent_certificate_refuses_the_block_of_an_entry_with_output():
+    w = encode_entry_block(((), (3, 6, 4, 6, 5)))
+    assert w == (3, 4, 9, 12, 10, 12, 11, 5)
+    assert decode_entries(eval_name(w, w)) == (((0,), (0,)),)
+    assert not _SelfApplication().silent(w)
+
+
+def test_only_word_parameters_are_certified():
+    G = _SelfApplication()
+    assert not G.silent(SliceSource(PlanStream((), ("zeros",)), 4))
+    assert not PairFunctional().silent(())
 
 
 # --- injection -------------------------------------------------------------------
