@@ -1,6 +1,6 @@
 """Compare a git revision with the working tree on one benchmark workload.
 
-    python scripts/bench_pairs.py REF --workload W --pairs N --seed S [--seconds T]
+    python scripts/bench_pairs.py REF --workload W --pairs N --seed S [--seconds T] [--json PATH]
 
 REF is extracted with `git archive` into a temporary directory (the
 repository's `.git` is only read), and `bench/run.py --trace 0` runs N
@@ -8,8 +8,10 @@ times on REF and N times on the working tree, one run of each per pair,
 with the side that runs first alternating from pair to pair.  For every
 end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the number of pairs the working tree wins, and whether the
-medians lie further apart than REF's interquartile range.  The temporary
-directory is deleted at the end.
+medians lie further apart than REF's interquartile range.  With --json it
+also writes that summary to PATH, with REF's commit, the workload, the seed
+and the number of pairs (`BENCH_<label>.json` records a claimed gain).  The
+temporary directory is deleted at the end.
 """
 
 from __future__ import annotations
@@ -70,6 +72,32 @@ def format_rows(rows, n_pairs):
     return "\n".join(lines)
 
 
+def summary_record(ref, commit, workload, seed, seconds, rows, n_pairs):
+    """The printed summary as a JSON-ready dict, one entry per metric."""
+
+    def side(q):
+        return {"q1": q[0], "median": q[1], "q3": q[2]}
+
+    return {
+        "ref": ref,
+        "ref_commit": commit,
+        "workload": workload,
+        "seed": seed,
+        "seconds": seconds,
+        "pairs": n_pairs,
+        "metrics": {
+            name: {
+                "better": better,
+                "ref": side(ref_q),
+                "tree": side(tree_q),
+                "wins": wins,
+                "apart": apart,
+            }
+            for name, better, ref_q, tree_q, wins, apart in rows
+        },
+    }
+
+
 def extract(ref: str, into: Path) -> None:
     archive = subprocess.run(
         ["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True
@@ -98,6 +126,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--json", type=Path, default=None, help="also write the summary here")
     args = parser.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
@@ -112,7 +141,16 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}: ops_per_s REF {ops[0]:.4g} tree {ops[1]:.4g}", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(format_rows(summarize(pairs, end_to_end), len(pairs)))
+    rows = summarize(pairs, end_to_end)
+    print(format_rows(rows, len(pairs)))
+    if args.json is not None:
+        commit = subprocess.run(
+            ["git", "rev-parse", args.ref], cwd=ROOT, capture_output=True, text=True, check=True
+        ).stdout.strip()
+        record = summary_record(
+            args.ref, commit, args.workload, args.seed, args.seconds, rows, len(pairs)
+        )
+        args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--input", nargs="+", default=None)
     p_tr.add_argument("--verify", action="store_true")
 
-    p_loop = sub.add_parser("loop", help="run a loop operator on an instance file", parents=[common])
+    p_loop = sub.add_parser("loop", help="run a loop operator on a loop file", parents=[common])
     p_loop.add_argument("op", choices=("power", "star", "omega", "diamond", "infty"))
     p_loop.add_argument("instance")
     p_loop.add_argument("--n", type=natural, default=None)

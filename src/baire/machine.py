@@ -339,7 +339,9 @@ class MachineName(BufferedStream):
     and returns the entry's block, which `_extend` queues.  An injected
     output draining this name runs `_round` itself (`InjectionOutput`): its
     stage tank pays the round's step, then whatever `raw_apply` charges,
-    then the block's symbols, queued here and charged by `charge_run`.
+    then the block's symbols, with one `take` and straight into `_buf`
+    when they fit the headroom, else queued here and charged by
+    `charge_run`.
     """
 
     def __init__(

@@ -13,17 +13,28 @@ from index 0 on, in the list `_buf`.  `queued()` says how many unpaid
 symbols wait after them, one step each: a plan's symbols up to its next
 memoized index, a buffered stream's queued ones.  `commit(n)` moves the
 next n of them into `_buf` once they are charged.  `charge_run` is the one
-charger: it takes up to n steps with a single `Fuel.take`, commits what was
-granted, and after a short grant ticks, so the tank that reading one symbol
-at a time would name signals.  `read_prefix` reads dense streams with it.
-A specialized name whose rounds are certified empty (`transform._SilentName`)
-charges them with it too: its `commit(n)` counts n paid round steps, two per
-round, and queues nothing.
+charger of queued symbols: it takes up to n steps with a single
+`Fuel.take`, commits what was granted, and after a short grant ticks, so
+the tank that reading one symbol at a time would name signals.
+`read_prefix` reads dense streams with it.  A specialized name whose rounds
+are certified empty (`transform._SilentName`) charges them with it too: its
+`commit(n)` counts n paid round steps, two per round, and queues nothing.
 A reader that consumes a stream in runs (the decode route, `RawEvalStream`,
 and the injected output, `InjectionOutput`) gets the symbols up to a
 boundary from `Stream.read_run`, paid ones first, and charges and commits
-the unpaid ones it keeps.  Every `spent` count is therefore the same
-whichever path a read takes.
+the unpaid ones it keeps.  These two hot readers also call `take`
+themselves: the decode route pays a run's symbols and its rounds' steps
+with one, and the injected output pays so for each block it produces that
+fits the headroom, committed straight to the buffer.  Every `spent` count
+is therefore the same whichever path a read takes.
+
+A chained tank's `tick` and `take` walk the whole chain.  A stage of the
+injected output instead charges a `StageFuel`: it holds the smaller of its
+cap and the chain's headroom, charges itself by local arithmetic, and pays
+the chain with one `take` when the stage stops.  It keeps its parent, so
+tanks made inside the stage still charge up through it and the chain, and
+a signal it raises because the chain ran dry is raised again by the parent
+for the tank that the chained path names.
 """
 
 from __future__ import annotations
@@ -119,6 +130,53 @@ class Fuel:
             tank.spent += grant
             tank = tank.parent
         return grant
+
+
+class StageFuel(Fuel):
+    """A tank for one stage of a drain that settles with its chain once.
+
+    It holds min(cap, room) steps, where room is the parent chain's
+    headroom when the tank is made, so its own `tick`, `take` and
+    `headroom` are local arithmetic that signal no later than the chained
+    ones would.  It counts those charges in `local`, and `settle()` pays
+    them to the parent with one `take`.  A descendant tank still charges up
+    through it, as any child does, so `settle` pays only `local`.  A signal
+    for this tank with `spent >= room` is the chain's: after `settle`, the
+    parent's `tick()` raises for the tank that the chained path names.
+    """
+
+    __slots__ = ("room", "local")
+
+    def __init__(self, cap: int, parent: Fuel):
+        room = parent.headroom()
+        super().__init__(min(cap, room), parent)
+        self.room = room
+        self.local = 0
+
+    def tick(self) -> None:
+        if self.remaining <= 0:
+            raise NeedMoreFuel(self)
+        self.remaining -= 1
+        self.spent += 1
+        self.local += 1
+
+    def headroom(self) -> int:
+        return self.remaining
+
+    def take(self, n: int) -> int:
+        grant = min(n, self.remaining)
+        if grant <= 0:
+            return 0
+        self.remaining -= grant
+        self.spent += grant
+        self.local += grant
+        return grant
+
+    def settle(self) -> None:
+        """Pay the parent chain for the charges made on this tank itself."""
+        if self.local:
+            self.parent.take(self.local)
+            self.local = 0
 
 
 FuelLike = Union[Fuel, int, None]
@@ -252,8 +310,8 @@ class FunctionStream(_IndexedStream):
 class PlanStream(_IndexedStream):
     """Finite prefix followed by a tail rule: all zeros, or a cycled word.
 
-    This is the serializable stream shape used by instance files and the
-    command-line input syntax.  The symbols read so far from index 0 on are
+    This is the stream shape of the command-line input syntax, which
+    `spec_text` writes back.  The symbols read so far from index 0 on are
     kept in the dense list `_buf`; reads past its end keep the per-index
     memo, which therefore only holds indices past the dense end.
     """
@@ -515,9 +573,10 @@ class BufferedStream(Stream):
     nothing is produced or queued at the position.  A run reader may run a
     subclass's rounds itself if it charges them alike: `InjectionOutput`
     runs a `MachineName`'s, a tick each before the round's own charges,
-    queues each block on `_pending` and charges it with `charge_run`.  All
-    producer state lives on the instance, so an interrupted query resumes
-    exactly where it stopped.
+    charges each block that fits the headroom with one `take` and appends
+    it to `_buf` itself, and queues one that does not on `_pending` for
+    `charge_run`.  All producer state lives on the instance, so an
+    interrupted query resumes exactly where it stopped.
     """
 
     def __init__(self):

@@ -44,6 +44,7 @@ from .streams import (
     Fuel,
     FuelLike,
     NeedMoreFuel,
+    StageFuel,
     Stream,
     WORD_EDGE,
     Word,
@@ -409,17 +410,21 @@ class InjectionOutput(BufferedStream):
     rewrite moves between dummies, so decoding still yields the graph of
     U_{U_s(p)}; scanning the marker blocks recovers p exactly.
 
-    A stage drains the inner name a run at a time (`Stream.read_run`): the
-    run's paid symbols are free, its queued ones, up to the headroom, are
-    charged and committed by `charge_run`, and the stage stops at the
-    symbol, and signals for the tank, where reading one symbol per `at`
-    while the stage tank has steps would.  When the inner name is a plain
-    `MachineName` with nothing produced or queued at the read position,
-    the stage runs its producer rounds itself (`MachineName._round`), as
-    `read_run` would: each round ticks the stage tank, `raw_apply` charges
-    what it reads to the same tank, and the first nonempty block is queued
-    on the inner name and charged from there by `charge_run`.  The charges
-    thus keep their order, round by round: tick, apply, block symbols.
+    A stage charges a `StageFuel` for what is left of its allowance, which
+    settles with the reader's chain once, when the stage stops.  It drains
+    the inner name a run at a time (`Stream.read_run`): the run's paid
+    symbols are free, its queued ones, up to the headroom, are charged and
+    committed by `charge_run`, and the stage stops at the symbol, and
+    signals for the tank, where reading one symbol per `at` while the stage
+    has steps would.  When the inner name is a plain `MachineName` with
+    nothing produced or queued at the read position, the stage runs its
+    producer rounds itself (`MachineName._round`), as `read_run` would:
+    each round ticks the stage tank and `raw_apply` charges what it reads
+    to the same tank.  A block that fits the headroom is charged with one
+    `take` and appended to the inner buffer and to the output at once; one
+    that does not, or one whose round spent the stage, is queued on the
+    inner name and charged from there by `charge_run`.  The charges thus
+    keep their order, round by round: tick, apply, block symbols.
     """
 
     def __init__(self, s_source, p_source, label: str = ""):
@@ -432,7 +437,12 @@ class InjectionOutput(BufferedStream):
         self._block_emitted = False
         self._stage_spent = 0
         self._inner_taken = 0
-        self.machine = WordMachine(self._apply_word, f"inj-out({label})")
+
+    @property
+    def machine(self) -> WordMachine:
+        # built on read: a stored machine over a bound method would make
+        # every output a reference cycle, freed only by the cyclic collector
+        return WordMachine(self._apply_word, f"inj-out({self.label})")
 
     def _inner_stream(self) -> Stream:
         if self._inner is None:
@@ -450,54 +460,75 @@ class InjectionOutput(BufferedStream):
             self._block_emitted = True
             return
         # one tank for what is left of the stage's allowance; an outer
-        # signal interrupts the stage, which resumes with the rest
-        tank = Fuel(self._stage * self._stage - self._stage_spent, parent=fuel)
+        # signal interrupts the stage, which resumes with the rest.  The
+        # allowance, not the tank's capped `remaining`, bounds the stage,
+        # so paid symbols past the chain's headroom are still drained free
+        allowance = self._stage * self._stage - self._stage_spent
+        tank = StageFuel(allowance, fuel)
         inner = self._inner_stream()
         rounds = type(inner) is MachineName
         out = self._pending
         try:
-            while tank.remaining > 0:
+            while tank.spent < allowance:
                 pos = self._inner_taken
-                fused = rounds and pos == len(inner._buf) and not inner._pending
-                if fused:
-                    # the rounds `read_run` would run, run here, each a step
-                    # and then raw_apply's own charges, until one queues a
-                    # block; block symbols are >= 3, so none is rewritten.
-                    # Kept apart from `read_run`: routing these blocks
-                    # through it measured 13-25 % slower on `injrec_extract`
-                    run = ()
-                    while not run:
-                        tank.tick()
-                        run = inner._round(tank)
+                if rounds and pos == len(inner._buf) and not inner._pending:
+                    # the rounds `read_run` would run, run here, a tick each;
+                    # a block that fits the headroom is charged with one take
+                    # and committed to both buffers at once.  Block symbols
+                    # are >= 3, so none is rewritten.  Kept apart from
+                    # `read_run` and `charge_run`: routing these blocks
+                    # through either measured slower on `injrec_extract`
+                    tick, round_ = tank.tick, inner._round
+                    commit, emit = inner._buf.extend, out.extend
+                    while True:
+                        tick()
+                        run = round_(tank)
+                        n = len(run)
+                        if n > tank.remaining:
+                            break  # it does not fit, or its round spent the stage
+                        if n:
+                            tank.take(n)
+                            commit(run)
+                            emit(run)
+                            pos += n
+                            self._inner_taken = pos
+                            if tank.spent >= allowance:
+                                run = ()
+                                break
+                    if not run:
+                        break  # the committed blocks spent the stage
                     inner._pending.extend(run)
                     paid = 0
                 else:
                     # other inner streams (the `inject` kind's `RawEvalStream`,
                     # a `PlanStream`, a `MachineStream`) have no block rounds
                     # to run here: `read_run` runs and charges their own
-                    run, paid = inner.read_run(pos, pos + tank.remaining, tank)
+                    run, paid = inner.read_run(pos, pos + allowance - tank.spent, tank)
                 n = len(run)
-                if tank.remaining == 0:
+                if tank.spent >= allowance:
                     # a producer round spent the stage: the one-step loop
                     # keeps the symbol it read and stops, free ones or not
                     used = min(paid, 1)
                 else:  # the free symbols, then what the headroom pays for
-                    used = min(n, paid + tank.headroom())
+                    used = min(n, paid + tank.remaining)
                     charge_run(inner, used - paid, tank)
                 self._inner_taken = pos + used
-                if fused:
-                    out.extend(run if used == n else run[:used])
-                else:
-                    out.extend([2 if sym < 2 else sym for sym in run[:used]])
-                if used < n and (not used or tank.remaining > 0):
+                out.extend([2 if sym < 2 else sym for sym in run[:used]])
+                if used < n and (not used or tank.spent < allowance):
                     # the one-step loop would read on: it signals here, for
                     # the tank that the next read's tick names
                     tank.tick()
         except NeedMoreFuel as blocked:
-            if blocked.tank is not tank and blocked.tank is not WORD_EDGE:
+            tank.settle()
+            ours = blocked.tank is tank and tank.spent < tank.room
+            if not ours and blocked.tank is not WORD_EDGE:
                 self._stage_spent += tank.spent
+                if blocked.tank is tank:
+                    fuel.tick()  # the chain ran dry: raise for the tank it names
                 raise
             # otherwise the stage budget is spent, or the approximation ends
+        else:
+            tank.settle()
         self._stage += 1
         self._block_emitted = False
         self._stage_spent = 0
@@ -518,26 +549,22 @@ class _InjectionFunctional(PairFunctional):
 def extractor_machine() -> WordMachine:
     """The fixed machine recovering p from any injected output.
 
-    Scans for 1-delimited zero blocks and emits their lengths; everything
-    else (rewritten inner symbols, decoded content) is skipped.
+    Pairs up the 1s in order, each pair delimiting a marker block, and
+    emits the number of 0s between the two; everything else (rewritten
+    inner symbols, decoded content, a last unpaired 1) is skipped.  The
+    scans for 1s and the counts of 0s run in C.
     """
 
     def apply(w, fuel):
-        out = []
-        counting = False
-        count = 0
-        for sym in w:
-            if counting:
-                if sym == 0:
-                    count += 1
-                elif sym == 1:
-                    out.append(count)
-                    counting = False
-                # rewritten symbols inside a block cannot occur; skip anyway
-            elif sym == 1:
-                counting = True
-                count = 0
-        return tuple(out)
+        ones = []
+        i = -1
+        try:
+            while True:
+                i = w.index(1, i + 1)
+                ones.append(i)
+        except ValueError:
+            pass
+        return tuple(w[a + 1 : b].count(0) for a, b in zip(ones[::2], ones[1::2]))
 
     return WordMachine(apply, "extract")
 

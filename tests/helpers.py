@@ -151,6 +151,25 @@ class PerSymbolInjectionOutput(InjectionOutput):
         self._stage_spent = 0
 
 
+def scanning_extract(w):
+    """`transform.extractor_machine` as it was written, one symbol per loop
+    turn, kept as the reference the C-level scans must equal."""
+    out = []
+    counting = False
+    count = 0
+    for sym in w:
+        if counting:
+            if sym == 0:
+                count += 1
+            elif sym == 1:
+                out.append(count)
+                counting = False
+        elif sym == 1:
+            counting = True
+            count = 0
+    return tuple(out)
+
+
 def generator_entry_block(entry):
     """`encode_entry_block` as it was written with generator expressions,
     kept as the reference the encoder must equal."""

@@ -213,7 +213,12 @@ def _take_callers():
 def test_dense_streams_charge_through_one_charger():
     from baire.streams import Stream
 
-    assert _take_callers() == {"charge_run", "RawEvalStream._extend"}
+    assert _take_callers() == {
+        "charge_run",
+        "RawEvalStream._extend",
+        "InjectionOutput._extend",
+        "StageFuel.settle",
+    }
     gone = ("_prefix", "fill", "record_run")
     assert [m for m in gone if hasattr(Stream, m)] == []
     assert _stream_classes_defining(gone) == []

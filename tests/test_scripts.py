@@ -78,3 +78,37 @@ def test_bench_pairs_summarizes_one_pair():
     pairs = [(json.loads(_result_line(30.0, 0.01)), json.loads(_result_line(29.0, 0.01)))]
     (row,) = bench_pairs.summarize(pairs, [{"name": "ops_per_s", "better": "higher"}])
     assert row == ("ops_per_s", "higher", (30.0, 30.0, 30.0), (29.0, 29.0, 29.0), 0, True)
+
+
+def test_bench_pairs_writes_its_summary_as_json():
+    bench_pairs = _bench_pairs()
+    ref = [_result_line(ops, 0.007) for ops in (31.0, 32.0, 33.0)]
+    tree = [_result_line(ops, 0.006) for ops in (40.0, 30.0, 41.0)]
+    pairs = [(json.loads(r), json.loads(t)) for r, t in zip(ref, tree)]
+    metrics = [{"name": "ops_per_s", "better": "higher"}, {"name": "op_s.p50", "better": "lower"}]
+    rows = bench_pairs.summarize(pairs, metrics)
+    record = bench_pairs.summary_record("HEAD~1", "abc123", "transform", 31, 25.0, rows, len(pairs))
+    assert json.loads(json.dumps(record)) == {
+        "ref": "HEAD~1",
+        "ref_commit": "abc123",
+        "workload": "transform",
+        "seed": 31,
+        "seconds": 25.0,
+        "pairs": 3,
+        "metrics": {
+            "ops_per_s": {
+                "better": "higher",
+                "ref": {"q1": 31.5, "median": 32.0, "q3": 32.5},
+                "tree": {"q1": 35.0, "median": 40.0, "q3": 40.5},
+                "wins": 2,
+                "apart": True,
+            },
+            "op_s.p50": {
+                "better": "lower",
+                "ref": {"q1": 0.007, "median": 0.007, "q3": 0.007},
+                "tree": {"q1": 0.006, "median": 0.006, "q3": 0.006},
+                "wins": 3,
+                "apart": True,
+            },
+        },
+    }

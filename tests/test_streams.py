@@ -23,6 +23,7 @@ from baire.streams import (
     FunctionStream,
     NeedMoreFuel,
     PlanStream,
+    StageFuel,
     WORD_EDGE,
     WordStream,
     ZEROS,
@@ -396,6 +397,10 @@ def _tanks(shape, budget):
     """[reading tank, its ancestors...] for a chain shape and a budget."""
     if shape == "root":
         return [Fuel(budget)]
+    if shape == "three-deep":  # the middle tank is the smallest
+        top = Fuel(budget + 2)
+        middle = Fuel(budget, parent=top)
+        return [Fuel(budget + 1, parent=middle), middle, top]
     inner_steps, outer_steps = {
         "inner-limits": (budget, budget + 1),
         "outer-limits": (budget + 1, budget),
@@ -723,13 +728,15 @@ def test_run_reader_over_buffered_names_keeps_pinned_rows(kind):
     assert _contract_rows(build) == (full, digest)
 
 
-# The injected output drains its inner name a run at a time and charges each
-# run with one take.  helpers.PerSymbolInjectionOutput, the drain that reads
-# one symbol by `at` per loop turn, is the reference: at every budget from 0
-# past 600 and every tank shape both must leave the same buffer, queue and
-# stage state, name the same tank and charge every tank alike, and again
-# after a second tank of the same shape resumes the read.  Each factory
-# takes the output class and returns a fresh output; its inner name is:
+# The injected output drains its inner name a run at a time on a stage tank
+# (`StageFuel`) and charges each run with one take.
+# helpers.PerSymbolInjectionOutput, the drain that reads one symbol by `at`
+# per loop turn on a chained tank, is the reference: at every budget from 0
+# past 600 and every tank shape, three-deep chains included, both must leave
+# the same buffer, queue and stage state, name the same tank and charge
+# every tank alike, and again after a second tank of the same shape resumes
+# the read.  Each factory takes the output class and returns a fresh output;
+# its inner name is:
 
 
 def _injected_machine_stream(cls):
@@ -778,7 +785,16 @@ def _injected_specialized(cls):
     return cls(S.name(), PlanStream((1, 0, 2, 1), ("cycle", (3, 0))))
 
 
+def _injected_injected(cls):
+    # an injected output of the plan kind's output: the inner output's
+    # stages run inside the outer stages, so a stage tank's parent is a
+    # stage tank
+    inner = _injected_plan(cls)
+    return cls(const_transformer_name(inner), PlanStream((2, 1), ("cycle", (1,))))
+
+
 INJECTED = {
+    "injected": (_injected_injected, 200),
     "machine-stream": (_injected_machine_stream, 300),
     "plan": (_injected_plan, 300),
     "raw-eval": (_injected_raw_eval, 70),
@@ -816,7 +832,7 @@ def test_run_drain_matches_per_symbol_drain_at_every_budget(kind):
     assert len(build(InjectionOutput).prefix(k, full)) == k
     assert full.spent > 600
     for budget in range(full.spent + 2):
-        for shape in TANK_SHAPES:
+        for shape in TANK_SHAPES + ("three-deep",):
             got = _injected_read(InjectionOutput, build, k, shape, budget)
             want = _injected_read(PerSymbolInjectionOutput, build, k, shape, budget)
             assert got == want, (budget, shape)
@@ -901,17 +917,90 @@ def test_silent_name_signals_the_nesting_limit_after_two_steps(word):
 @pytest.mark.parametrize("shape", TANK_SHAPES + ("three-deep",))
 @pytest.mark.parametrize("budget", [0, 1, 4])
 def test_headroom_is_the_grant_of_take_and_charges_nothing(shape, budget):
-    if shape == "three-deep":  # the middle tank is the smallest
-        top = Fuel(budget + 2)
-        tanks = [Fuel(budget + 1, parent=Fuel(budget, parent=top))]
-        tanks += [tanks[0].parent, top]
-    else:
-        tanks = _tanks(shape, budget)
+    tanks = _tanks(shape, budget)
     before = [(t.spent, t.remaining) for t in tanks]
     room = tanks[0].headroom()
     assert [(t.spent, t.remaining) for t in tanks] == before
     assert room == budget
     assert tanks[0].take(budget + 3) == room
+
+
+# A stage tank (`StageFuel`) charges itself by local arithmetic and settles
+# with its chain once.  A chained `Fuel` with the same cap is the reference.
+# Each script of ticks and takes runs as a stage: on the stage tank itself,
+# on plain child tanks that charge up through it, and on nested stages.  A
+# stage's own signal ends it quietly and any other propagates; a stage tank
+# settles on every exit, and then raises its signal through the parent when
+# it is the chain's.  At every cap, budget and shape both must grant the
+# same takes, charge every tank alike and name the same tank.
+
+STAGE_SCRIPTS = {
+    "ticks": (("tick",),) * 10,
+    "takes": (("take", 3), ("tick",), ("take", 4), ("take", 1), ("tick",), ("take", 6)),
+    "children": (
+        ("tick",),
+        ("child", 4, (("tick",), ("take", 3), ("tick",))),
+        ("take", 2),
+        ("child", 20, (("take", 5), ("tick",))),
+        ("tick",),
+    ),
+    "nested": (
+        ("take", 2),
+        ("stage", 3, (("tick",), ("take", 2), ("tick",))),
+        ("tick",),
+        ("stage", 5, (("child", 2, (("tick",),) * 3), ("take", 4))),
+        ("stage", 6, (("stage", 4, (("take", 3), ("tick",), ("tick",))), ("take", 2))),
+        ("take", 3),
+    ),
+}
+
+
+def _run_stage(make, cap, parent, script, made, grants):
+    tank = make(cap, parent)
+    made.append(tank)
+    try:
+        for op in script:
+            if op[0] == "tick":
+                tank.tick()
+            elif op[0] == "take":
+                grants.append(tank.take(op[1]))
+            elif op[0] == "child":
+                child = Fuel(op[1], parent=tank)
+                made.append(child)
+                for sub in op[2]:
+                    child.tick() if sub[0] == "tick" else grants.append(child.take(sub[1]))
+            else:
+                _run_stage(make, op[1], tank, op[2], made, grants)
+    except NeedMoreFuel as blocked:
+        if isinstance(tank, StageFuel):
+            tank.settle()
+            if blocked.tank is tank and tank.spent >= tank.room:
+                parent.tick()  # the chain's signal
+        if blocked.tank is not tank:
+            raise
+    else:
+        if isinstance(tank, StageFuel):
+            tank.settle()
+
+
+def _stage_outcome(make, script, cap, shape, budget):
+    tanks, made, grants = _tanks(shape, budget), [], []
+    try:
+        _run_stage(make, cap, tanks[0], script, made, grants)
+        signal = None
+    except NeedMoreFuel as blocked:
+        signal = _role(blocked.tank, tanks + made)
+    return signal, grants, [t.spent for t in tanks + made]
+
+
+@pytest.mark.parametrize("script", sorted(STAGE_SCRIPTS))
+def test_stage_tank_settles_as_a_chained_tank_charges(script):
+    for shape in TANK_SHAPES + ("three-deep",):
+        for budget in range(14):
+            for cap in range(12):
+                got = _stage_outcome(StageFuel, STAGE_SCRIPTS[script], cap, shape, budget)
+                want = _stage_outcome(Fuel, STAGE_SCRIPTS[script], cap, shape, budget)
+                assert got == want, (shape, budget, cap)
 
 
 def test_plan_prefix_folds_a_memo_at_its_new_dense_end():

@@ -30,6 +30,7 @@ from baire.streams import (
     pair_stream,
 )
 from baire.transform import (
+    InjectionOutput,
     PairFunctional,
     SliceSource,
     _ReferencingFunctional,
@@ -45,7 +46,7 @@ from baire.transform import (
     smn,
 )
 
-from helpers import ChainPlan, seeded_plan_stream
+from helpers import ChainPlan, scanning_extract, seeded_plan_stream
 
 
 def determined(stream, depth, budget=400_000):
@@ -252,6 +253,20 @@ def test_extractor_round_trip(seed):
     assert got == p.prefix(len(got))
 
 
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.integers(min_value=0, max_value=7), max_size=40))
+def test_extractor_equals_the_symbol_by_symbol_scan(w):
+    # random words hold odd numbers of 1s and stray symbols inside blocks
+    extract = injection().extractor.apply
+    for word in (tuple(w), tuple(w) + (1,), (1, 2, 0, 5, 0, 1) + tuple(w)):
+        assert extract(word, Fuel(0)) == scanning_extract(word)
+
+
+def test_extractor_skips_stray_symbols_and_a_last_unpaired_one():
+    extract = injection().extractor.apply
+    assert extract((2, 1, 0, 3, 0, 1, 7, 1, 1, 0, 1, 0, 0), Fuel(0)) == (2, 0)
+
+
 def test_semantic_preservation_for_constant_identity():
     inj = injection()
     s = const_transformer_name(identity_name())
@@ -416,6 +431,23 @@ def test_extractions_on_one_R_keep_only_the_last_q_alive():
     gc.collect()
     # the self-referencing functional keeps its last split, of the last q
     assert [ref() is None for ref in held] == [True] * 7 + [False]
+
+
+def test_an_injected_output_is_freed_as_its_last_reference_goes():
+    R = injective_recursion(ignore_name_functional, "drop-name")
+    q = seeded_plan_stream(3)
+    gc.collect()
+    gc.disable()
+    try:
+        out = R.apply(q)
+        assert isinstance(out, InjectionOutput)
+        assert determined(R.extract(out), 6, budget=2_000_000) == q.prefix(6)
+        assert out.machine.label == "inj-out(drop-name)"
+        freed = weakref.ref(out)
+        del out
+        assert freed() is None  # no reference cycle holds it for the collector
+    finally:
+        gc.enable()
 
 
 # --- quine -----------------------------------------------------------------------
