@@ -282,7 +282,7 @@ def parse_loop_file(text: str) -> LoopInstance:
 
 
 def cmd_loop(args, cfg: Config, out) -> int:
-    loop = read_file(args.instance, parse_loop_file, "instance")
+    loop = read_file(args.loop, parse_loop_file, "loop")
     op = args.op
     status = 0
     if op in ("power", "star"):
@@ -354,10 +354,10 @@ def cmd_check(args, cfg: Config, out) -> int:
 
 
 def cmd_limsim(args, cfg: Config, out) -> int:
-    loop = read_file(args.instance, parse_loop_file, "instance")
+    loop = read_file(args.loop, parse_loop_file, "loop")
     if loop.meta["kind"] != LIMSIM_KIND:
         raise CliError(
-            f"{args.instance}: limsim runs eventual-value loops ({LIMSIM_KIND})"
+            f"{args.loop}: limsim runs eventual-value loops ({LIMSIM_KIND})"
             f" only, not {loop.meta['kind']}"
         )
     # a given --fuel is the simulation's budget; otherwise it keeps its own
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loop = sub.add_parser("loop", help="run a loop operator on a loop file", parents=[common])
     p_loop.add_argument("op", choices=("power", "star", "omega", "diamond", "infty"))
-    p_loop.add_argument("instance")
+    p_loop.add_argument("loop")
     p_loop.add_argument("--n", type=natural, default=None)
     p_loop.add_argument("--validate", action="store_true")
 
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("witness")
 
     p_sim = sub.add_parser("limsim", help="guess-and-restart simulation of a loop", parents=[common])
-    p_sim.add_argument("instance")
+    p_sim.add_argument("loop")
     return parser
 
 

@@ -90,8 +90,9 @@ class EntryParser:
     `scan` reads a run of symbols: one comprehension finds the structural
     symbols (3, 4, 5), unless a set test shows the run has none, the
     payload between them is taken by slices with the dummies dropped, and
-    every completed entry is yielded with the index of its end symbol.  The state carries over from run to run, so a block may straddle
-    runs; `feed` is the run of one symbol.
+    every completed entry is yielded with the index of its end symbol.
+    The state carries over from run to run, so a block may straddle runs;
+    `feed` is the run of one symbol.
     """
 
     __slots__ = ("state", "inp", "out")
@@ -337,11 +338,10 @@ class MachineName(BufferedStream):
 
     One producer round, `_round`, applies `raw_apply` to the next candidate
     and returns the entry's block, which `_extend` queues.  An injected
-    output draining this name runs `_round` itself (`InjectionOutput`): its
-    stage tank pays the round's step, then whatever `raw_apply` charges,
-    then the block's symbols, with one `take` and straight into `_buf`
-    when they fit the headroom, else queued here and charged by
-    `charge_run`.
+    output draining this name runs `_round` itself (`InjectionOutput`): it
+    pays the round's step, then whatever `raw_apply` charges, then the
+    block's symbols, with one `take` and straight into `_buf` when they fit
+    the headroom, else queued here and charged by `charge_run`.
     """
 
     def __init__(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, List, Optional
 
-from .machine import MachineStream, WordMachine, pure_machine
+from .machine import MachineStream, WordMachine, eval_stream, pure_machine
 from .operators import (
     LoopInstance,
     LoopStates,
@@ -51,10 +51,12 @@ from .problems import (
 from .streams import (
     Fuel,
     FuelLike,
+    FunctionStream,
     NeedMoreFuel,
     Stream,
     Word,
     as_fuel,
+    cantor_unpair,
     even_part,
     pair_stream,
     project,
@@ -379,10 +381,7 @@ def check_nondet(
 def c2_nondet_witness() -> NonDetWitness:
     """Binary choice by guessing: advice carries the chosen bit."""
 
-    first_of_advice = pure_machine(
-        lambda w: (w[1],) + (0,) * (len(w) // 2 - 1) if len(w) >= 2 else (),
-        "advice-bit",
-    )
+    first_of_advice = pure_machine(_answer_back, "advice-bit")
 
     def F1(p, r):
         return MachineStream(first_of_advice, pair_stream(p, r))
@@ -421,8 +420,6 @@ def broken_c2_nondet_witness() -> NonDetWitness:
                 if s > 0:
                     return s - 1  # the excluded point
             return 0
-
-        from .streams import FunctionStream
 
         return FunctionStream(value)
 
@@ -596,8 +593,6 @@ def simulate_limit_machine(
     guesses stabilize and the final run validates like an oracle run.
     `budget` is a step count or the tank to run under.
     """
-    from .machine import eval_stream
-
     # kept apart from LoopStates: a revised guess throws downstream states away
     steps = loop.steps if steps is None else steps
     fuel = as_fuel(budget)
@@ -713,8 +708,6 @@ def limnat_to_lim_witness() -> ReductionWitness:
     """A finitely-changing sequence of naturals as a convergent stream tuple."""
 
     def k_apply(w):
-        from .streams import cantor_unpair
-
         out = []
         j = 0
         while True:

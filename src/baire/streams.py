@@ -28,13 +28,11 @@ with one, and the injected output pays so for each block it produces that
 fits the headroom, committed straight to the buffer.  Every `spent` count
 is therefore the same whichever path a read takes.
 
-A chained tank's `tick` and `take` walk the whole chain.  A stage of the
-injected output instead charges a `StageFuel`: it holds the smaller of its
-cap and the chain's headroom, charges itself by local arithmetic, and pays
-the chain with one `take` when the stage stops.  It keeps its parent, so
-tanks made inside the stage still charge up through it and the chain, and
-a signal it raises because the chain ran dry is raised again by the parent
-for the tank that the chained path names.
+A chained tank settles lazily (`Fuel`): a charge moves only the tank
+charged last, which pays its ancestors when another tank of its chain is
+charged or asked for its headroom, or when a count is read.  So a run of
+ticks on a deep chain costs what ticks on a root tank cost, and a stage of
+the injected output is a plain child tank.
 """
 
 from __future__ import annotations
@@ -65,53 +63,100 @@ class NeedMoreFuel(Exception):
 class Fuel:
     """A per-query step budget, optionally chained to an enclosing budget.
 
-    Every unit of fresh work ticks the tank (and its ancestors).  Cached
-    reads are free, so resuming an interrupted computation replays cheaply
-    and deterministically.
+    Every unit of fresh work ticks the tank and, in effect, its ancestors.
+    Cached reads are free, so resuming an interrupted computation replays
+    cheaply and deterministically.
+
+    A chain is charged lazily.  The tank charged last is its root's open
+    tank, and a `tick` or `take` on it moves only its own count, against a
+    limit fixed when it was opened: its count then plus the chain's
+    headroom then.  What it spent since is paid to its ancestors when
+    another tank of the chain is charged or asked for its headroom, or when
+    any tank's `spent` or `remaining` is read.  Grants, counts and the tank
+    a signal names are those of charging the whole chain on every step.
     """
 
-    __slots__ = ("remaining", "parent", "spent")
+    __slots__ = ("steps", "parent", "_spent", "_mark", "_root", "_open", "_limit")
 
     def __init__(self, steps: int, parent: Optional["Fuel"] = None):
-        self.remaining = steps
-        self.spent = 0
+        self.steps = steps
         self.parent = parent
+        self._spent = 0
+        self._mark = 0  # `_spent` when the ancestors were last paid
+        if parent is None:
+            self._root = self._open = self
+            self._limit = steps
+        else:
+            self._root = parent._root
+
+    @property
+    def spent(self) -> int:
+        self._root._settle()
+        return self._spent
+
+    @property
+    def remaining(self) -> int:
+        self._root._settle()
+        return self.steps - self._spent
+
+    def _settle(self) -> None:
+        """On a root: pay the open tank's ancestors what it spent since."""
+        tank = self._open
+        due = tank._spent - tank._mark
+        if due:
+            tank._mark = tank._spent
+            tank = tank.parent
+            while tank is not None:
+                tank._spent += due
+                tank = tank.parent
+
+    def _reopen(self) -> None:
+        """Settle the chain and make this tank its root's open tank."""
+        root = self._root
+        root._settle()
+        root._open = self
+        self._mark = self._spent
+        root._limit = self._spent + self._room()
+
+    def _room(self) -> int:
+        """The smallest remaining on the settled chain."""
+        room = self.steps - self._spent
+        tank = self.parent
+        while tank is not None:
+            left = tank.steps - tank._spent
+            if left < room:
+                room = left
+            tank = tank.parent
+        return room
 
     def tick(self) -> None:
-        if self.parent is None:
-            if self.remaining <= 0:
-                raise NeedMoreFuel(self)
-            self.remaining -= 1
-            self.spent += 1
+        root = self._root
+        if root._open is not self:
+            self._reopen()
+        if self._spent < root._limit:
+            self._spent += 1
             return
-        # check the whole chain before charging any tank, so an exhausted
-        # budget never records phantom work and resumption stays exact
+        # nothing is charged, so an exhausted budget records no phantom
+        # work and resumption stays exact
+        root._settle()
         exhausted = None
         tank = self
         while tank is not None:
-            if tank.remaining <= 0:
+            if tank.steps <= tank._spent:
                 exhausted = tank  # outermost exhausted tank wins
             tank = tank.parent
-        if exhausted is not None:
-            raise NeedMoreFuel(exhausted)
-        tank = self
-        while tank is not None:
-            tank.remaining -= 1
-            tank.spent += 1
-            tank = tank.parent
+        raise NeedMoreFuel(exhausted)
 
     def headroom(self) -> int:
         """The smallest `remaining` on the chain; charges nothing.
 
         This many one-step ticks in a row succeed, and the next one raises.
         """
-        room = self.remaining
-        tank = self.parent
-        while tank is not None:
-            if tank.remaining < room:
-                room = tank.remaining
-            tank = tank.parent
-        return room
+        root = self._root
+        if root._open is self:
+            return root._limit - self._spent
+        root._settle()
+        return self._room()
 
     def take(self, n: int) -> int:
         """Charge up to n steps to every tank on the chain; return how many.
@@ -121,62 +166,16 @@ class Fuel:
         row.  After a short grant the next `tick()` raises for the same tank
         the one-step path would have named.
         """
-        grant = min(n, self.headroom())
+        root = self._root
+        if root._open is not self:
+            self._reopen()
+        grant = root._limit - self._spent
+        if n < grant:
+            grant = n
         if grant <= 0:
             return 0
-        tank = self
-        while tank is not None:
-            tank.remaining -= grant
-            tank.spent += grant
-            tank = tank.parent
+        self._spent += grant
         return grant
-
-
-class StageFuel(Fuel):
-    """A tank for one stage of a drain that settles with its chain once.
-
-    It holds min(cap, room) steps, where room is the parent chain's
-    headroom when the tank is made, so its own `tick`, `take` and
-    `headroom` are local arithmetic that signal no later than the chained
-    ones would.  It counts those charges in `local`, and `settle()` pays
-    them to the parent with one `take`.  A descendant tank still charges up
-    through it, as any child does, so `settle` pays only `local`.  A signal
-    for this tank with `spent >= room` is the chain's: after `settle`, the
-    parent's `tick()` raises for the tank that the chained path names.
-    """
-
-    __slots__ = ("room", "local")
-
-    def __init__(self, cap: int, parent: Fuel):
-        room = parent.headroom()
-        super().__init__(min(cap, room), parent)
-        self.room = room
-        self.local = 0
-
-    def tick(self) -> None:
-        if self.remaining <= 0:
-            raise NeedMoreFuel(self)
-        self.remaining -= 1
-        self.spent += 1
-        self.local += 1
-
-    def headroom(self) -> int:
-        return self.remaining
-
-    def take(self, n: int) -> int:
-        grant = min(n, self.remaining)
-        if grant <= 0:
-            return 0
-        self.remaining -= grant
-        self.spent += grant
-        self.local += grant
-        return grant
-
-    def settle(self) -> None:
-        """Pay the parent chain for the charges made on this tank itself."""
-        if self.local:
-            self.parent.take(self.local)
-            self.local = 0
 
 
 FuelLike = Union[Fuel, int, None]

@@ -44,7 +44,6 @@ from .streams import (
     Fuel,
     FuelLike,
     NeedMoreFuel,
-    StageFuel,
     Stream,
     WORD_EDGE,
     Word,
@@ -410,21 +409,21 @@ class InjectionOutput(BufferedStream):
     rewrite moves between dummies, so decoding still yields the graph of
     U_{U_s(p)}; scanning the marker blocks recovers p exactly.
 
-    A stage charges a `StageFuel` for what is left of its allowance, which
-    settles with the reader's chain once, when the stage stops.  It drains
-    the inner name a run at a time (`Stream.read_run`): the run's paid
-    symbols are free, its queued ones, up to the headroom, are charged and
-    committed by `charge_run`, and the stage stops at the symbol, and
-    signals for the tank, where reading one symbol per `at` while the stage
-    has steps would.  When the inner name is a plain `MachineName` with
-    nothing produced or queued at the read position, the stage runs its
-    producer rounds itself (`MachineName._round`), as `read_run` would:
-    each round ticks the stage tank and `raw_apply` charges what it reads
-    to the same tank.  A block that fits the headroom is charged with one
-    `take` and appended to the inner buffer and to the output at once; one
-    that does not, or one whose round spent the stage, is queued on the
-    inner name and charged from there by `charge_run`.  The charges thus
-    keep their order, round by round: tick, apply, block symbols.
+    A stage charges a child tank of the reader's for what is left of its
+    allowance.  It drains the inner name a run at a time
+    (`Stream.read_run`): the run's paid symbols are free, its queued ones,
+    up to the headroom, are charged and committed by `charge_run`, and the
+    stage stops at the symbol, and signals for the tank, where reading one
+    symbol per `at` while the stage has steps would.  When the inner name
+    is a plain `MachineName` with nothing produced or queued at the read
+    position, the stage runs its producer rounds itself
+    (`MachineName._round`), as `read_run` would: each round ticks the stage
+    tank and `raw_apply` charges what it reads to the same tank.  A block
+    that fits the headroom is charged with one `take` and appended to the
+    inner buffer and to the output at once; one that does not, or one whose
+    round spent the stage, is queued on the inner name and charged from
+    there by `charge_run`.  The charges thus keep their order, round by
+    round: tick, apply, block symbols.
     """
 
     def __init__(self, s_source, p_source, label: str = ""):
@@ -460,16 +459,14 @@ class InjectionOutput(BufferedStream):
             self._block_emitted = True
             return
         # one tank for what is left of the stage's allowance; an outer
-        # signal interrupts the stage, which resumes with the rest.  The
-        # allowance, not the tank's capped `remaining`, bounds the stage,
-        # so paid symbols past the chain's headroom are still drained free
+        # signal interrupts the stage, which resumes with the rest
         allowance = self._stage * self._stage - self._stage_spent
-        tank = StageFuel(allowance, fuel)
+        tank = Fuel(allowance, fuel)
         inner = self._inner_stream()
         rounds = type(inner) is MachineName
         out = self._pending
         try:
-            while tank.spent < allowance:
+            while tank.remaining > 0:
                 pos = self._inner_taken
                 if rounds and pos == len(inner._buf) and not inner._pending:
                     # the rounds `read_run` would run, run here, a tick each;
@@ -478,13 +475,14 @@ class InjectionOutput(BufferedStream):
                     # are >= 3, so none is rewritten.  Kept apart from
                     # `read_run` and `charge_run`: routing these blocks
                     # through either measured slower on `injrec_extract`
-                    tick, round_ = tank.tick, inner._round
+                    tick, round_, headroom = tank.tick, inner._round, tank.headroom
                     commit, emit = inner._buf.extend, out.extend
                     while True:
                         tick()
                         run = round_(tank)
                         n = len(run)
-                        if n > tank.remaining:
+                        room = headroom()
+                        if n > room:
                             break  # it does not fit, or its round spent the stage
                         if n:
                             tank.take(n)
@@ -492,8 +490,8 @@ class InjectionOutput(BufferedStream):
                             emit(run)
                             pos += n
                             self._inner_taken = pos
-                            if tank.spent >= allowance:
-                                run = ()
+                            if n == room and not tank.remaining:
+                                run = ()  # the stage's own steps ran out
                                 break
                     if not run:
                         break  # the committed blocks spent the stage
@@ -503,32 +501,26 @@ class InjectionOutput(BufferedStream):
                     # other inner streams (the `inject` kind's `RawEvalStream`,
                     # a `PlanStream`, a `MachineStream`) have no block rounds
                     # to run here: `read_run` runs and charges their own
-                    run, paid = inner.read_run(pos, pos + allowance - tank.spent, tank)
+                    run, paid = inner.read_run(pos, pos + tank.remaining, tank)
                 n = len(run)
-                if tank.spent >= allowance:
+                if not tank.remaining:
                     # a producer round spent the stage: the one-step loop
                     # keeps the symbol it read and stops, free ones or not
                     used = min(paid, 1)
                 else:  # the free symbols, then what the headroom pays for
-                    used = min(n, paid + tank.remaining)
+                    used = min(n, paid + tank.headroom())
                     charge_run(inner, used - paid, tank)
                 self._inner_taken = pos + used
                 out.extend([2 if sym < 2 else sym for sym in run[:used]])
-                if used < n and (not used or tank.spent < allowance):
+                if used < n and (not used or tank.remaining):
                     # the one-step loop would read on: it signals here, for
                     # the tank that the next read's tick names
                     tank.tick()
         except NeedMoreFuel as blocked:
-            tank.settle()
-            ours = blocked.tank is tank and tank.spent < tank.room
-            if not ours and blocked.tank is not WORD_EDGE:
+            if blocked.tank is not tank and blocked.tank is not WORD_EDGE:
                 self._stage_spent += tank.spent
-                if blocked.tank is tank:
-                    fuel.tick()  # the chain ran dry: raise for the tank it names
                 raise
             # otherwise the stage budget is spent, or the approximation ends
-        else:
-            tank.settle()
         self._stage += 1
         self._block_emitted = False
         self._stage_spent = 0

@@ -217,7 +217,6 @@ def test_dense_streams_charge_through_one_charger():
         "charge_run",
         "RawEvalStream._extend",
         "InjectionOutput._extend",
-        "StageFuel.settle",
     }
     gone = ("_prefix", "fill", "record_run")
     assert [m for m in gone if hasattr(Stream, m)] == []

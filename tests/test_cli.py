@@ -282,6 +282,13 @@ def test_transform_needs_machine_file():
 # --- loop -------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [("loop", "omega"), ("limsim",)])
+def test_missing_loop_file_is_named_a_loop_file(tmp_path, argv):
+    code, text = run_cli(*argv, str(tmp_path / "missing"))
+    assert code == 2
+    assert text.startswith("error: cannot read loop file")
+
+
 def test_loop_diamond_countdown(countdown_file):
     code, text = run_cli("loop", "diamond", countdown_file)
     assert code == 0

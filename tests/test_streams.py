@@ -23,7 +23,6 @@ from baire.streams import (
     FunctionStream,
     NeedMoreFuel,
     PlanStream,
-    StageFuel,
     WORD_EDGE,
     WordStream,
     ZEROS,
@@ -48,7 +47,7 @@ from baire.transform import (
     injective_recursion,
     smn,
 )
-from helpers import PerSymbolInjectionOutput, PerSymbolRawEval, transducer_machine
+from helpers import ChainedFuel, PerSymbolInjectionOutput, PerSymbolRawEval, transducer_machine
 
 words = st.lists(st.integers(min_value=0, max_value=30), max_size=8).map(tuple)
 
@@ -393,21 +392,21 @@ FACTORIES = {
 TANK_SHAPES = ("root", "inner-limits", "outer-limits", "equal")
 
 
-def _tanks(shape, budget):
+def _tanks(shape, budget, make=Fuel):
     """[reading tank, its ancestors...] for a chain shape and a budget."""
     if shape == "root":
-        return [Fuel(budget)]
+        return [make(budget)]
     if shape == "three-deep":  # the middle tank is the smallest
-        top = Fuel(budget + 2)
-        middle = Fuel(budget, parent=top)
-        return [Fuel(budget + 1, parent=middle), middle, top]
+        top = make(budget + 2)
+        middle = make(budget, parent=top)
+        return [make(budget + 1, parent=middle), middle, top]
     inner_steps, outer_steps = {
         "inner-limits": (budget, budget + 1),
         "outer-limits": (budget + 1, budget),
         "equal": (budget, budget),
     }[shape]
-    outer = Fuel(outer_steps)
-    return [Fuel(inner_steps, parent=outer), outer]
+    outer = make(outer_steps)
+    return [make(inner_steps, parent=outer), outer]
 
 
 def _per_index(stream, k, fuel):
@@ -728,8 +727,8 @@ def test_run_reader_over_buffered_names_keeps_pinned_rows(kind):
     assert _contract_rows(build) == (full, digest)
 
 
-# The injected output drains its inner name a run at a time on a stage tank
-# (`StageFuel`) and charges each run with one take.
+# The injected output drains its inner name a run at a time on a child tank
+# of the reading tank and charges each run with one take.
 # helpers.PerSymbolInjectionOutput, the drain that reads one symbol by `at`
 # per loop turn on a chained tank, is the reference: at every budget from 0
 # past 600 and every tank shape, three-deep chains included, both must leave
@@ -925,14 +924,14 @@ def test_headroom_is_the_grant_of_take_and_charges_nothing(shape, budget):
     assert tanks[0].take(budget + 3) == room
 
 
-# A stage tank (`StageFuel`) charges itself by local arithmetic and settles
-# with its chain once.  A chained `Fuel` with the same cap is the reference.
-# Each script of ticks and takes runs as a stage: on the stage tank itself,
-# on plain child tanks that charge up through it, and on nested stages.  A
-# stage's own signal ends it quietly and any other propagates; a stage tank
-# settles on every exit, and then raises its signal through the parent when
-# it is the chain's.  At every cap, budget and shape both must grant the
-# same takes, charge every tank alike and name the same tank.
+# A chained tank settles lazily: a charge moves only the tank charged last,
+# which pays its ancestors later.  helpers.ChainedFuel, the tank that walks
+# its whole chain on every charge, is the reference.  Each script of ticks
+# and takes runs as a stage: on a child tank of the reading tank, on child
+# tanks that charge up through it, and on nested stages, themselves child
+# tanks.  A stage's own signal ends it quietly and any other propagates.
+# At every cap, budget and shape both must grant the same takes, charge
+# every tank alike and name the same tank.
 
 STAGE_SCRIPTS = {
     "ticks": (("tick",),) * 10,
@@ -965,26 +964,19 @@ def _run_stage(make, cap, parent, script, made, grants):
             elif op[0] == "take":
                 grants.append(tank.take(op[1]))
             elif op[0] == "child":
-                child = Fuel(op[1], parent=tank)
+                child = make(op[1], parent=tank)
                 made.append(child)
                 for sub in op[2]:
                     child.tick() if sub[0] == "tick" else grants.append(child.take(sub[1]))
             else:
                 _run_stage(make, op[1], tank, op[2], made, grants)
     except NeedMoreFuel as blocked:
-        if isinstance(tank, StageFuel):
-            tank.settle()
-            if blocked.tank is tank and tank.spent >= tank.room:
-                parent.tick()  # the chain's signal
         if blocked.tank is not tank:
             raise
-    else:
-        if isinstance(tank, StageFuel):
-            tank.settle()
 
 
 def _stage_outcome(make, script, cap, shape, budget):
-    tanks, made, grants = _tanks(shape, budget), [], []
+    tanks, made, grants = _tanks(shape, budget, make), [], []
     try:
         _run_stage(make, cap, tanks[0], script, made, grants)
         signal = None
@@ -998,9 +990,83 @@ def test_stage_tank_settles_as_a_chained_tank_charges(script):
     for shape in TANK_SHAPES + ("three-deep",):
         for budget in range(14):
             for cap in range(12):
-                got = _stage_outcome(StageFuel, STAGE_SCRIPTS[script], cap, shape, budget)
-                want = _stage_outcome(Fuel, STAGE_SCRIPTS[script], cap, shape, budget)
+                got = _stage_outcome(Fuel, STAGE_SCRIPTS[script], cap, shape, budget)
+                want = _stage_outcome(ChainedFuel, STAGE_SCRIPTS[script], cap, shape, budget)
                 assert got == want, (shape, budget, cap)
+
+
+# Random programs over a growing forest of tanks: ticks and takes on any
+# tank, headroom queries, new children of any tank, runs of charges that
+# alternate between two tanks or between a tank and an ancestor, and reads
+# of any tank.  Two lazy forests run each program: one has every tank read
+# after every step, which settles it, and one only where the program reads.
+# Both must grant, signal and count as the chained reference does.
+
+_tank_index = st.integers(min_value=0, max_value=40)
+_tank_steps = st.one_of(
+    st.tuples(st.just("tick"), _tank_index),
+    st.tuples(st.just("take"), _tank_index, st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("headroom"), _tank_index),
+    st.tuples(st.just("child"), _tank_index, st.integers(min_value=0, max_value=12)),
+    st.tuples(st.just("alternate"), _tank_index, _tank_index, st.integers(1, 6)),
+    st.tuples(st.just("up"), _tank_index, st.integers(1, 3), st.integers(1, 6)),
+    st.tuples(st.just("read"), _tank_index),
+)
+
+
+def _tank_step(step, tanks):
+    """Run one program step on a forest; (its result, the signalled role)."""
+
+    def pick(i):
+        return tanks[i % len(tanks)]
+
+    kind = step[0]
+    out = []
+    try:
+        if kind == "tick":
+            pick(step[1]).tick()
+        elif kind == "take":
+            out.append(pick(step[1]).take(step[2]))
+        elif kind == "headroom":
+            out.append(pick(step[1]).headroom())
+        elif kind == "child":
+            parent = pick(step[1])
+            tanks.append(type(parent)(step[2], parent))
+        elif kind == "read":
+            tank = pick(step[1])
+            out.append((tank.spent, tank.remaining))
+        else:  # ticks that alternate between two tanks
+            a = b = pick(step[1])
+            if kind == "alternate":
+                b = pick(step[2])
+            else:  # "up": between a tank and one of its ancestors
+                for _ in range(step[2]):
+                    b = b.parent or b
+            for i in range(step[3]):
+                (a, b)[i % 2].tick()
+                out.append(i)
+    except NeedMoreFuel as blocked:
+        return out, _role(blocked.tank, tanks)
+    return out, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(st.integers(min_value=0, max_value=24), min_size=1, max_size=2),
+    program=st.lists(_tank_steps, max_size=40),
+)
+def test_lazy_fuel_charges_as_the_chained_walk(roots, program):
+    ref = [ChainedFuel(n) for n in roots]
+    watched = [Fuel(n) for n in roots]
+    quiet = [Fuel(n) for n in roots]
+    for step in program:
+        want = _tank_step(step, ref)
+        assert _tank_step(step, quiet) == want, step
+        assert _tank_step(step, watched) == want, step
+        assert [(t.spent, t.remaining) for t in watched] == [
+            (t.spent, t.remaining) for t in ref
+        ]
+    assert [(t.spent, t.remaining) for t in quiet] == [(t.spent, t.remaining) for t in ref]
 
 
 def test_plan_prefix_folds_a_memo_at_its_new_dense_end():
