@@ -8,10 +8,13 @@ times on REF and N times on the working tree, one run of each per pair,
 with the side that runs first alternating from pair to pair.  For every
 end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the number of pairs the working tree wins, and whether the
-medians lie further apart than REF's interquartile range.  With --json it
-also writes that summary to PATH, with REF's commit, the workload, the seed
-and the number of pairs (`BENCH_<label>.json` records a claimed gain).  The
-temporary directory is deleted at the end.
+medians lie further apart than REF's interquartile range.  Before the
+pairs, `bench/run.py --replay 140` runs once on each side, and the script
+prints whether the two replays give identical answer digests and identical
+per-operation fuel.  With --json it also writes that summary to PATH, with
+the replay comparison, REF's commit, the workload, the seed and the number
+of pairs (`BENCH_<label>.json` records a claimed gain).  The temporary
+directory is deleted at the end.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPLAY_OPS = 140  # bench/run.py's PREFIX_OPS: the operations fuel_per_op covers
 
 
 def quartiles(values):
@@ -98,6 +102,26 @@ def summary_record(ref, commit, workload, seed, seconds, rows, n_pairs):
     }
 
 
+def compare_replays(ref, tree):
+    """Whether two `bench/run.py --replay` results give the same answers
+    (digests) and the same fuel, operation by operation."""
+    return {
+        "ops": len(ref["digests"]),
+        "digests_identical": ref["digests"] == tree["digests"],
+        "fuel_identical": ref["fuel"] == tree["fuel"],
+    }
+
+
+def format_replay(replay):
+    def same(flag):
+        return "identical" if flag else "DIFFERENT"
+
+    return (
+        f"replay {replay['ops']} ops: digests {same(replay['digests_identical'])},"
+        f" per-op fuel {same(replay['fuel_identical'])}"
+    )
+
+
 def extract(ref: str, into: Path) -> None:
     archive = subprocess.run(
         ["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True
@@ -106,14 +130,27 @@ def extract(ref: str, into: Path) -> None:
         tar.extractall(into)
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_line(checkout: Path, *argv) -> dict:
+    """The last line of a `bench/run.py` run in the checkout, parsed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "bench/run.py", *argv],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_replay(checkout: Path, workload: str, seed: int) -> dict:
+    return bench_line(
+        checkout, "--workload", workload, "--seed", str(seed), "--replay", str(REPLAY_OPS)
+    )
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    result = bench_line(
+        checkout, "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    )
     if not result["correct"]:
         sys.exit(f"error: incorrect run in {checkout}: {result}")
     return result
@@ -132,6 +169,10 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         extract(args.ref, scratch)
+        replay = compare_replays(
+            *(run_replay(c, args.workload, args.seed) for c in (scratch, ROOT))
+        )
+        print(format_replay(replay), flush=True)
         pairs = []
         for i in range(args.pairs):
             order = (scratch, ROOT) if i % 2 == 0 else (ROOT, scratch)
@@ -150,6 +191,7 @@ def main(argv=None) -> int:
         record = summary_record(
             args.ref, commit, args.workload, args.seed, args.seconds, rows, len(pairs)
         )
+        record["replay"] = replay
         args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

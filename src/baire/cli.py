@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .machine import eval_stream, parse_machine_text, parse_natural
 from .operators import (
@@ -32,16 +31,17 @@ from .streams import Fuel, NeedMoreFuel, PlanStream, odd_part, pair_stream, proj
 from .transform import const_transformer_name, injective_recursion, injection, quine, recursion_T, smn
 
 
-@dataclass(frozen=True)
-class Config:
-    depth: int = 32
-    fuel: int = 10**6
-    seed: int = 0
-    steps: int = 8
-    seeds: int | None = None
-    strict: bool = False
-    verify: bool = False
-    validate: bool = False
+# the common flags' values when they are not given
+DEFAULTS = {"depth": 32, "fuel": 10**6, "seed": 0, "steps": 8, "strict": False}
+
+# the transform kinds and loop operations that read each of their flags;
+# a flag given to any other is a usage error
+TRANSFORM_READERS = {
+    "machine": ("smn", "fix", "inject", "extract"),
+    "input": ("smn", "fix", "inject", "extract", "injrec"),
+    "verify": ("smn", "fix", "extract", "injrec", "quine"),
+}
+LOOP_READERS = {"n": ("power", "star"), "validate": ("infty",)}
 
 
 class CliError(Exception):
@@ -81,6 +81,14 @@ def read_file(path: str, parse, what: str):
         raise CliError(f"cannot read {what} file: {exc}")
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
+
+
+def reject_unread(args, command: str, choice: str, readers: dict) -> None:
+    """Usage error for a flag given to a kind or operation that never reads it."""
+    for flag, choices in readers.items():
+        value = getattr(args, flag)
+        if value is not None and value is not False and choice not in choices:
+            raise CliError(f"{command} {choice} reads no --{flag}")
 
 
 def seeded_input(seed: int) -> PlanStream:
@@ -125,24 +133,24 @@ def emit_report(out, stream, depth: int, fuel: int, prefix: str = "", empty: str
     return spent, bool(note)
 
 
-def exit_status(cfg: Config, disagreements: int, short: bool) -> int:
+def exit_status(args, disagreements: int, short: bool) -> int:
     """1 on a disagreement; 3 under --strict when something stopped short."""
     if disagreements:
         return 1
-    return 3 if cfg.strict and short else 0
+    return 3 if args.strict and short else 0
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_eval(args, cfg: Config, out) -> int:
+def cmd_eval(args, out) -> int:
     name = read_file(args.machine, parse_machine_text, "machine")
     source = parse_input_spec(args.input)
     stream = eval_stream(name, source)
-    spent, short = emit_report(out, stream, cfg.depth, cfg.fuel, empty="(nothing determined)")
+    spent, short = emit_report(out, stream, args.depth, args.fuel, empty="(nothing determined)")
     emit(out, f"fuel {spent}")
-    return exit_status(cfg, 0, short)
+    return exit_status(args, 0, short)
 
 
 def _agreement_lines(out, left, right, depth, fuel, label):
@@ -167,75 +175,76 @@ def _agreement_lines(out, left, right, depth, fuel, label):
     return disagreements, compared
 
 
-def cmd_transform(args, cfg: Config, out) -> int:
+def cmd_transform(args, out) -> int:
     kind = args.kind
+    reject_unread(args, "transform", kind, TRANSFORM_READERS)
     disagreements = 0
     compared = None  # indices a --verify compared
     if kind == "quine":
         q = quine()
-        _, short = emit_report(out, q, cfg.depth, cfg.fuel)
-        if cfg.verify:
-            p = seeded_input(cfg.seed)
+        _, short = emit_report(out, q, args.depth, args.fuel)
+        if args.verify:
+            p = seeded_input(args.seed)
             lhs = eval_stream(q, p)
-            rhs = pair_stream(q, seeded_input(cfg.seed))
-            disagreements, compared = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "quine")
+            rhs = pair_stream(q, seeded_input(args.seed))
+            disagreements, compared = _agreement_lines(out, lhs, rhs, args.depth, args.fuel, "quine")
     elif kind in ("smn", "fix", "inject", "extract"):
         if not args.machine:
             raise CliError(f"transform {kind} needs --machine FILE")
         file_name = read_file(args.machine, parse_machine_text, "machine")
         argument = (
-            parse_input_spec(args.input) if args.input else seeded_input(cfg.seed)
+            parse_input_spec(args.input) if args.input else seeded_input(args.seed)
         )
         if kind == "smn":
             S = smn(file_name.machine)
             specialized = S.apply(argument)
-            _, short = emit_report(out, specialized, cfg.depth, cfg.fuel)
-            if cfg.verify:
-                p = seeded_input(cfg.seed + 1)
+            _, short = emit_report(out, specialized, args.depth, args.fuel)
+            if args.verify:
+                p = seeded_input(args.seed + 1)
                 lhs = eval_stream(specialized, p)
                 rhs = eval_stream(
                     file_name,
-                    pair_stream(argument, seeded_input(cfg.seed + 1)),
+                    pair_stream(argument, seeded_input(args.seed + 1)),
                 )
-                disagreements, compared = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "smn")
+                disagreements, compared = _agreement_lines(out, lhs, rhs, args.depth, args.fuel, "smn")
         elif kind == "fix":
             p_name = const_transformer_name(file_name)
             fixed = recursion_T().apply(p_name)
-            _, short = emit_report(out, fixed, cfg.depth, cfg.fuel)
-            if cfg.verify:
+            _, short = emit_report(out, fixed, args.depth, args.fuel)
+            if args.verify:
                 z = argument
                 lhs = eval_stream(fixed, z)
                 rhs = eval_stream(eval_stream(p_name, fixed), z)
-                disagreements, compared = _agreement_lines(out, lhs, rhs, cfg.depth, cfg.fuel, "fix")
+                disagreements, compared = _agreement_lines(out, lhs, rhs, args.depth, args.fuel, "fix")
         else:
             inj = injection()
             injected = eval_stream(inj.apply(file_name), argument)
             if kind == "inject":
-                _, short = emit_report(out, injected, cfg.depth, cfg.fuel)
+                _, short = emit_report(out, injected, args.depth, args.fuel)
             else:  # extract
                 recovered = inj.extract(injected)
-                _, short = emit_report(out, recovered, cfg.depth, cfg.fuel)
-                if cfg.verify:
+                _, short = emit_report(out, recovered, args.depth, args.fuel)
+                if args.verify:
                     disagreements, compared = _agreement_lines(
-                        out, recovered, argument, min(cfg.depth, 16), cfg.fuel, "extract"
+                        out, recovered, argument, min(args.depth, 16), args.fuel, "extract"
                     )
     elif kind == "injrec":
         R = injective_recursion(lambda rn, x, fuel: odd_part(x), "cli")
         argument = (
-            parse_input_spec(args.input) if args.input else seeded_input(cfg.seed)
+            parse_input_spec(args.input) if args.input else seeded_input(args.seed)
         )
         name = R.apply(argument)
-        _, short = emit_report(out, name, cfg.depth, cfg.fuel)
-        if cfg.verify:
-            p = seeded_input(cfg.seed + 2)
+        _, short = emit_report(out, name, args.depth, args.fuel)
+        if args.verify:
+            p = seeded_input(args.seed + 2)
             lhs = eval_stream(name, p)
-            rhs = seeded_input(cfg.seed + 2)
+            rhs = seeded_input(args.seed + 2)
             disagreements, compared = _agreement_lines(
-                out, lhs, rhs, min(cfg.depth, 16), cfg.fuel * 4, "injrec"
+                out, lhs, rhs, min(args.depth, 16), args.fuel * 4, "injrec"
             )
     else:
         raise CliError(f"unknown transform kind: {kind}")
-    return exit_status(cfg, disagreements, short or compared == 0)
+    return exit_status(args, disagreements, short or compared == 0)
 
 
 def parse_loop_file(text: str) -> LoopInstance:
@@ -281,9 +290,10 @@ def parse_loop_file(text: str) -> LoopInstance:
     return loop
 
 
-def cmd_loop(args, cfg: Config, out) -> int:
+def cmd_loop(args, out) -> int:
     loop = read_file(args.loop, parse_loop_file, "loop")
     op = args.op
+    reject_unread(args, "loop", op, LOOP_READERS)
     status = 0
     if op in ("power", "star"):
         n = args.n if args.n is not None else 1
@@ -291,69 +301,67 @@ def cmd_loop(args, cfg: Config, out) -> int:
             result, records = power_n(loop.oracle, n, loop.q0)
         else:
             result, records = star(loop.oracle, TaggedStream(n, loop.q0))
-        _, short = emit_report(out, result, cfg.depth, cfg.fuel)
+        _, short = emit_report(out, result, args.depth, args.fuel)
         emit(out, f"calls {len(records)}")
-        status = exit_status(cfg, 0, short)
+        status = exit_status(args, 0, short)
     elif op == "omega":
         result = omega(loop.oracle, loop.q0)
         short = False
-        for i in range(min(cfg.steps, 6)):
+        for i in range(min(args.steps, 6)):
             _, stopped = emit_report(
-                out, project(result, i), min(cfg.depth, 12), cfg.fuel, f"component {i}: "
+                out, project(result, i), min(args.depth, 12), args.fuel, f"component {i}: "
             )
             short = short or stopped
-        status = exit_status(cfg, 0, short)
+        status = exit_status(args, 0, short)
     elif op == "diamond":
-        answer, run, cls = diamond(loop.oracle, loop.q0, cfg.steps, cfg.fuel)
-        for line in run.trace_lines(cfg.fuel, min(cfg.depth, 10)):
+        answer, run, cls = diamond(loop.oracle, loop.q0, args.steps, args.fuel)
+        for line in run.trace_lines(args.fuel, min(args.depth, 10)):
             emit(out, line)
         emit(out, f"class {cls}")
         if cls.kind == "undetermined":
-            status = 3 if cfg.strict else 0
+            status = 3 if args.strict else 0
     elif op == "infty":
         _, handle = inverse_limit(loop.oracle, loop.q0)
-        run = handle.run(cfg.steps)
-        for line in run.trace_lines(cfg.fuel, min(cfg.depth, 10)):
+        run = handle.run(args.steps)
+        for line in run.trace_lines(args.fuel, min(args.depth, 10)):
             emit(out, line)
-        emit(out, f"class {classify_run(run, cfg.fuel)}")
-        if cfg.validate:
-            verdicts = validate_run(run, loop.oracle, depth=min(cfg.depth, 8))
+        emit(out, f"class {classify_run(run, args.fuel)}")
+        if args.validate:
+            verdicts = validate_run(run, loop.oracle, depth=min(args.depth, 8))
             for i, v in enumerate(verdicts):
                 emit(out, f"validate step {i} {v}")
             if REFUTED in verdicts:
                 status = 1
-            elif cfg.strict and CONSISTENT not in verdicts:
+            elif args.strict and CONSISTENT not in verdicts:
                 status = 3
     else:
         raise CliError(f"unknown loop operation: {op}")
     return status
 
 
-def cmd_check(args, cfg: Config, out) -> int:
+def cmd_check(args, out) -> int:
     library = witness_library()
     if args.witness not in library:
         known = [f"known witness {e.name}: {e.describe}" for e in library.values()]
         raise CliError("\n".join([f"unknown witness: {args.witness}"] + known))
     entry = library[args.witness]
-    kwargs = {}
-    if cfg.seeds is not None:
-        kwargs["seeds"] = cfg.seeds
-    # given flags only; otherwise each entry keeps its own depth and budget
-    if hasattr(args, "depth"):
-        kwargs["depth"] = cfg.depth
-    if hasattr(args, "fuel"):
-        kwargs["budget"] = cfg.fuel
+    # given flags only; otherwise each entry keeps its own size, depth and budget
+    kwargs = {
+        key: getattr(args, flag)
+        for flag, key in (("seeds", "seeds"), ("depth", "depth"), ("fuel", "budget"))
+        if flag in args.given
+    }
     report = entry.run_check(**kwargs)
     for line in report.lines():
         emit(out, line)
     if report.refutations:
         return 1
-    if cfg.strict and report.count(CONSISTENT) == 0:
+    if args.strict and report.count(CONSISTENT) == 0:
         return 3
     return 0
 
 
-def cmd_limsim(args, cfg: Config, out) -> int:
+def cmd_limsim(args, out) -> int:
     loop = read_file(args.loop, parse_loop_file, "loop")
     if loop.meta["kind"] != LIMSIM_KIND:
         raise CliError(
@@ -361,18 +369,18 @@ def cmd_limsim(args, cfg: Config, out) -> int:
             f" only, not {loop.meta['kind']}"
         )
     # a given --fuel is the simulation's budget; otherwise it keeps its own
-    options = {"budget": cfg.fuel} if hasattr(args, "fuel") else {}
+    options = {"budget": args.fuel} if "fuel" in args.given else {}
     result = simulate_limit_machine(
-        loop, min(cfg.steps, loop.steps), scan_depth=cfg.depth, **options
+        loop, min(args.steps, loop.steps), scan_depth=args.depth, **options
     )
     for line in result.trace_lines():
         emit(out, line)
-    emit_report(out, result.run.states[-1], min(cfg.depth, 12), cfg.fuel, "final ")
+    emit_report(out, result.run.states[-1], min(args.depth, 12), args.fuel, "final ")
     if result.verdict == REFUTED:
         return 1
     if not result.stabilized:
         emit(out, "undetermined: budget exhausted before stabilization")
-        return 3 if cfg.strict else 0
+        return 3 if args.strict else 0
     return 0
 
 
@@ -437,16 +445,9 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    cfg = Config(
-        depth=getattr(args, "depth", 32),
-        fuel=getattr(args, "fuel", 10**6),
-        seed=getattr(args, "seed", 0),
-        steps=getattr(args, "steps", 8),
-        seeds=getattr(args, "seeds", None),
-        strict=getattr(args, "strict", False),
-        verify=getattr(args, "verify", False),
-        validate=getattr(args, "validate", False),
-    )
+    args.given = set(vars(args))  # what was parsed, before the defaults fill in
+    for key, value in DEFAULTS.items():
+        vars(args).setdefault(key, value)
     handlers = {
         "eval": cmd_eval,
         "transform": cmd_transform,
@@ -455,7 +456,7 @@ def main(argv=None, out=None) -> int:
         "limsim": cmd_limsim,
     }
     try:
-        return handlers[args.command](args, cfg, out)
+        return handlers[args.command](args, out)
     except CliError as exc:
         emit(out, f"error: {exc}")
         return 2

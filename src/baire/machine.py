@@ -52,7 +52,6 @@ from .streams import (
     as_fuel,
     as_stream,
     even_part,
-    is_prefix,
     odd_part,
     word_sup,
 )
@@ -237,20 +236,25 @@ def decode_entries(name_prefix: Word) -> tuple:
     return tuple(acc.accepted)
 
 
-@lru_cache(maxsize=1 << 15)
-def eval_name(name_prefix: Word, input_prefix: Word) -> Word:
-    """Supremum of the outputs of accepted entries applying to the input.
+def applied_sup(accepted, word: Word) -> Word:
+    """Supremum of the outputs of the accepted entries applying to a word.
 
     The applicable entries have inputs on one chain, so their outputs are
     pairwise comparable and the supremum is just the longest one.
     """
     best: Word = ()
-    for u, v in decode_entries(name_prefix):
-        if is_prefix(u, input_prefix):
+    for u, v in accepted:
+        if word[: len(u)] == u:
             joined = word_sup(best, v)
             assert joined is not None, "consistency filter violated"
             best = joined
     return best
+
+
+@lru_cache(maxsize=1 << 15)
+def eval_name(name_prefix: Word, input_prefix: Word) -> Word:
+    """The name prefix's value on the input: `applied_sup` of its entries."""
+    return applied_sup(decode_entries(name_prefix), input_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +384,8 @@ class ExplicitName(MachineName):
     """Name with a fixed finite entry list, padded with dummies forever.
 
     The raw face emits every entry; the direct face applies only those the
-    decoder accepts in arrival order, filtered once here.
+    decoder accepts in arrival order, filtered once here, and takes their
+    value with `applied_sup`, as `eval_name` does for a decoded prefix.
     """
 
     def __init__(self, entries, head: Word = (), label: str = ""):
@@ -389,15 +394,8 @@ class ExplicitName(MachineName):
         for e in entries:
             acc.offer(e)
         accepted = acc.accepted
-
-        def apply(w, fuel):
-            best = ()
-            for u, v in accepted:
-                if is_prefix(u, w):
-                    best = word_sup(best, v)  # applicable accepted outputs nest
-            return best
-
-        super().__init__(WordMachine(apply, label or "table"), head, label)
+        machine = WordMachine(lambda w, fuel: applied_sup(accepted, w), label or "table")
+        super().__init__(machine, head, label)
         self.entries = entries
         self.graph_complete = True
         for e in entries:

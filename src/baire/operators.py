@@ -24,7 +24,11 @@ the other operators: run_lifted_loop, omega_via_inverse_limit and
 diamond_via_inverse_limit run the loop once and map its states.  Two
 drivers are kept apart: `omega`, because every power runs its own chain
 on the shared input, and `reductions.simulate_limit_machine`, because a
-revised guess throws the downstream states away.
+revised guess throws the downstream states away.  Parts of a stream are
+read through the one view, `streams.MappedView`, which reads its base at a
+mapped index: a state that is not a lazy pair splits into its `halves`,
+star drops the first symbol of an input that is not a `TaggedStream`, and
+omega_via_inverse_limit's powers are halves of an extracted program.
 
 Runs carry provenance (which step answered what) and are classified as
 successful / stalled / undetermined at an explicit budget; the generic
@@ -57,13 +61,11 @@ from .problems import (
     get_realizer,
 )
 from .streams import (
-    EvenView,
     Fuel,
     FuelLike,
+    MappedView,
     NeedMoreFuel,
-    OddView,
     PlanStream,
-    ShiftStream,
     Stream,
     Word,
     ZEROS,
@@ -71,6 +73,7 @@ from .streams import (
     cantor_pair,
     cantor_unpair,
     even_part,
+    halves,
     interleave_word,
     odd_part,
     pair_stream,
@@ -419,7 +422,7 @@ def star(oracle: StepOracle, tagged_input: Stream):
     if isinstance(tagged_input, TaggedStream):
         payload = tagged_input.payload
     else:
-        payload = ShiftStream(tagged_input, 1)
+        payload = MappedView(tagged_input, lambda n: n + 1)
     return power_n(oracle, n, payload)
 
 
@@ -704,8 +707,8 @@ def omega_via_inverse_limit(step_machine: WordMachine, q0: Stream, steps: int):
 
     def power(n: int) -> Stream:
         program, data = unpair_stream(translated.states[n])
-        x = R.extract(program)
-        return pair_stream(OddView(x), data) if n == 0 else EvenView(x)
+        even, odd = halves(R.extract(program))
+        return pair_stream(odd, data) if n == 0 else even
 
     return translated, power
 

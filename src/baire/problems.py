@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .machine import parse_word_text
@@ -66,6 +67,12 @@ class OracleRealizer:
 def value_stream(v: int) -> PlanStream:
     """First-symbol encoding of a discrete value."""
     return PlanStream((v,), ("zeros",))
+
+
+def realizer_value(problem: str) -> OracleRealizer:
+    """The realizer of a problem whose witness is a value: its first-symbol
+    encoding (`value_stream`)."""
+    return OracleRealizer(problem, lambda inst: value_stream(inst.hidden[1]))
 
 
 def _rng(problem: str, seed: int) -> random.Random:
@@ -192,10 +199,6 @@ def problem_llpo() -> Problem:
     return Problem("llpo", generate, check)
 
 
-def realizer_llpo() -> OracleRealizer:
-    return OracleRealizer("llpo", lambda inst: value_stream(inst.hidden[1]))
-
-
 # ---------------------------------------------------------------------------
 # choice on the naturals
 
@@ -220,10 +223,6 @@ def problem_cn() -> Problem:
         return CONSISTENT
 
     return Problem("cn", generate, check)
-
-
-def realizer_cn() -> OracleRealizer:
-    return OracleRealizer("cn", lambda inst: value_stream(inst.hidden[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +316,6 @@ def problem_lim_nat() -> Problem:
     return Problem("limnat", generate, check)
 
 
-def realizer_lim_nat() -> OracleRealizer:
-    return OracleRealizer("limnat", lambda inst: value_stream(inst.hidden[1]))
-
-
 # ---------------------------------------------------------------------------
 # paths through binary trees (choice on Cantor space)
 
@@ -372,10 +367,10 @@ def realizer_path_choice() -> OracleRealizer:
 PROBLEMS = {
     "id": (problem_id, realizer_id),
     "lpo": (problem_lpo, realizer_lpo),
-    "llpo": (problem_llpo, realizer_llpo),
-    "cn": (problem_cn, realizer_cn),
+    "llpo": (problem_llpo, partial(realizer_value, "llpo")),
+    "cn": (problem_cn, partial(realizer_value, "cn")),
     "lim": (problem_lim, realizer_lim),
-    "limnat": (problem_lim_nat, realizer_lim_nat),
+    "limnat": (problem_lim_nat, partial(realizer_value, "limnat")),
     "wkl": (problem_path_choice, realizer_path_choice),
 }
 

@@ -738,15 +738,26 @@ def broken_lpo_witness() -> ReductionWitness:
     )
 
 
+def step_translation(w: ReductionWitness) -> Callable[[Instance, Stream], Instance]:
+    """A loop step's target instance: w's translation of the step's
+    instance, read through K."""
+    return lambda inst, data: w.translate(inst, MachineStream(w.K, inst.public_name))
+
+
+def lift_witness(w: ReductionWitness, label: str) -> tuple:
+    """(lift, step translation) of a weak one-step witness, for
+    `check_lifted_reduction`: the lift runs w's K and H inside the
+    injective fixed point."""
+    if w.strong:
+        raise ValueError(f"witness {w.label} is strong; the lift feeds H the pair")
+    return lift_reduction_to_inverse_limit(w.K, w.H, label), step_translation(w)
+
+
 def c2_cn_lift():
-    return lift_reduction_to_inverse_limit(
-        embed_llpo_in_cn_machine(), pure_machine(_answer_back, "H-back"), "c2-cn-loop-lift"
-    )
+    return lift_witness(c2_to_cn_witness(), "c2-cn-loop-lift")[0]
 
 
-def _translate_llpo_step_to_cn(inst: Instance, data: Stream) -> Instance:
-    k_out = MachineStream(embed_llpo_in_cn_machine(), inst.public_name)
-    return Instance("cn", inst.seed, k_out, inst.hidden)
+_translate_llpo_step_to_cn = step_translation(c2_to_cn_witness())
 
 
 def simulation_report(
@@ -838,18 +849,17 @@ def witness_library() -> dict:
         ),
         "the unique-advice variant: only the witness advice is consulted",
     )
+
+    def c2_cn_loop_lift(seeds=50, **options):
+        lift, translate = lift_witness(c2_to_cn_witness(), "c2-cn-loop-lift")
+        return check_lifted_reduction(
+            lift, lambda s: problem_loop("llpo", s, 5), translate, "cn", seeds, steps=5, **options
+        )
+
     add(
         "c2-cn-loop-lift",
         "loop-reduction",
-        lambda seeds=50, **options: check_lifted_reduction(
-            c2_cn_lift(),
-            lambda s: problem_loop("llpo", s, 5),
-            _translate_llpo_step_to_cn,
-            "cn",
-            seeds,
-            steps=5,
-            **options,
-        ),
+        c2_cn_loop_lift,
         "one-step embedding lifted to whole loops by the injective fixed point",
     )
     add(

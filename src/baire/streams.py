@@ -33,6 +33,10 @@ charged last, which pays its ancestors when another tank of its chain is
 charged or asked for its headroom, or when a count is read.  So a run of
 ticks on a deep chain costs what ticks on a root tank cost, and a stage of
 the injected output is a plain child tank.
+
+A stream read at mapped indices is the one view, `MappedView`: a pair's
+`halves`, a tuple's components (`project`) and a shifted stream.  It is
+memoized like every `_IndexedStream`, one step per fresh index.
 """
 
 from __future__ import annotations
@@ -421,24 +425,6 @@ class PairStream(_IndexedStream):
         return self.right.at(n // 2, fuel)
 
 
-class EvenView(_IndexedStream):
-    def __init__(self, base: Stream):
-        super().__init__()
-        self.base = base
-
-    def _compute(self, n, fuel):
-        return self.base.at(2 * n, fuel)
-
-
-class OddView(_IndexedStream):
-    def __init__(self, base: Stream):
-        super().__init__()
-        self.base = base
-
-    def _compute(self, n, fuel):
-        return self.base.at(2 * n + 1, fuel)
-
-
 class TupleStream(_IndexedStream):
     """Countable tupling: position cantor_pair(i, n) reads component i at n."""
 
@@ -460,26 +446,22 @@ class TupleStream(_IndexedStream):
         return self.component(i).at(k, fuel)
 
 
-class ComponentView(_IndexedStream):
-    def __init__(self, base: Stream, index: int):
+class MappedView(_IndexedStream):
+    """The one view of a stream: symbol n is the base's symbol at index(n).
+
+    A pair's halves (`halves`), a tuple's components (`project`) and a
+    stream without its first symbols (`operators.star`) are this view.
+    Each fresh index costs one step, charged before the base is read, and
+    a re-read costs none.
+    """
+
+    def __init__(self, base: Stream, index: Callable[[int], int]):
         super().__init__()
         self.base = base
-        self.index = index
+        self._index = index
 
     def _compute(self, n, fuel):
-        return self.base.at(cantor_pair(self.index, n), fuel)
-
-
-class ShiftStream(_IndexedStream):
-    """Drops the first `offset` symbols of the base stream."""
-
-    def __init__(self, base: Stream, offset: int):
-        super().__init__()
-        self.base = base
-        self.offset = offset
-
-    def _compute(self, n, fuel):
-        return self.base.at(n + self.offset, fuel)
+        return self.base.at(self._index(n), fuel)
 
 
 class WordStream(Stream):
@@ -637,11 +619,16 @@ def pair_stream(q: Stream, p: Stream) -> PairStream:
     return PairStream(q, p)
 
 
+def halves(r: Stream) -> tuple:
+    """The views of r's even and odd positions."""
+    return MappedView(r, lambda n: 2 * n), MappedView(r, lambda n: 2 * n + 1)
+
+
 def unpair_stream(r: Stream) -> tuple:
     """Inverse of pair_stream; returns the original components when known."""
     if isinstance(r, PairStream):
         return r.left, r.right
-    return EvenView(r), OddView(r)
+    return halves(r)
 
 
 def tuple_countable(components) -> TupleStream:
@@ -659,4 +646,4 @@ def tuple_countable(components) -> TupleStream:
 def project(t: Stream, i: int) -> Stream:
     if isinstance(t, TupleStream):
         return t.component(i)
-    return ComponentView(t, i)
+    return MappedView(t, lambda n: cantor_pair(i, n))

@@ -465,6 +465,33 @@ def test_format_flag_is_a_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            (("loop", op, "LOOP", "--n", "0"), f"loop {op} reads no --n")
+            for op in ("omega", "diamond", "infty")
+        ),
+        *(
+            (("loop", op, "LOOP", "--validate"), f"loop {op} reads no --validate")
+            for op in ("power", "star", "omega", "diamond")
+        ),
+        (
+            ("transform", "inject", "--machine", "MACHINE", "--verify"),
+            "transform inject reads no --verify",
+        ),
+        (("transform", "quine", "--machine", "MACHINE"), "transform quine reads no --machine"),
+        (("transform", "injrec", "--machine", "MACHINE"), "transform injrec reads no --machine"),
+        (("transform", "quine", "--input", "1", "zeros"), "transform quine reads no --input"),
+    ],
+)
+def test_unread_flag_is_a_usage_error(argv, message, identity_machine_file, llpo_loop_file):
+    # these flags used to be parsed and ignored by the kinds and operations above
+    files = {"LOOP": llpo_loop_file, "MACHINE": identity_machine_file}
+    code, text = run_cli("--depth", "4", *(files.get(a, a) for a in argv))
+    assert (code, text) == (2, f"error: {message}\n")
+
+
 def test_usage_error_exits_two():
     code, _ = run_cli("loop", "diamond", "/nonexistent/file.loop")
     assert code == 2

@@ -77,10 +77,9 @@ BATTERY = (
      G + "identity.machine", "--verify"),
     ("--strict", "--depth", "8", "--fuel", "20000", "transform", "fix", "--machine",
      G + "identity.machine", "--verify"),
-    *(
-        ("--depth", "8", "transform", kind, "--machine", G + "identity.machine", "--verify")
-        for kind in ("inject", "extract", "injrec")
-    ),
+    ("--depth", "8", "transform", "inject", "--machine", G + "identity.machine"),
+    ("--depth", "8", "transform", "extract", "--machine", G + "identity.machine", "--verify"),
+    ("--depth", "8", "transform", "injrec", "--verify"),
     ("--depth", "8", "transform", "quine", "--verify"),
     ("--strict", "--depth", "0", "transform", "quine", "--verify"),
     *(
@@ -102,6 +101,7 @@ BATTERY = (
     ("--strict", "--seeds", "2", "--fuel", "3", "check", "llpo-id"),
     ("check", "nosuch"),
     ("loop", "diamond", G + "identity.machine"),
+    ("loop", "omega", G + "llpo.loop", "--n", "2"),
     ("--depth", "-1", "eval", G + "identity.machine", "1", "zeros"),
 )
 

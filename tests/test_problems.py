@@ -21,8 +21,8 @@ from baire.problems import (
     problem_path_choice,
     realizer_id,
     realizer_lim,
-    realizer_llpo,
     realizer_lpo,
+    realizer_value,
     sierpinski_value,
     value_stream,
 )
@@ -116,7 +116,7 @@ def test_llpo_exclusion_forces_the_other_point():
 
 @pytest.mark.parametrize("seed", range(500))
 def test_llpo_realizer_never_refuted(seed):
-    prob, real = problem_llpo(), realizer_llpo()
+    prob, real = problem_llpo(), realizer_value("llpo")
     inst = prob.generate(seed)
     for depth in (4, 16, 32):
         assert prob.check_solution(inst, solved_prefix(real, inst, 4), depth) != REFUTED
@@ -140,9 +140,7 @@ def test_cn_realizer_never_refuted(seed):
     assert prob.check_solution(inst, real.solve(inst).prefix(4), 32) != REFUTED
 
 
-from baire.problems import realizer_cn
-
-realizer_cn_shared = realizer_cn()
+realizer_cn_shared = realizer_value("cn")
 
 
 # --- limits -----------------------------------------------------------------------
@@ -188,9 +186,7 @@ def test_lim_nat_eventual_value():
     assert prob.check_solution(inst, (v + 1,), 0) == UNDETERMINED
 
 
-from baire.problems import realizer_lim_nat
-
-realizer_lim_nat_shared = realizer_lim_nat()
+realizer_lim_nat_shared = realizer_value("limnat")
 
 
 def test_lim_nat_example_sequence():
@@ -264,6 +260,14 @@ def test_oracle_realizers_unrefuted_everywhere(name, seed, depth):
     inst = prob.generate(seed)
     out = real.solve(inst).prefix(6)
     assert prob.check_solution(inst, out, depth) != REFUTED
+
+
+@pytest.mark.parametrize("name", ["llpo", "cn", "limnat"])
+def test_value_realizer_is_registered_per_problem(name):
+    real = get_realizer(name)
+    inst = get_problem(name).generate(5)
+    assert real.problem == name
+    assert real.solve(inst).prefix(3) == (inst.hidden[1], 0, 0)
 
 
 @settings(max_examples=80)

@@ -14,6 +14,7 @@ from baire.reductions import (
     check_nondet,
     check_reduction,
     identity_llpo_witness,
+    lift_witness,
     limnat_to_lim_witness,
     llpo_to_cantor_witness,
     NonDetWitness,
@@ -284,6 +285,22 @@ def test_lifted_reduction_small_suite():
     )
     assert report.refutations == 0
     assert report.count(CONSISTENT) == 6
+
+
+def test_lift_witness_runs_the_witness_machines_and_translation():
+    w = c2_to_cn_witness()
+    lift, translate = lift_witness(w, "lifted")
+    assert (lift.k_machine, lift.h_machine, lift.label) == (w.K, w.H, "lifted")
+    inst = get_problem("llpo").generate(3)
+    target = translate(inst, None)
+    assert (target.problem, target.seed, target.hidden) == ("cn", 3, inst.hidden)
+    assert target.public_name.prefix(12) == MachineStream(w.K, inst.public_name).prefix(12)
+
+
+def test_lift_witness_rejects_a_strong_witness():
+    # the lift feeds H the pair <data, answer>, which a strong H never reads
+    with pytest.raises(ValueError, match="strong"):
+        lift_witness(limnat_to_lim_witness(), "limn-to-lim-loop")
 
 
 def test_lifted_reduction_refutes_answers_outside_the_problem():

@@ -112,3 +112,23 @@ def test_bench_pairs_writes_its_summary_as_json():
             },
         },
     }
+
+
+def _replay_line(digests, fuel):
+    # a `bench/run.py --replay` result line
+    return json.dumps({"digests": digests, "fuel": fuel, "failed": 0})
+
+
+def test_bench_pairs_compares_replay_answers_and_fuel():
+    bench_pairs = _bench_pairs()
+    ref = json.loads(_replay_line(["a1", "b2", "c3"], [10, 0, 7]))
+    same = bench_pairs.compare_replays(ref, json.loads(_replay_line(["a1", "b2", "c3"], [10, 0, 7])))
+    assert same == {"ops": 3, "digests_identical": True, "fuel_identical": True}
+    assert bench_pairs.format_replay(same) == "replay 3 ops: digests identical, per-op fuel identical"
+    # the same total fuel, spent by different operations
+    moved = bench_pairs.compare_replays(ref, json.loads(_replay_line(["a1", "b2", "c3"], [9, 1, 7])))
+    assert moved == {"ops": 3, "digests_identical": True, "fuel_identical": False}
+    answer = bench_pairs.compare_replays(ref, json.loads(_replay_line(["a1", "xx", "c3"], [10, 0, 7])))
+    assert bench_pairs.format_replay(answer) == (
+        "replay 3 ops: digests DIFFERENT, per-op fuel identical"
+    )

@@ -21,6 +21,7 @@ from baire.streams import (
     BufferedStream,
     Fuel,
     FunctionStream,
+    MappedView,
     NeedMoreFuel,
     PlanStream,
     WORD_EDGE,
@@ -153,6 +154,42 @@ def test_project_constant_tuple():
     t = tuple_countable(lambda i: constant_stream(i))
     assert project(t, 3).prefix(5) == (3, 3, 3, 3, 3)
     assert project(ZEROS, 7).prefix(5) == (0,) * 5
+
+
+# --- the one view ------------------------------------------------------------
+
+VIEWS = {
+    "even half": (lambda r: unpair_stream(r)[0], lambda n: 2 * n),
+    "odd half": (lambda r: unpair_stream(r)[1], lambda n: 2 * n + 1),
+    "component": (lambda r: project(r, 2), lambda n: cantor_pair(2, n)),
+    "shift": (lambda r: MappedView(r, lambda n: n + 1), lambda n: n + 1),  # star's payload
+}
+
+
+@pytest.mark.parametrize("name", VIEWS)
+def test_view_charges_one_step_per_fresh_index(name):
+    make, index = VIEWS[name]
+    base = WordStream(tuple(range(100, 200)))  # reading the base is free
+    view = make(base)
+    tank = Fuel(10)
+    order = (0, 1, 2, 1, 0, 2, 3)
+    assert [view.at(n, tank) for n in order] == [100 + index(n) for n in order]
+    assert tank.spent == 4
+
+
+@pytest.mark.parametrize("name", VIEWS)
+def test_view_resumes_after_a_tank_runs_dry_mid_read(name):
+    make, index = VIEWS[name]
+    view = make(WordStream(tuple(range(100, 200))))
+    outer = Fuel(3)
+    tank = Fuel(100, outer)
+    with pytest.raises(NeedMoreFuel) as blocked:
+        view.prefix(5, tank)
+    assert blocked.value.tank is outer
+    assert (tank.spent, outer.spent) == (3, 3)
+    resumed = Fuel(100)
+    assert view.prefix(5, resumed) == tuple(100 + index(n) for n in range(5))
+    assert resumed.spent == 2  # indices 3 and 4; the first three are memoized
 
 
 # --- word supremum -----------------------------------------------------------

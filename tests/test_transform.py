@@ -23,8 +23,8 @@ from baire.streams import (
     NeedMoreFuel,
     PlanStream,
     ZEROS,
-    EvenView,
     even_part,
+    halves,
     interleave_word,
     odd_part,
     pair_stream,
@@ -475,7 +475,7 @@ def test_quine_reproduces_itself_and_input(seed):
 def test_quine_even_extraction_reevaluates():
     q = quine()
     p = seeded_plan_stream(5)
-    extracted = EvenView(eval_stream(q, p))
+    extracted, _ = halves(eval_stream(q, p))
     p2 = PlanStream((2, 1, 0, 1), ("zeros",))
     got = determined(eval_stream(extracted, p2), 12, budget=1_500_000)
     want = determined(eval_stream(q, p2), 12)
