@@ -8,13 +8,16 @@ times on REF and N times on the working tree, one run of each per pair,
 with the side that runs first alternating from pair to pair.  For every
 end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the number of pairs the working tree wins, and whether the
-medians lie further apart than REF's interquartile range.  Before the
+medians lie further apart than REF's interquartile range.  For every
+operation kind it prints each side's median, over the pairs, of the run's
+median time of that kind (the `kinds` block `bench/run.py` prints before its
+result line), and the number of pairs the working tree wins.  Before the
 pairs, `bench/run.py --replay 140` runs once on each side, and the script
 prints whether the two replays give identical answer digests and identical
 per-operation fuel.  With --json it also writes that summary to PATH, with
-the replay comparison, REF's commit, the workload, the seed and the number
-of pairs (`BENCH_<label>.json` records a claimed gain).  The temporary
-directory is deleted at the end.
+the per-kind rows under `kinds`, the replay comparison, REF's commit, the
+workload, the seed and the number of pairs (`BENCH_<label>.json` records a
+claimed gain).  The temporary directory is deleted at the end.
 """
 
 from __future__ import annotations
@@ -76,6 +79,35 @@ def format_rows(rows, n_pairs):
     return "\n".join(lines)
 
 
+def summarize_kinds(pairs):
+    """One row per operation kind that every run ran, for a list of (ref,
+    tree) results: the kind, REF's and the tree's median of the runs'
+    `median_s` for that kind, and the pairs the tree wins (strictly faster)."""
+    kinds = set.intersection(
+        *(set(r.get("kinds", ())) & set(t.get("kinds", ())) for r, t in pairs)
+    )
+    rows = []
+    for kind in sorted(kinds):
+        ref = [r["kinds"][kind]["median_s"] for r, _ in pairs]
+        tree = [t["kinds"][kind]["median_s"] for _, t in pairs]
+        wins = sum(t < r for r, t in zip(ref, tree))
+        rows.append((kind, statistics.median(ref), statistics.median(tree), wins))
+    return rows
+
+
+def format_kinds(rows, n_pairs):
+    row = "{:18s} {:>14s} {:>14s} {:>8s} {}".format
+    lines = [row("kind", "REF median_s", "tree median_s", "REF/tree", "wins")]
+    for kind, ref, tree, wins in rows:
+        lines.append(row(kind, f"{ref:.6g}", f"{tree:.6g}", f"{ref / tree:.3f}", f"{wins}/{n_pairs}"))
+    return "\n".join(lines)
+
+
+def kinds_record(rows):
+    """The per-kind rows as a JSON-ready dict, one entry per kind."""
+    return {kind: {"ref": ref, "tree": tree, "wins": wins} for kind, ref, tree, wins in rows}
+
+
 def summary_record(ref, commit, workload, seed, seconds, rows, n_pairs):
     """The printed summary as a JSON-ready dict, one entry per metric."""
 
@@ -131,13 +163,19 @@ def extract(ref: str, into: Path) -> None:
 
 
 def bench_line(checkout: Path, *argv) -> dict:
-    """The last line of a `bench/run.py` run in the checkout, parsed."""
+    """The last line of a `bench/run.py` run in the checkout, parsed, with
+    the `kinds` block of the line before it when that line has one."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "bench/run.py", *argv],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    info = json.loads(lines[-2]) if len(lines) > 1 else {}
+    if "kinds" in info:
+        result["kinds"] = info["kinds"]
+    return result
 
 
 def run_replay(checkout: Path, workload: str, seed: int) -> dict:
@@ -184,6 +222,8 @@ def main(argv=None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     rows = summarize(pairs, end_to_end)
     print(format_rows(rows, len(pairs)))
+    kind_rows = summarize_kinds(pairs)
+    print(format_kinds(kind_rows, len(pairs)))
     if args.json is not None:
         commit = subprocess.run(
             ["git", "rev-parse", args.ref], cwd=ROOT, capture_output=True, text=True, check=True
@@ -191,6 +231,7 @@ def main(argv=None) -> int:
         record = summary_record(
             args.ref, commit, args.workload, args.seed, args.seconds, rows, len(pairs)
         )
+        record["kinds"] = kinds_record(kind_rows)
         record["replay"] = replay
         args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0

@@ -34,14 +34,24 @@ from .transform import const_transformer_name, injective_recursion, injection, q
 # the common flags' values when they are not given
 DEFAULTS = {"depth": 32, "fuel": 10**6, "seed": 0, "steps": 8, "strict": False}
 
-# the transform kinds and loop operations that read each of their flags;
-# a flag given to any other is a usage error
-TRANSFORM_READERS = {
-    "machine": ("smn", "fix", "inject", "extract"),
-    "input": ("smn", "fix", "inject", "extract", "injrec"),
-    "verify": ("smn", "fix", "extract", "injrec", "quine"),
+# the commands, transform kinds and loop operations that read each flag
+# that not every command reads; a flag given to any other is a usage error
+READERS = {
+    "seed": ("transform",),
+    "steps": ("loop omega", "loop diamond", "loop infty", "limsim"),
+    "seeds": ("check",),
+    "machine": ("transform smn", "transform fix", "transform inject", "transform extract"),
+    "input": (
+        "transform smn", "transform fix", "transform inject", "transform extract",
+        "transform injrec",
+    ),
+    "verify": (
+        "transform smn", "transform fix", "transform extract", "transform injrec",
+        "transform quine",
+    ),
+    "n": ("loop power", "loop star"),
+    "validate": ("loop infty",),
 }
-LOOP_READERS = {"n": ("power", "star"), "validate": ("infty",)}
 
 
 class CliError(Exception):
@@ -83,12 +93,17 @@ def read_file(path: str, parse, what: str):
         raise CliError(f"{path}: {exc}")
 
 
-def reject_unread(args, command: str, choice: str, readers: dict) -> None:
-    """Usage error for a flag given to a kind or operation that never reads it."""
-    for flag, choices in readers.items():
-        value = getattr(args, flag)
-        if value is not None and value is not False and choice not in choices:
-            raise CliError(f"{command} {choice} reads no --{flag}")
+def reject_unread(args) -> None:
+    """Usage error for a flag given to a command, kind or operation that
+    never reads it; run before the defaults fill in the global flags."""
+    choice = getattr(args, "kind", None) or getattr(args, "op", None)
+    what = f"{args.command} {choice}" if choice else args.command
+    for flag, readers in READERS.items():
+        value = getattr(args, flag, None)
+        if value is None or value is False:
+            continue  # not given
+        if args.command not in readers and what not in readers:
+            raise CliError(f"{what} reads no --{flag}")
 
 
 def seeded_input(seed: int) -> PlanStream:
@@ -145,8 +160,8 @@ def exit_status(args, disagreements: int, short: bool) -> int:
 
 
 def cmd_eval(args, out) -> int:
-    name = read_file(args.machine, parse_machine_text, "machine")
-    source = parse_input_spec(args.input)
+    name = read_file(args.machine_file, parse_machine_text, "machine")
+    source = parse_input_spec(args.input_spec)
     stream = eval_stream(name, source)
     spent, short = emit_report(out, stream, args.depth, args.fuel, empty="(nothing determined)")
     emit(out, f"fuel {spent}")
@@ -177,7 +192,6 @@ def _agreement_lines(out, left, right, depth, fuel, label):
 
 def cmd_transform(args, out) -> int:
     kind = args.kind
-    reject_unread(args, "transform", kind, TRANSFORM_READERS)
     disagreements = 0
     compared = None  # indices a --verify compared
     if kind == "quine":
@@ -293,7 +307,6 @@ def parse_loop_file(text: str) -> LoopInstance:
 def cmd_loop(args, out) -> int:
     loop = read_file(args.loop, parse_loop_file, "loop")
     op = args.op
-    reject_unread(args, "loop", op, LOOP_READERS)
     status = 0
     if op in ("power", "star"):
         n = args.n if args.n is not None else 1
@@ -415,8 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="run a machine file on an input", parents=[common])
-    p_eval.add_argument("machine")
-    p_eval.add_argument("input", nargs="+", help="literal prefix then `zeros` or `cycle w`")
+    # dests apart from the flags of the same names, which eval never reads
+    p_eval.add_argument("machine_file", metavar="machine")
+    p_eval.add_argument(
+        "input_spec", metavar="input", nargs="+", help="literal prefix then `zeros` or `cycle w`"
+    )
 
     p_tr = sub.add_parser("transform", help="apply a program transformation", parents=[common])
     p_tr.add_argument("kind", choices=("smn", "fix", "inject", "extract", "injrec", "quine"))
@@ -446,8 +462,6 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     args.given = set(vars(args))  # what was parsed, before the defaults fill in
-    for key, value in DEFAULTS.items():
-        vars(args).setdefault(key, value)
     handlers = {
         "eval": cmd_eval,
         "transform": cmd_transform,
@@ -456,6 +470,9 @@ def main(argv=None, out=None) -> int:
         "limsim": cmd_limsim,
     }
     try:
+        reject_unread(args)
+        for key, value in DEFAULTS.items():
+            vars(args).setdefault(key, value)
         return handlers[args.command](args, out)
     except CliError as exc:
         emit(out, f"error: {exc}")

@@ -277,6 +277,9 @@ def _stage_words(n: int):
 
 _word_pool: list = []
 _word_source = (w for n in range(10**9) for w in _stage_words(n))
+# the block heads 3, word + 6, 4 of the pool's first words, as far as a
+# round has needed one; a block is the head, the output's payload and 5
+_head_pool: list = []
 
 
 def candidate_word(k: int) -> Word:
@@ -284,6 +287,14 @@ def candidate_word(k: int) -> Word:
     while len(_word_pool) <= k:
         _word_pool.append(next(_word_source))
     return _word_pool[k]
+
+
+def block_head(k: int) -> Word:
+    """The block head of the k-th candidate word."""
+    while len(_head_pool) <= k:
+        u = candidate_word(len(_head_pool))
+        _head_pool.append((ENTRY_BEGIN, *map(_to_payload, u), ENTRY_SEP))
+    return _head_pool[k]
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +346,21 @@ class MachineName(BufferedStream):
     fair word order (after an optional head, which the decoder skips).
     The machine itself is kept alongside for direct evaluation.
 
-    `raw_apply`, when given, computes the entry emitted for a candidate
-    word; constructions whose machine reads live sources pass a version
-    restricted to finite slices here so the raw face never recurses into
-    itself and never changes as the sources grow.
+    `raw_for_length`, when given, maps a candidate length n to the
+    function (u, fuel) -> v that computes the entry emitted for every
+    candidate u of that length, and is asked once per length (`_raw_at`).
+    Constructions whose machine reads live sources restrict it to the
+    sources' slices of length n, so the raw face never recurses into itself
+    and never changes as the sources grow.
 
-    One producer round, `_round`, applies `raw_apply` to the next candidate
-    and returns the entry's block, which `_extend` queues.  An injected
-    output draining this name runs `_round` itself (`InjectionOutput`): it
-    pays the round's step, then whatever `raw_apply` charges, then the
-    block's symbols, with one `take` and straight into `_buf` when they fit
-    the headroom, else queued here and charged by `charge_run`.
+    One producer round applies its length's raw function to the next
+    candidate and builds its block from the candidate's cached head
+    (`block_head`), the output's payload and 5; `_extend` queues it.
+    `read_rounds` is the one loop of rounds for a run reader that copies
+    what it reads (`InjectionOutput`): each round pays its step, then
+    whatever the raw function charges, then its block's symbols, with one
+    `take` and straight into `_buf` and the reader's buffer when they fit
+    the headroom.
     """
 
     def __init__(
@@ -353,7 +368,7 @@ class MachineName(BufferedStream):
         machine: WordMachine,
         head: Word = (),
         label: str = "",
-        raw_apply=None,
+        raw_for_length=None,
     ):
         super().__init__()
         self.machine = machine
@@ -362,22 +377,78 @@ class MachineName(BufferedStream):
         self.transformer = None  # argument -> NameLike, when this names a transformer
         self.entries = None  # explicit finite graph, when known
         self.graph_complete = False
-        self._raw_apply = raw_apply or machine.apply
+        self._raw_for_length = raw_for_length or (lambda n: machine.apply)
+        self._raw = {}  # candidate length -> its raw function
         self._pending.extend(self.head)
         self._cand = 0
 
     def _extend(self, fuel: Fuel) -> None:
         self._pending.extend(self._round(fuel))
 
-    def _round(self, fuel: Fuel) -> Word:
+    def _raw_at(self, n: int):
+        """The raw function of the candidates of length n."""
+        apply = self._raw.get(n)
+        if apply is None:
+            apply = self._raw[n] = self._raw_for_length(n)
+        return apply
+
+    def _round(self, fuel: Fuel):
         """The block of the next candidate, or () when its entry is empty.
 
-        The round's own step is the caller's; `raw_apply` charges the rest.
+        The round's own step is the caller's; the raw function charges the
+        rest.
         """
-        u = candidate_word(self._cand)
-        v = self._raw_apply(u, fuel)
-        self._cand += 1
-        return encode_entry_block((u, v)) if v else ()
+        k = self._cand
+        u = candidate_word(k)
+        v = (self._raw.get(len(u)) or self._raw_at(len(u)))(u, fuel)
+        self._cand = k + 1
+        return [*block_head(k), *map(_to_payload, v), ENTRY_END] if v else ()
+
+    def read_rounds(self, pos: int, end: int, fuel: Fuel, out) -> tuple:
+        """`read_run` for a reader that appends what it reads to `out`.
+
+        With nothing produced or queued at `pos`, the rounds run here, a
+        tick each.  Every block that fits the headroom is charged with one
+        `take` and appended to `_buf` and to `out`.  The first block that
+        does not fit, or whose round spent the tank, is queued and returned
+        unpaid, (block, 0), for the reader to charge; ((), 0) means that a
+        committed block spent `fuel` itself.  These are a plain
+        `MachineName`'s rounds: subclasses that produce otherwise are read
+        by `read_run`.
+        """
+        buf = self._buf
+        if pos != len(buf) or self._pending:
+            return self.read_run(pos, end, fuel)
+        tick, headroom = fuel.tick, fuel.headroom
+        raw, commit, emit = self._raw, buf.extend, out.extend
+        words, heads = _word_pool, _head_pool
+        k = self._cand - 1
+        while True:
+            tick()
+            k += 1
+            try:
+                u = words[k]
+            except IndexError:
+                u = candidate_word(k)
+            v = (raw.get(len(u)) or self._raw_at(len(u)))(u, fuel)
+            self._cand = k + 1
+            if not v:
+                continue  # nothing to charge: the next round ticks
+            try:
+                head = heads[k]
+            except IndexError:
+                head = block_head(k)
+            block = [*head, *map(_to_payload, v), ENTRY_END]
+            n = len(block)
+            room = headroom()
+            if n > room:
+                self._pending.extend(block)
+                return block, 0
+            fuel.take(n)
+            commit(block)
+            emit(block)
+            if n == room and not fuel.remaining:
+                return (), 0  # the tank's own steps ran out, not an ancestor's
 
 
 class ExplicitName(MachineName):

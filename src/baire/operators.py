@@ -161,7 +161,7 @@ class ProgramName(MachineName):
             memoized_machine(self._apply, label),
             flag_head(flag) + pad,
             label,
-            raw_apply=self._apply,
+            raw_for_length=lambda n: self._apply,
         )
         self.transformer = self.step
 

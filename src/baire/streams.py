@@ -22,11 +22,12 @@ are certified empty (`transform._SilentName`) charges them with it too: its
 A reader that consumes a stream in runs (the decode route, `RawEvalStream`,
 and the injected output, `InjectionOutput`) gets the symbols up to a
 boundary from `Stream.read_run`, paid ones first, and charges and commits
-the unpaid ones it keeps.  These two hot readers also call `take`
-themselves: the decode route pays a run's symbols and its rounds' steps
-with one, and the injected output pays so for each block it produces that
-fits the headroom, committed straight to the buffer.  Every `spent` count
-is therefore the same whichever path a read takes.
+the unpaid ones it keeps.  Two hot paths also call `take` themselves: the
+decode route pays a run's symbols and its rounds' steps with one, and a
+`MachineName` drained by an injected output runs its rounds in one loop,
+`read_rounds`, that pays so for each block that fits the headroom and
+commits it straight to its own buffer and the reader's.  Every `spent`
+count is therefore the same whichever path a read takes.
 
 A chained tank settles lazily (`Fuel`): a charge moves only the tank
 charged last, which pays its ancestors when another tank of its chain is
@@ -551,13 +552,13 @@ class BufferedStream(Stream):
     rounds.  The queued symbols are the dense protocol's `queued()` ones:
     `read_prefix` charges them with `charge_run`, and `read_run` hands them
     to a run reader unpaid, after running rounds, as `at` does, when
-    nothing is produced or queued at the position.  A run reader may run a
-    subclass's rounds itself if it charges them alike: `InjectionOutput`
-    runs a `MachineName`'s, a tick each before the round's own charges,
-    charges each block that fits the headroom with one `take` and appends
-    it to `_buf` itself, and queues one that does not on `_pending` for
-    `charge_run`.  All producer state lives on the instance, so an
-    interrupted query resumes exactly where it stopped.
+    nothing is produced or queued at the position.  A subclass may run its
+    rounds for a run reader in a loop of its own if it charges them alike:
+    `MachineName.read_rounds` ticks before each round's own charges, pays
+    each block that fits the headroom with one `take` and commits it to
+    `_buf`, and queues one that does not on `_pending` for the reader to
+    charge.  All producer state lives on the instance, so an interrupted
+    query resumes exactly where it stopped.
     """
 
     def __init__(self):

@@ -17,22 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .machine import (
-    ENTRY_BEGIN,
     ENTRY_END,
-    ENTRY_SEP,
     PAYLOAD_BASE,
-    GraphEntry,
     MachineName,
     MachineStream,
     WordMachine,
     apply_name,
     apply_name_structured,
+    block_head,
     candidate_word,
     decode_entries,
-    encode_entry_block,
     encode_machine,
     eval_name,
     identity_machine,
@@ -169,9 +167,11 @@ class PairFunctional:
     """A continuous function of a pair, split into parameter and argument.
 
     `apply(param, x, fuel)` returns a word, monotone in the argument prefix
-    and in the parameter source.  Subclasses may add `apply_structured`
-    (lazy, structure-preserving application used by the fixed-point
-    machinery).
+    and in the parameter source.  `bind(param)` is `apply` with the
+    parameter fixed, as (x, fuel) -> word, for arguments of one length:
+    `smn` binds each candidate length's parameter slice once.  Subclasses
+    may add `apply_structured` (lazy, structure-preserving application used
+    by the fixed-point machinery).
 
     `silent(param)` is a certificate for `smn`: True promises that for
     every candidate u, `apply` on the slice of `param` at len(u) returns ()
@@ -187,6 +187,9 @@ class PairFunctional:
 
     def apply(self, param, x: Word, fuel: Fuel) -> Word:
         raise NotImplementedError
+
+    def bind(self, param) -> Callable[[Word, Fuel], Word]:
+        return partial(self.apply, param)
 
     def silent(self, param) -> bool:
         return False
@@ -241,7 +244,9 @@ def transformer_word_prefix(F: PairFunctional, param_word: Word, fuel: Fuel) -> 
         fuel.tick()
         v = F.apply(param_word[: len(u)], u, fuel)
         if v:
-            out.extend(encode_entry_block(GraphEntry(u, v)))
+            out.extend(block_head(k))
+            out.extend(map(PAYLOAD_BASE.__add__, v))
+            out.append(ENTRY_END)
         k += 1
     return tuple(out)
 
@@ -259,24 +264,18 @@ def smn(target) -> NameTransformer:
     label = f"smn({F.label})" if F.label else "smn"
 
     def specialize(param) -> MachineName:
-        slices = {}  # candidate length -> the parameter slice of that length
-
-        def raw_apply(u, fuel):
+        def raw_for_length(n):
             # fix the parameter slice at the candidate's length so emitted
             # blocks never change as the parameter grows; the slice stays a
             # lazy view, so unread parameter components cost nothing, and
-            # the candidates of one length share it
-            n = len(u)
-            piece = slices.get(n)
-            if piece is None:
-                piece = slices[n] = limit_source(param, n)
-            return F.apply(piece, u, fuel)
+            # the candidates of one length share F bound to it
+            return F.bind(limit_source(param, n))
 
         cls = _SilentName if F.silent(param) else MachineName
         name = cls(
             memoized_machine(lambda x, fuel: F.apply(param, x, fuel), label),
             label=label,
-            raw_apply=raw_apply,
+            raw_for_length=raw_for_length,
         )
         if F.apply_structured is not None:
             name.transformer = lambda argument: F.apply_structured(param, argument)
@@ -414,16 +413,14 @@ class InjectionOutput(BufferedStream):
     (`Stream.read_run`): the run's paid symbols are free, its queued ones,
     up to the headroom, are charged and committed by `charge_run`, and the
     stage stops at the symbol, and signals for the tank, where reading one
-    symbol per `at` while the stage has steps would.  When the inner name
-    is a plain `MachineName` with nothing produced or queued at the read
-    position, the stage runs its producer rounds itself
-    (`MachineName._round`), as `read_run` would: each round ticks the stage
-    tank and `raw_apply` charges what it reads to the same tank.  A block
-    that fits the headroom is charged with one `take` and appended to the
-    inner buffer and to the output at once; one that does not, or one whose
-    round spent the stage, is queued on the inner name and charged from
-    there by `charge_run`.  The charges thus keep their order, round by
-    round: tick, apply, block symbols.
+    symbol per `at` while the stage has steps would.  A plain `MachineName`
+    is drained by its own round loop, `read_rounds`, which also appends to
+    this output every block it commits: each round ticks the stage tank,
+    the raw function charges what it reads to the same tank, and a block
+    that fits the headroom is paid with one `take`.  The block that does
+    not fit, or whose round spent the stage, comes back queued on the inner
+    name and is charged from there as any queued run is.  The charges thus
+    keep their order, round by round: tick, apply, block symbols.
     """
 
     def __init__(self, s_source, p_source, label: str = ""):
@@ -468,35 +465,16 @@ class InjectionOutput(BufferedStream):
         try:
             while tank.remaining > 0:
                 pos = self._inner_taken
-                if rounds and pos == len(inner._buf) and not inner._pending:
-                    # the rounds `read_run` would run, run here, a tick each;
-                    # a block that fits the headroom is charged with one take
-                    # and committed to both buffers at once.  Block symbols
-                    # are >= 3, so none is rewritten.  Kept apart from
-                    # `read_run` and `charge_run`: routing these blocks
-                    # through either measured slower on `injrec_extract`
-                    tick, round_, headroom = tank.tick, inner._round, tank.headroom
-                    commit, emit = inner._buf.extend, out.extend
-                    while True:
-                        tick()
-                        run = round_(tank)
-                        n = len(run)
-                        room = headroom()
-                        if n > room:
-                            break  # it does not fit, or its round spent the stage
-                        if n:
-                            tank.take(n)
-                            commit(run)
-                            emit(run)
-                            pos += n
-                            self._inner_taken = pos
-                            if n == room and not tank.remaining:
-                                run = ()  # the stage's own steps ran out
-                                break
+                if rounds:
+                    # block symbols are >= 3, so the committed ones, which
+                    # `read_rounds` appends to `out` too, need no rewrite
+                    start = len(out)
+                    try:
+                        run, paid = inner.read_rounds(pos, pos + tank.remaining, tank, out)
+                    finally:
+                        pos = self._inner_taken = pos + len(out) - start
                     if not run:
                         break  # the committed blocks spent the stage
-                    inner._pending.extend(run)
-                    paid = 0
                 else:
                     # other inner streams (the `inject` kind's `RawEvalStream`,
                     # a `PlanStream`, a `MachineStream`) have no block rounds
@@ -596,12 +574,14 @@ def injection() -> Injection:
 class _ReferencingFunctional(PairFunctional):
     """A<(s, q), p> = f(name of I(s), <q, p>) for a host functional f.
 
-    Every graph candidate of the specialized name applies this to a slice
-    of the same parameter.  The injected name is kept per content key of
-    s, so every split of the parameter shares it.  `smn` hands the
-    candidates of one length one slice object, so `_last` keeps the split
-    of the last (slice, argument length) only: a split made again reads
-    only q symbols read before, which costs no fuel.
+    Splitting a parameter gives the injected name and the q prefix f reads.
+    The injected name is kept per content key of s, so every split of the
+    parameter shares it.  A bound function makes its split at its first
+    call that returns and keeps it, so `smn`, which binds this once to each
+    candidate length's slice, splits each slice once, and a round goes
+    from the bound function straight to f.  Splitting again would read only
+    q symbols read before, which costs no fuel, so the charges are those of
+    splitting at every call.
     """
 
     label = "self-ref"
@@ -610,7 +590,6 @@ class _ReferencingFunctional(PairFunctional):
         self.f = f
         self.inj = inj
         self._names = _KeyedMemo()
-        self._last = (None, None, None)  # (slice, argument length, its split)
 
     @staticmethod
     def _key(s):
@@ -620,19 +599,22 @@ class _ReferencingFunctional(PairFunctional):
             return (_ReferencingFunctional._key(s.base), s.limit)
         return id(s)
 
-    def _split(self, sq, n: int, fuel: Fuel) -> tuple:
-        s, q = split_source(sq)
-        q_pfx = available_prefix(q, n + 1, fuel)
-        return self._names.get(self._key(s), lambda: self.inj.apply(s), s), q_pfx
-
     def apply(self, sq, p_word, fuel):
-        n = len(p_word)
-        last_sq, last_n, split = self._last
-        if last_sq is not sq or last_n != n:
-            split = self._split(sq, n, fuel)
-            self._last = (sq, n, split)
-        injected, q_pfx = split
-        return self.f(injected, interleave_word(q_pfx, p_word), fuel)
+        return self.bind(sq)(p_word, fuel)
+
+    def bind(self, sq):
+        f = self.f
+        injected = q_pfx = None
+
+        def apply(p_word, fuel):
+            nonlocal injected, q_pfx
+            if injected is None:
+                s, q = split_source(sq)
+                q_pfx = available_prefix(q, len(p_word) + 1, fuel)
+                injected = self._names.get(self._key(s), lambda: self.inj.apply(s), s)
+            return f(injected, interleave_word(q_pfx, p_word), fuel)
+
+        return apply
 
 
 class _NamePrefixFunctional(PairFunctional):
@@ -714,9 +696,7 @@ class SelfPairingName(MachineName):
     def _extend(self, fuel: Fuel) -> None:
         u = candidate_word(self._cand)
         if not self._header_done:
-            self._pending.append(ENTRY_BEGIN)
-            self._pending.extend(s + PAYLOAD_BASE for s in u)
-            self._pending.append(ENTRY_SEP)
+            self._pending.extend(block_head(self._cand))
             self._header_done = True
             return
         assert len(u) <= len(self._buf) or not u, "self reference outran buffer"

@@ -14,8 +14,15 @@ from baire.machine import (
     _raw_schedule,
     encode_entry_block,
 )
-from baire.streams import WORD_EDGE, Fuel, NeedMoreFuel, PlanStream, is_prefix
-from baire.transform import InjectionOutput
+from baire.streams import WORD_EDGE, Fuel, NeedMoreFuel, PlanStream, interleave_word, is_prefix
+from baire.transform import (
+    InjectionOutput,
+    PairFunctional,
+    SliceSource,
+    _KeyedMemo,
+    available_prefix,
+    split_source,
+)
 
 
 # --- independent decode/eval oracle -----------------------------------------
@@ -149,6 +156,44 @@ class PerSymbolInjectionOutput(InjectionOutput):
         self._stage += 1
         self._block_emitted = False
         self._stage_spent = 0
+
+
+class LastSplitReferencingFunctional(PairFunctional):
+    """`transform._ReferencingFunctional` as it was before `smn` bound it
+    once per candidate length: every call compares its slice object and
+    argument length with the last call's, and makes the split again when
+    either differs.  Kept as the reference the bound split must equal.
+    """
+
+    label = "self-ref"
+
+    def __init__(self, f, inj):
+        self.f = f
+        self.inj = inj
+        self._names = _KeyedMemo()
+        self._last = (None, None, None)  # (slice, argument length, its split)
+
+    @staticmethod
+    def _key(s):
+        if isinstance(s, tuple):
+            return s
+        if isinstance(s, SliceSource):
+            return (LastSplitReferencingFunctional._key(s.base), s.limit)
+        return id(s)
+
+    def _split(self, sq, n, fuel):
+        s, q = split_source(sq)
+        q_pfx = available_prefix(q, n + 1, fuel)
+        return self._names.get(self._key(s), lambda: self.inj.apply(s), s), q_pfx
+
+    def apply(self, sq, p_word, fuel):
+        n = len(p_word)
+        last_sq, last_n, split = self._last
+        if last_sq is not sq or last_n != n:
+            split = self._split(sq, n, fuel)
+            self._last = (sq, n, split)
+        injected, q_pfx = split
+        return self.f(injected, interleave_word(q_pfx, p_word), fuel)
 
 
 def scanning_extract(w):

@@ -216,7 +216,7 @@ def test_dense_streams_charge_through_one_charger():
     assert _take_callers() == {
         "charge_run",
         "RawEvalStream._extend",
-        "InjectionOutput._extend",
+        "MachineName.read_rounds",
     }
     gone = ("_prefix", "fill", "record_run")
     assert [m for m in gone if hasattr(Stream, m)] == []

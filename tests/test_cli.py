@@ -483,13 +483,53 @@ def test_format_flag_is_a_usage_error():
         (("transform", "quine", "--machine", "MACHINE"), "transform quine reads no --machine"),
         (("transform", "injrec", "--machine", "MACHINE"), "transform injrec reads no --machine"),
         (("transform", "quine", "--input", "1", "zeros"), "transform quine reads no --input"),
+        # global flags that only some commands read
+        (("--seed", "0", "eval", "MACHINE", "1", "zeros"), "eval reads no --seed"),
+        (("eval", "MACHINE", "1", "zeros", "--steps", "2"), "eval reads no --steps"),
+        (("eval", "MACHINE", "1", "zeros", "--seeds", "2"), "eval reads no --seeds"),
+        *(
+            (("loop", op, "LOOP", "--seed", "1"), f"loop {op} reads no --seed")
+            for op in ("power", "star", "omega", "diamond", "infty")
+        ),
+        *(
+            (("--steps", "3", "loop", op, "LOOP"), f"loop {op} reads no --steps")
+            for op in ("power", "star")
+        ),
+        (("--seeds", "3", "loop", "diamond", "LOOP"), "loop diamond reads no --seeds"),
+        (("check", "llpo-id", "--seed", "1"), "check reads no --seed"),
+        (("--steps", "4", "check", "llpo-id"), "check reads no --steps"),
+        (("limsim", "LIMNAT", "--seed", "1"), "limsim reads no --seed"),
+        (("--seeds", "2", "limsim", "LIMNAT"), "limsim reads no --seeds"),
+        (("transform", "injrec", "--seeds", "2"), "transform injrec reads no --seeds"),
+        (("--steps", "3", "transform", "quine"), "transform quine reads no --steps"),
     ],
 )
-def test_unread_flag_is_a_usage_error(argv, message, identity_machine_file, llpo_loop_file):
-    # these flags used to be parsed and ignored by the kinds and operations above
-    files = {"LOOP": llpo_loop_file, "MACHINE": identity_machine_file}
+def test_unread_flag_is_a_usage_error(
+    argv, message, identity_machine_file, llpo_loop_file, limnat_loop_file
+):
+    # these flags used to be parsed and ignored by the commands, kinds and
+    # operations above
+    files = {"LOOP": llpo_loop_file, "LIMNAT": limnat_loop_file, "MACHINE": identity_machine_file}
     code, text = run_cli("--depth", "4", *(files.get(a, a) for a in argv))
     assert (code, text) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("transform", "quine", "--verify"), ("--seed", "0")),
+        (("loop", "omega", "LOOP"), ("--steps", "8")),
+        (("loop", "diamond", "LOOP"), ("--steps", "8")),
+        (("loop", "infty", "LOOP"), ("--steps", "8")),
+        (("limsim", "LIMNAT"), ("--steps", "8")),
+    ],
+)
+def test_global_flags_are_read_where_given(argv, flag, llpo_loop_file, limnat_loop_file):
+    # each at its default value, so the output is the one without the flag
+    files = {"LOOP": llpo_loop_file, "LIMNAT": limnat_loop_file}
+    argv = ("--depth", "4", *(files.get(a, a) for a in argv))
+    assert run_cli(*flag, *argv) == run_cli(*argv)
+    assert run_cli(*argv)[0] != 2
 
 
 def test_usage_error_exits_two():

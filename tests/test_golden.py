@@ -103,6 +103,14 @@ BATTERY = (
     ("loop", "diamond", G + "identity.machine"),
     ("loop", "omega", G + "llpo.loop", "--n", "2"),
     ("--depth", "-1", "eval", G + "identity.machine", "1", "zeros"),
+    # global flags that the subcommand never reads
+    ("--seed", "9", "--depth", "3", "eval", G + "identity.machine", "1", "2", "3", "zeros"),
+    ("--seeds", "5", "--depth", "4", "loop", "power", G + "llpo.loop", "--n", "2"),
+    ("--steps", "3", "--depth", "8", "loop", "star", G + "llpo.loop", "--n", "2"),
+    ("check", "llpo-id", "--seed", "3"),
+    ("--steps", "2", "check", "llpo-id"),
+    ("limsim", G + "limnat.loop", "--seeds", "2"),
+    ("--depth", "8", "transform", "quine", "--verify", "--steps", "4"),
 )
 
 

@@ -14,6 +14,7 @@ from baire.machine import (
     RawEvalStream,
     WordMachine,
     apply_name,
+    block_head,
     candidate_word,
     compose_names,
     decode_entries,
@@ -440,3 +441,42 @@ def test_candidate_enumeration_is_fair():
         seen.add(candidate_word(k))
     for w in [(), (0,), (3,), (0, 1, 2), (2, 2, 2, 2)]:
         assert w in seen
+
+
+# A round builds its candidate's block from the head cached for the candidate
+# (`block_head`), (3, u + 6, 4), the output's payload and 5.  For the first 20 000 candidates
+# and three outputs, each block must equal the generator form of the entry,
+# whether rounds run one at a time (`_round`, which `_extend` queues) or in
+# the loop an injected output drains (`read_rounds`).  An empty output builds
+# no block; its head and 5 are still the generator block of (u, ()).
+
+HEAD_CANDIDATES = 20_000
+ROUND_OUTPUTS = {
+    "empty": lambda u: (),
+    "same": lambda u: u,
+    "longer": lambda u: u + (0, 5, 17),
+}
+
+
+@pytest.mark.parametrize("output", sorted(ROUND_OUTPUTS))
+def test_rounds_build_the_generator_blocks_from_cached_heads(output):
+    v_of = ROUND_OUTPUTS[output]
+    words = [candidate_word(k) for k in range(HEAD_CANDIDATES)]
+    want = [generator_entry_block(GraphEntry(u, v_of(u))) if v_of(u) else () for u in words]
+    for k, u in enumerate(words):
+        assert block_head(k) + (5,) == generator_entry_block(GraphEntry(u, ()))
+
+    def raw(u, fuel):
+        return v_of(u)
+
+    one_by_one = MachineName(WordMachine(raw))
+    assert [tuple(one_by_one._round(Fuel(0))) for _ in words] == want
+    looped, out = MachineName(WordMachine(raw)), []
+    tank = Fuel(HEAD_CANDIDATES + sum(map(len, want)))
+    if output == "empty":  # the tick after the last round signals
+        with pytest.raises(NeedMoreFuel):
+            looped.read_rounds(0, 1, tank, out)
+    else:  # the last round's block spends the tank
+        assert looped.read_rounds(0, 1, tank, out) == ((), 0)
+    assert looped._cand == HEAD_CANDIDATES
+    assert out == looped._buf == [s for block in want for s in block]

@@ -132,3 +132,42 @@ def test_bench_pairs_compares_replay_answers_and_fuel():
     assert bench_pairs.format_replay(answer) == (
         "replay 3 ops: digests DIFFERENT, per-op fuel identical"
     )
+
+
+def _kinds_line(medians):
+    # a `bench/run.py` result line with the `kinds` block of the line before
+    # it, as `bench_line` merges them; `medians` maps a kind to its median_s
+    result = json.loads(_result_line(40.0, 0.005))
+    result["kinds"] = {
+        kind: {"ops": 9, "failed": 0, "median_s": median} for kind, median in medians.items()
+    }
+    return result
+
+
+def test_bench_pairs_summarizes_per_kind_medians_and_wins():
+    bench_pairs = _bench_pairs()
+    ref = [
+        {"extract": 0.070, "fix": 0.005},
+        {"extract": 0.066, "fix": 0.006},
+        {"extract": 0.072, "fix": 0.004},
+    ]
+    tree = [
+        {"extract": 0.052, "fix": 0.005, "quine": 0.001},
+        {"extract": 0.068, "fix": 0.005},
+        {"extract": 0.050, "fix": 0.005},
+    ]
+    pairs = [(_kinds_line(r), _kinds_line(t)) for r, t in zip(ref, tree)]
+    rows = bench_pairs.summarize_kinds(pairs)
+    # a kind some run lacks has no row; a tie is not a win
+    assert rows == [("extract", 0.070, 0.052, 2), ("fix", 0.005, 0.005, 1)]
+    table = bench_pairs.format_kinds(rows, len(pairs)).splitlines()
+    assert table[0].split() == ["kind", "REF", "median_s", "tree", "median_s", "REF/tree", "wins"]
+    assert table[1].split() == ["extract", "0.07", "0.052", "1.346", "2/3"]
+    assert table[2].split() == ["fix", "0.005", "0.005", "1.000", "1/3"]
+    assert json.loads(json.dumps(bench_pairs.kinds_record(rows))) == {
+        "extract": {"ref": 0.070, "tree": 0.052, "wins": 2},
+        "fix": {"ref": 0.005, "tree": 0.005, "wins": 1},
+    }
+    # result lines without a `kinds` block give no rows
+    bare = [(json.loads(_result_line(30.0, 0.01)), json.loads(_result_line(31.0, 0.01)))]
+    assert bench_pairs.summarize_kinds(bare) == []

@@ -42,13 +42,23 @@ from baire.streams import (
 from baire.transform import (
     InjectionOutput,
     SelfPairingName,
+    _NamePrefixFunctional,
+    _ReferencingFunctional,
     _SelfApplication,
     _SilentName,
     const_transformer_name,
+    injection,
     injective_recursion,
+    recursion_T,
     smn,
 )
-from helpers import ChainedFuel, PerSymbolInjectionOutput, PerSymbolRawEval, transducer_machine
+from helpers import (
+    ChainedFuel,
+    LastSplitReferencingFunctional,
+    PerSymbolInjectionOutput,
+    PerSymbolRawEval,
+    transducer_machine,
+)
 
 words = st.lists(st.integers(min_value=0, max_value=30), max_size=8).map(tuple)
 
@@ -800,6 +810,21 @@ def _injected_fixed_point(cls):
     return cls(R.apply(q).s_source, q)
 
 
+def _charging_drop(r_name, x, fuel):
+    # f(R, <q, p>) = p, charging a step for every symbol of <q, p> it reads
+    for _ in x:
+        fuel.tick()
+    return odd_part(x)
+
+
+def _injected_fixed_point_charging(cls):
+    # the fixed point over a host f that charges, so that its rounds charge
+    # the stage tank after their own step and can signal inside a round
+    q = PlanStream((1, 2, 0, 3), ("cycle", (2,)))
+    R = injective_recursion(_charging_drop, "drop-charging")
+    return cls(R.apply(q).s_source, q)
+
+
 def _charging_transducer(seed):
     # a pair transducer that charges a step per symbol it reads
     table = transducer_machine(seed)
@@ -815,7 +840,7 @@ def _charging_transducer(seed):
 def _injected_specialized(cls):
     # a MachineName whose rounds charge the stage tank: smn specializes the
     # charging transducer to the marker source, a PlanStream, so each
-    # round's raw_apply pays for the parameter symbols it reads first and
+    # round's raw function pays for the parameter symbols it reads first and
     # for every symbol the transducer reads, and can signal inside a round
     S = smn(_charging_transducer(5))
     return cls(S.name(), PlanStream((1, 0, 2, 1), ("cycle", (3, 0))))
@@ -835,6 +860,7 @@ INJECTED = {
     "plan": (_injected_plan, 300),
     "raw-eval": (_injected_raw_eval, 70),
     "fixed-point": (_injected_fixed_point, 300),
+    "fixed-point-charging": (_injected_fixed_point_charging, 300),
     "specialized": (_injected_specialized, 300),
 }
 
@@ -874,10 +900,69 @@ def test_run_drain_matches_per_symbol_drain_at_every_budget(kind):
             assert got == want, (budget, shape)
 
 
+# `smn` binds the self-referencing functional once to each candidate length's
+# parameter slice, and the bound function keeps its split (the injected name
+# and the q prefix).  helpers.LastSplitReferencingFunctional, which keeps the
+# split of its last call only and makes it again when the slice or length
+# changes, is the reference.  Over the charging host f, at every budget and
+# tank shape, both fixed points' names must leave the same buffer, queue,
+# candidate, signal and per-tank `spent`, again after a second tank of the
+# same shape resumes, whether an injected output drains the name
+# (`MachineName.read_rounds`) or it is read by `prefix` a round at a time.
+
+
+def _charging_fixed_point_output(functional):
+    # `injective_recursion`'s construction over the given functional class
+    S1 = smn(functional(_charging_drop, injection()))
+    fixed = recursion_T().apply(smn(_NamePrefixFunctional(S1)).name())
+    return InjectionOutput(fixed, PlanStream((1, 2, 0, 3), ("cycle", (2,))))
+
+
+SPLIT_READS = {
+    "drain": lambda out, fuel: out.prefix(300, fuel),
+    "prefix": lambda out, fuel: out._inner_stream().prefix(420, fuel),
+}
+
+
+def _split_read(functional, read, shape, budget):
+    out = _charging_fixed_point_output(functional)
+    states = []
+    for _ in range(2):
+        tanks = _tanks(shape, budget)
+        try:
+            SPLIT_READS[read](out, tanks[0])
+            signal = None
+        except NeedMoreFuel as blocked:
+            signal = _role(blocked.tank, tanks)
+        inner = out._inner
+        states.append(
+            (
+                list(out._buf),
+                list(out._pending),
+                None if inner is None else (list(inner._buf), list(inner._pending), inner._cand),
+                signal,
+                [t.spent for t in tanks],
+            )
+        )
+    return states
+
+
+@pytest.mark.parametrize("read", sorted(SPLIT_READS))
+def test_bound_split_matches_the_last_split_memo_at_every_budget(read):
+    full = Fuel(10**6)
+    SPLIT_READS[read](_charging_fixed_point_output(_ReferencingFunctional), full)
+    assert full.spent > 600
+    for budget in range(full.spent + 2):
+        for shape in TANK_SHAPES:
+            got = _split_read(_ReferencingFunctional, read, shape, budget)
+            want = _split_read(LastSplitReferencingFunctional, read, shape, budget)
+            assert got == want, (budget, shape)
+
+
 # A specialized name whose rounds `_SelfApplication.silent` certifies empty
 # (`transform._SilentName`) runs one round and charges the rest of the
 # headroom with one take.  The same name with its class set back to
-# `MachineName`, over the same `raw_apply`, runs its rounds one at a time
+# `MachineName`, over the same raw functions, runs its rounds one at a time
 # and is the reference: at every budget from 0 past 40 and every tank shape,
 # and again after a second, larger tank of the same shape resumes the read,
 # both must name the same tank, charge every tank alike and stop at the

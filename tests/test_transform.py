@@ -354,7 +354,8 @@ def _referencing_apply(route, sq, x_len):
     """
     A = _ReferencingFunctional(use_name_functional, injection())
     if route == "smn":
-        return smn(A).apply(sq)._raw_apply
+        name = smn(A).apply(sq)
+        return lambda x, fuel: name._raw_at(len(x))(x, fuel)
     piece = SliceSource(sq, 2 * x_len + 2)
     return lambda x, fuel: A.apply(piece, x, fuel)
 
@@ -409,9 +410,9 @@ def test_referencing_slice_memo_keeps_argument_lengths_apart():
         assert kept_raw(p, Fuel(10**5)) == fresh_raw(p, Fuel(10**5))
     # smn hands every candidate of one length the same slice, of that length
     recorder = _Recording()
-    raw = smn(recorder).apply(sq)._raw_apply
+    name = smn(recorder).apply(sq)
     for p in lengths:
-        raw(p, Fuel(10))
+        name._raw_at(len(p))(p, Fuel(10))
     by_length = {}
     for piece, n in recorder.seen:
         assert piece.base is sq and piece.limit == n
@@ -419,7 +420,7 @@ def test_referencing_slice_memo_keeps_argument_lengths_apart():
     assert len({id(piece) for piece in by_length.values()}) == len(by_length) == 3
 
 
-def test_extractions_on_one_R_keep_only_the_last_q_alive():
+def test_extractions_on_one_R_keep_no_q_alive():
     R = injective_recursion(ignore_name_functional, "drop-name")
     held = []
     for seed in range(8):
@@ -429,8 +430,8 @@ def test_extractions_on_one_R_keep_only_the_last_q_alive():
         held.append(weakref.ref(q))
         del q
     gc.collect()
-    # the self-referencing functional keeps its last split, of the last q
-    assert [ref() is None for ref in held] == [True] * 7 + [False]
+    # each split lives with the name its slice was bound for, not on R
+    assert [ref() is None for ref in held] == [True] * 8
 
 
 def test_an_injected_output_is_freed_as_its_last_reference_goes():
