@@ -14,10 +14,12 @@ median time of that kind (the `kinds` block `bench/run.py` prints before its
 result line), and the number of pairs the working tree wins.  Before the
 pairs, `bench/run.py --replay 140` runs once on each side, and the script
 prints whether the two replays give identical answer digests and identical
-per-operation fuel.  With --json it also writes that summary to PATH, with
-the per-kind rows under `kinds`, the replay comparison, REF's commit, the
-workload, the seed and the number of pairs (`BENCH_<label>.json` records a
-claimed gain).  The temporary directory is deleted at the end.
+per-operation fuel; with `--pairs 0` it stops there.  With --json it also
+writes that summary to PATH, with the per-kind rows under `kinds`, the
+replay comparison, REF's commit, the workload, the seed and the number of
+pairs (`BENCH_<label>.json` records a claimed gain).  The temporary
+directory is deleted at the end.  The exit status is 1 when the replays
+differ in an answer digest or a per-operation fuel count, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -220,10 +222,12 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}: ops_per_s REF {ops[0]:.4g} tree {ops[1]:.4g}", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    rows = summarize(pairs, end_to_end)
-    print(format_rows(rows, len(pairs)))
-    kind_rows = summarize_kinds(pairs)
-    print(format_kinds(kind_rows, len(pairs)))
+    rows = kind_rows = []
+    if pairs:
+        rows = summarize(pairs, end_to_end)
+        print(format_rows(rows, len(pairs)))
+        kind_rows = summarize_kinds(pairs)
+        print(format_kinds(kind_rows, len(pairs)))
     if args.json is not None:
         commit = subprocess.run(
             ["git", "rev-parse", args.ref], cwd=ROOT, capture_output=True, text=True, check=True
@@ -234,7 +238,7 @@ def main(argv=None) -> int:
         record["kinds"] = kinds_record(kind_rows)
         record["replay"] = replay
         args.json.write_text(json.dumps(record, indent=2) + "\n")
-    return 0
+    return 0 if replay["digests_identical"] and replay["fuel_identical"] else 1
 
 
 if __name__ == "__main__":

@@ -277,8 +277,7 @@ def _stage_words(n: int):
 
 _word_pool: list = []
 _word_source = (w for n in range(10**9) for w in _stage_words(n))
-# the block heads 3, word + 6, 4 of the pool's first words, as far as a
-# round has needed one; a block is the head, the output's payload and 5
+# the block heads 3, word + 6, 4 of the pool's first words, as far as needed
 _head_pool: list = []
 
 
@@ -295,6 +294,16 @@ def block_head(k: int) -> Word:
         u = candidate_word(len(_head_pool))
         _head_pool.append((ENTRY_BEGIN, *map(_to_payload, u), ENTRY_SEP))
     return _head_pool[k]
+
+
+def candidate_block(k: int, v: Word) -> list:
+    """The block of the k-th candidate word with output v, which every
+    enumerated graph emits: the cached head, v's payload and 5."""
+    try:
+        head = _head_pool[k]
+    except IndexError:
+        head = block_head(k)
+    return [*head, *map(_to_payload, v), ENTRY_END]
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +363,16 @@ class MachineName(BufferedStream):
     and never changes as the sources grow.
 
     One producer round applies its length's raw function to the next
-    candidate and builds its block from the candidate's cached head
-    (`block_head`), the output's payload and 5; `_extend` queues it.
+    candidate and builds its block (`candidate_block`); `_extend` queues it.
     `read_rounds` is the one loop of rounds for a run reader that copies
     what it reads (`InjectionOutput`): each round pays its step, then
     whatever the raw function charges, then its block's symbols, with one
     `take` and straight into `_buf` and the reader's buffer when they fit
     the headroom.
+
+    The caches that describe a name live on it and go with it: its raw
+    functions per length (`_raw`) and `self_value`, its structured value on
+    itself, which a uniform fixed point's self-application keeps there.
     """
 
     def __init__(
@@ -372,14 +384,14 @@ class MachineName(BufferedStream):
     ):
         super().__init__()
         self.machine = machine
-        self.head = tuple(head)
         self.label = label or machine.label
         self.transformer = None  # argument -> NameLike, when this names a transformer
         self.entries = None  # explicit finite graph, when known
+        self.self_value = None  # U_self(self), once a fixed point has read it
         self.graph_complete = False
         self._raw_for_length = raw_for_length or (lambda n: machine.apply)
         self._raw = {}  # candidate length -> its raw function
-        self._pending.extend(self.head)
+        self._pending.extend(head)
         self._cand = 0
 
     def _extend(self, fuel: Fuel) -> None:
@@ -402,7 +414,7 @@ class MachineName(BufferedStream):
         u = candidate_word(k)
         v = (self._raw.get(len(u)) or self._raw_at(len(u)))(u, fuel)
         self._cand = k + 1
-        return [*block_head(k), *map(_to_payload, v), ENTRY_END] if v else ()
+        return candidate_block(k, v) if v else ()
 
     def read_rounds(self, pos: int, end: int, fuel: Fuel, out) -> tuple:
         """`read_run` for a reader that appends what it reads to `out`.
@@ -421,7 +433,7 @@ class MachineName(BufferedStream):
             return self.read_run(pos, end, fuel)
         tick, headroom = fuel.tick, fuel.headroom
         raw, commit, emit = self._raw, buf.extend, out.extend
-        words, heads = _word_pool, _head_pool
+        words, block_of = _word_pool, candidate_block
         k = self._cand - 1
         while True:
             tick()
@@ -434,11 +446,7 @@ class MachineName(BufferedStream):
             self._cand = k + 1
             if not v:
                 continue  # nothing to charge: the next round ticks
-            try:
-                head = heads[k]
-            except IndexError:
-                head = block_head(k)
-            block = [*head, *map(_to_payload, v), ENTRY_END]
+            block = block_of(k, v)
             n = len(block)
             room = headroom()
             if n > room:

@@ -83,7 +83,8 @@ from .streams import (
 from .transform import injective_recursion
 
 # head-flag guard: the symbol after the flag terminates any entry a flag
-# value of 3 would accidentally begin, so flags never disturb decoding
+# value of 3 would accidentally begin, so flags never disturb decoding (the
+# codec's entry end; only machine.py names it, and a contract test pins it)
 FLAG_GUARD = 5
 
 

@@ -21,14 +21,13 @@ from functools import partial
 from typing import Callable, Optional
 
 from .machine import (
-    ENTRY_END,
-    PAYLOAD_BASE,
     MachineName,
     MachineStream,
     WordMachine,
     apply_name,
     apply_name_structured,
     block_head,
+    candidate_block,
     candidate_word,
     decode_entries,
     encode_machine,
@@ -130,29 +129,6 @@ def split_source(pair_like):
     return unpair_stream(pair_like)
 
 
-class _KeyedMemo:
-    """Values built once per key, for as long as the memo lives.
-
-    A key may name a stream by its id, so each entry keeps the objects
-    given with it alive and their ids are never reused while it stands.  A
-    build that raises (a fuel signal, say) stores nothing.  The values kept
-    are structures whose later reads are cached on them (a specialized
-    name, a self-value, an injected name), so building one again would
-    charge those reads again.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self):
-        self._table = {}
-
-    def get(self, key, build: Callable, *alive):
-        got = self._table.get(key)
-        if got is None:
-            got = self._table[key] = (build(), alive)
-        return got[0]
-
-
 def join_sources(left, right):
     if isinstance(left, tuple) and isinstance(right, tuple):
         return interleave_word(left, right)
@@ -180,6 +156,10 @@ class PairFunctional:
     specialized name then costs exactly two steps and produces nothing, so
     `smn` charges them in bulk (`_SilentName`).  False, the default,
     promises nothing.
+
+    What a functional builds for a parameter is cached with what it
+    describes: on the parameter name (`MachineName.self_value`), in the
+    function `bind` returns, or in a dict keyed by the word or stream.
     """
 
     label = ""
@@ -244,9 +224,7 @@ def transformer_word_prefix(F: PairFunctional, param_word: Word, fuel: Fuel) -> 
         fuel.tick()
         v = F.apply(param_word[: len(u)], u, fuel)
         if v:
-            out.extend(block_head(k))
-            out.extend(map(PAYLOAD_BASE.__add__, v))
-            out.append(ENTRY_END)
+            out.extend(candidate_block(k, v))
         k += 1
     return tuple(out)
 
@@ -319,11 +297,11 @@ class _SelfApplication(PairFunctional):
 
     label = "self-apply"
 
-    def __init__(self):
-        self._inner = _KeyedMemo()
-
-    def _self_value(self, u):
-        return self._inner.get(id(u), lambda: apply_name_structured(u, u), u)
+    @staticmethod
+    def _self_value(u: MachineName):  # a stream u is a fixed point's V(p)
+        if u.self_value is None:
+            u.self_value = apply_name_structured(u, u)
+        return u.self_value
 
     def apply(self, u, z, fuel):
         w = word_face(u, fuel)
@@ -350,11 +328,15 @@ class _ApplyThroughSpecializer(PairFunctional):
 
     def __init__(self, specializer: NameTransformer):
         self.specializer = specializer
-        self._cache = _KeyedMemo()
+        self._cache = {}  # word u -> its specialized name
 
     def _specialized(self, u):
-        key = u if isinstance(u, tuple) else id(u)
-        return self._cache.get(key, lambda: self.specializer.apply(u), u)
+        if not isinstance(u, tuple):  # V(p), specialized once, for its self-value
+            return self.specializer.apply(u)
+        got = self._cache.get(u)
+        if got is None:
+            got = self._cache[u] = self.specializer.apply(u)
+        return got
 
     def apply(self, p, u, fuel):
         p_word = word_face(p, fuel)
@@ -575,7 +557,9 @@ class _ReferencingFunctional(PairFunctional):
     """A<(s, q), p> = f(name of I(s), <q, p>) for a host functional f.
 
     Splitting a parameter gives the injected name and the q prefix f reads.
-    The injected name is kept per content key of s, so every split of the
+    The injected name is kept in `_names`, keyed by s itself (words hash by
+    content, streams by identity, and the dict keeps its stream keys alive)
+    or, for a slice, by its base's key and its limit, so every split of the
     parameter shares it.  A bound function makes its split at its first
     call that returns and keeps it, so `smn`, which binds this once to each
     candidate length's slice, splits each slice once, and a round goes
@@ -589,15 +573,13 @@ class _ReferencingFunctional(PairFunctional):
     def __init__(self, f, inj: Injection):
         self.f = f
         self.inj = inj
-        self._names = _KeyedMemo()
+        self._names = {}
 
     @staticmethod
     def _key(s):
-        if isinstance(s, tuple):
-            return s
         if isinstance(s, SliceSource):
             return (_ReferencingFunctional._key(s.base), s.limit)
-        return id(s)
+        return s
 
     def apply(self, sq, p_word, fuel):
         return self.bind(sq)(p_word, fuel)
@@ -611,7 +593,10 @@ class _ReferencingFunctional(PairFunctional):
             if injected is None:
                 s, q = split_source(sq)
                 q_pfx = available_prefix(q, len(p_word) + 1, fuel)
-                injected = self._names.get(self._key(s), lambda: self.inj.apply(s), s)
+                key = self._key(s)
+                injected = self._names.get(key)
+                if injected is None:
+                    injected = self._names[key] = self.inj.apply(s)
             return f(injected, interleave_word(q_pfx, p_word), fuel)
 
         return apply
@@ -685,25 +670,24 @@ class SelfPairingName(MachineName):
     so far always outrun the prefix the next output needs.
     """
 
-    def __init__(self, transform=None, head: Word = (), label: str = "quine"):
-        self._transform = transform or (lambda w: w)
+    def __init__(self):
         self._header_done = False
-        super().__init__(WordMachine(self._apply, label), head, label)
+        super().__init__(WordMachine(self._apply, "quine"))
 
     def _apply(self, x: Word, fuel: Fuel) -> Word:
-        return interleave_word(self.prefix(len(x), fuel), self._transform(x))
+        return interleave_word(self.prefix(len(x), fuel), x)
 
     def _extend(self, fuel: Fuel) -> None:
-        u = candidate_word(self._cand)
+        k = self._cand
         if not self._header_done:
-            self._pending.extend(block_head(self._cand))
+            self._pending.extend(block_head(k))
             self._header_done = True
             return
+        u = candidate_word(k)
         assert len(u) <= len(self._buf) or not u, "self reference outran buffer"
-        v = self._apply(u, fuel)
-        self._pending.extend(s + PAYLOAD_BASE for s in v)
-        self._pending.append(ENTRY_END)
-        self._cand += 1
+        block = candidate_block(k, self._apply(u, fuel))
+        self._pending.extend(block[len(block_head(k)) :])  # the head is queued
+        self._cand = k + 1
         self._header_done = False
 
 

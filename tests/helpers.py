@@ -6,6 +6,7 @@ paths they check.
 """
 
 import random
+from typing import Callable
 
 from baire.machine import (
     GraphEntry,
@@ -19,7 +20,6 @@ from baire.transform import (
     InjectionOutput,
     PairFunctional,
     SliceSource,
-    _KeyedMemo,
     available_prefix,
     split_source,
 )
@@ -156,6 +156,31 @@ class PerSymbolInjectionOutput(InjectionOutput):
         self._stage += 1
         self._block_emitted = False
         self._stage_spent = 0
+
+
+# the memo `transform` used before its caches moved onto what they describe;
+# the frozen reference below still keys its injected names with it
+class _KeyedMemo:
+    """Values built once per key, for as long as the memo lives.
+
+    A key may name a stream by its id, so each entry keeps the objects
+    given with it alive and their ids are never reused while it stands.  A
+    build that raises (a fuel signal, say) stores nothing.  The values kept
+    are structures whose later reads are cached on them (a specialized
+    name, a self-value, an injected name), so building one again would
+    charge those reads again.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self):
+        self._table = {}
+
+    def get(self, key, build: Callable, *alive):
+        got = self._table.get(key)
+        if got is None:
+            got = self._table[key] = (build(), alive)
+        return got[0]
 
 
 class LastSplitReferencingFunctional(PairFunctional):

@@ -20,6 +20,10 @@ class only, so a stream class overriding either would read outside the
 `streams.prefix` and `streams.determined_prefix` spans without a trace.
 Dense streams are read and charged through one charger, `charge_run`, so
 no stream class brings back a bulk reader of its own.
+
+Graph blocks are built in one place, `machine.py`: no other library module
+names the codec's block-format constants.  `transform` keeps no memo class
+of its own; its caches live with the objects they describe.
 """
 
 import ast
@@ -221,3 +225,41 @@ def test_dense_streams_charge_through_one_charger():
     gone = ("_prefix", "fill", "record_run")
     assert [m for m in gone if hasattr(Stream, m)] == []
     assert _stream_classes_defining(gone) == []
+
+
+BLOCK_FORMAT = {"ENTRY_BEGIN", "ENTRY_SEP", "ENTRY_END", "PAYLOAD_BASE"}
+
+
+def _block_format_files():
+    """The library files that name a block-format constant, imports included."""
+    files = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in BLOCK_FORMAT:
+                files.add(path.name)
+    return files
+
+
+def test_only_the_codec_names_the_block_format():
+    assert _block_format_files() == {"machine.py"}
+
+
+def test_the_flag_guard_is_the_entry_end():
+    from baire import machine, operators
+
+    # the symbol after a head flag ends any entry a flag of 3 would begin
+    assert operators.FLAG_GUARD == machine.ENTRY_END
+
+
+def test_transform_keeps_no_memo_class():
+    import baire.transform
+
+    assert not hasattr(baire.transform, "_KeyedMemo")

@@ -171,3 +171,47 @@ def test_bench_pairs_summarizes_per_kind_medians_and_wins():
     # result lines without a `kinds` block give no rows
     bare = [(json.loads(_result_line(30.0, 0.01)), json.loads(_result_line(31.0, 0.01)))]
     assert bench_pairs.summarize_kinds(bare) == []
+
+
+def _full_result_line(value):
+    # a `bench/run.py` result line carrying every end-to-end metric
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    return {"correct": True, "metrics": {name: {"value": value} for name in names}}
+
+
+def _main_on_canned_runs(monkeypatch, ref_replay, tree_replay, pairs):
+    """bench_pairs.main with --pairs `pairs` on canned replay and result lines,
+    no checkout extracted and no benchmark run: (exit status, runs made)."""
+    bench_pairs = _bench_pairs()
+    runs = []
+    monkeypatch.setattr(bench_pairs, "extract", lambda ref, into: None)
+
+    def run_replay(checkout, workload, seed):
+        return json.loads(tree_replay if checkout == bench_pairs.ROOT else ref_replay)
+
+    def run_bench(checkout, workload, seed, seconds):
+        runs.append(checkout)
+        return _full_result_line(1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_replay", run_replay)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    argv = ["HEAD", "--workload", "transform", "--pairs", str(pairs)]
+    return bench_pairs.main(argv), runs
+
+
+def test_bench_pairs_with_zero_pairs_stops_after_the_replay(monkeypatch, capsys):
+    same = _replay_line(["a1", "b2"], [10, 7])
+    status, runs = _main_on_canned_runs(monkeypatch, same, same, 0)
+    assert (status, runs) == (0, [])
+    assert capsys.readouterr().out == "replay 2 ops: digests identical, per-op fuel identical\n"
+
+
+@pytest.mark.parametrize("pairs", [0, 2])
+@pytest.mark.parametrize(
+    "tree", [_replay_line(["a1", "b2"], [9, 8]), _replay_line(["a1", "xx"], [10, 7])],
+    ids=["fuel", "digest"],
+)
+def test_bench_pairs_exits_1_when_the_replays_differ(monkeypatch, capsys, tree, pairs):
+    status, runs = _main_on_canned_runs(monkeypatch, _replay_line(["a1", "b2"], [10, 7]), tree, pairs)
+    assert (status, len(runs)) == (1, 2 * pairs)
+    assert "DIFFERENT" in capsys.readouterr().out.splitlines()[0]

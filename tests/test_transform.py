@@ -152,6 +152,27 @@ def test_fixed_point_seeded_total_transformers(seed):
     common_agree(lhs, rhs, min_len=floor)
 
 
+def _live_machine_names():
+    gc.collect()
+    return sum(isinstance(o, MachineName) for o in gc.get_objects())
+
+
+def test_fixed_points_on_one_T_keep_no_names_alive():
+    # the caches a fixed point fills live on its own names, so dropping the
+    # fixed point frees them; T keeps only what its word caches hold, which
+    # the first fixed points read in full
+    T = recursion_T()
+    live = []
+    for i in range(60):
+        noise = tuple((i // 3**j) % 3 for j in range(4))
+        fixed = T.apply(dummy_prefix_transformer_name(noise))
+        determined(eval_stream(fixed, seeded_plan_stream(i)), 8, budget=25_000)
+        del fixed
+        if i % 10 == 9:
+            live.append(_live_machine_names())
+    assert live == [live[0]] * 6
+
+
 # `_SelfApplication.silent(w)` certifies a word parameter whose self-value
 # decodes to entries without output, so that every round of D(w) = smn(G)(w)
 # is empty and costs two steps.  The rounds are run one by one on the plain
