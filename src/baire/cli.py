@@ -8,6 +8,8 @@ error, 3 undetermined-only outcomes under --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 
 from .machine import eval_stream, parse_machine_text, parse_natural
@@ -401,7 +403,9 @@ def cmd_limsim(args, out) -> int:
 # argument plumbing
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     # the common flags may come before or after the subcommand; SUPPRESS
     # keeps an unset subcommand-level flag from shadowing a set global one
     common = argparse.ArgumentParser(add_help=False)
@@ -455,10 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
+    """Run one command and return its exit code.  Results and help go to out
+    (default stdout), usage errors to stderr; the parser is built once."""
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # argparse prints help to stdout
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     args.given = set(vars(args))  # what was parsed, before the defaults fill in

@@ -24,6 +24,9 @@ no stream class brings back a bulk reader of its own.
 Graph blocks are built in one place, `machine.py`: no other library module
 names the codec's block-format constants.  `transform` keeps no memo class
 of its own; its caches live with the objects they describe.
+
+The `check` workload replays CLI runs in one process, so `cli.main` builds
+its argument parser on its first call only.
 """
 
 import ast
@@ -263,3 +266,25 @@ def test_transform_keeps_no_memo_class():
     import baire.transform
 
     assert not hasattr(baire.transform, "_KeyedMemo")
+
+
+def test_cli_builds_its_parser_once(monkeypatch):
+    import argparse
+    import io
+
+    from baire import cli
+
+    machine = ROOT / "tests" / "golden" / "identity.machine"
+    argv = ["--depth", "3", "eval", str(machine), "1", "zeros"]
+    assert cli.main(argv, out=io.StringIO()) == 0  # warm-up: may build the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(20):
+        assert cli.main(argv, out=io.StringIO()) == 0
+    assert built == []

@@ -537,6 +537,23 @@ def test_usage_error_exits_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("check", "--help"), ("loop", "-h")])
+def test_help_goes_to_out(argv, capsys):
+    # argparse prints help to sys.stdout, which used to bypass `out`
+    code, text = run_cli(*argv)
+    assert code == 0
+    assert text.startswith("usage: baire")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_parse_errors_go_to_stderr(capsys):
+    code, text = run_cli("--depth", "-1", "check", "llpo-id")
+    assert (code, text) == (2, "")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: baire")
+
+
 @pytest.mark.parametrize("before_command", [True, False])
 @pytest.mark.parametrize("flag", ["--depth", "--fuel", "--seed", "--steps", "--seeds"])
 def test_negative_numeric_flag_exits_two(flag, before_command):

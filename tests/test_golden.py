@@ -11,11 +11,12 @@ import contextlib
 import io
 import os
 import pathlib
+import re
 from unittest import mock
 
 import pytest
 
-from baire.cli import main
+from baire.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROOT = GOLDEN.parent.parent
@@ -119,18 +120,31 @@ def battery_text() -> str:
 
     COLUMNS pins argparse's line wrapping to a terminal-independent width.
     """
-    blocks = []
-    for argv in BATTERY:
-        out = io.StringIO()
-        with contextlib.redirect_stderr(out), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-            code = main(list(argv), out=out)
-        blocks.append(f"$ {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
-    return "".join(blocks)
+    return "".join(map(battery_block, BATTERY))
+
+
+def battery_block(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stderr(out), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        code = main(list(argv), out=out)
+    return f"$ {' '.join(argv)}\n{out.getvalue()}exit {code}\n"
 
 
 def test_golden_cli_battery(monkeypatch):
     monkeypatch.chdir(ROOT)
     assert battery_text() == (GOLDEN / "cli_battery.txt").read_text()
+
+
+def test_shared_parser_carries_nothing_between_calls(monkeypatch):
+    # one parser serves every call in a process; the battery backwards (its
+    # usage errors first), then forwards, still gives each argv its block
+    monkeypatch.chdir(ROOT)
+    assert build_parser() is build_parser()
+    golden = re.split(r"(?m)^(?=\$ )", (GOLDEN / "cli_battery.txt").read_text())[1:]
+    assert len(golden) == len(BATTERY)
+    backward = [battery_block(argv) for argv in reversed(BATTERY)]
+    assert backward[::-1] == golden
+    assert [battery_block(argv) for argv in BATTERY] == golden
 
 
 if __name__ == "__main__":
