@@ -2,10 +2,13 @@
 
     python scripts/bench_pairs.py REF --workload W --pairs N --seed S [--seconds T] [--json PATH]
 
-REF is extracted with `git archive` into a temporary directory (the
-repository's `.git` is only read), and `bench/run.py --trace 0` runs N
-times on REF and N times on the working tree, one run of each per pair,
-with the side that runs first alternating from pair to pair.  For every
+Both sides run from fresh copies side by side in one temporary directory,
+so that they differ only in their files: REF extracted with `git archive`
+(the repository's `.git` is only read), and the working tree as a copy of
+its tracked files and its untracked files that git does not ignore.
+`bench/run.py --trace 0` runs N times on REF and N times on the working
+tree, one run of each per pair, with the side that runs first alternating
+from pair to pair.  For every
 end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the number of pairs the working tree wins, and whether the
 medians lie further apart than REF's interquartile range.  For every
@@ -161,7 +164,21 @@ def extract(ref: str, into: Path) -> None:
         ["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into)
+        tar.extractall(into, filter="data")
+
+
+def copy_tree(into: Path, root: Path = ROOT) -> None:
+    """Copy the working tree's tracked files, and its untracked files that
+    git does not ignore, from `root` to `into`."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = root / name
+        if source.is_file():  # a tracked file deleted in the tree is skipped
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def bench_line(checkout: Path, *argv) -> dict:
@@ -207,17 +224,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    ref_dir, tree_dir = scratch / "ref", scratch / "tree"
     try:
-        extract(args.ref, scratch)
+        extract(args.ref, ref_dir)
+        copy_tree(tree_dir)
         replay = compare_replays(
-            *(run_replay(c, args.workload, args.seed) for c in (scratch, ROOT))
+            *(run_replay(c, args.workload, args.seed) for c in (ref_dir, tree_dir))
         )
         print(format_replay(replay), flush=True)
         pairs = []
         for i in range(args.pairs):
-            order = (scratch, ROOT) if i % 2 == 0 else (ROOT, scratch)
+            order = (ref_dir, tree_dir) if i % 2 == 0 else (tree_dir, ref_dir)
             runs = {c: run_bench(c, args.workload, args.seed, args.seconds) for c in order}
-            pairs.append((runs[scratch], runs[ROOT]))
+            pairs.append((runs[ref_dir], runs[tree_dir]))
             ops = [p["metrics"]["ops_per_s"]["value"] for p in pairs[-1]]
             print(f"pair {i + 1}: ops_per_s REF {ops[0]:.4g} tree {ops[1]:.4g}", flush=True)
     finally:

@@ -275,35 +275,33 @@ def _stage_words(n: int):
                 yield w
 
 
+# the candidate words read so far and, index for index, their block heads
+# 3, word + 6, 4; a round reads its word before it builds its block
 _word_pool: list = []
-_word_source = (w for n in range(10**9) for w in _stage_words(n))
-# the block heads 3, word + 6, 4 of the pool's first words, as far as needed
 _head_pool: list = []
+_word_source = (w for n in range(10**9) for w in _stage_words(n))
 
 
 def candidate_word(k: int) -> Word:
     """k-th word of the fair enumeration (stage = length + largest symbol)."""
     while len(_word_pool) <= k:
-        _word_pool.append(next(_word_source))
+        u = next(_word_source)
+        _word_pool.append(u)
+        _head_pool.append((ENTRY_BEGIN, *map(_to_payload, u), ENTRY_SEP))
     return _word_pool[k]
 
 
 def block_head(k: int) -> Word:
     """The block head of the k-th candidate word."""
-    while len(_head_pool) <= k:
-        u = candidate_word(len(_head_pool))
-        _head_pool.append((ENTRY_BEGIN, *map(_to_payload, u), ENTRY_SEP))
+    if len(_head_pool) <= k:
+        candidate_word(k)
     return _head_pool[k]
 
 
 def candidate_block(k: int, v: Word) -> list:
-    """The block of the k-th candidate word with output v, which every
-    enumerated graph emits: the cached head, v's payload and 5."""
-    try:
-        head = _head_pool[k]
-    except IndexError:
-        head = block_head(k)
-    return [*head, *map(_to_payload, v), ENTRY_END]
+    """The block of the k-th candidate word, once read, with output v, which
+    every enumerated graph emits: the pooled head, v's payload and 5."""
+    return [*_head_pool[k], *map(_to_payload, v), ENTRY_END]
 
 
 # ---------------------------------------------------------------------------

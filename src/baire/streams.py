@@ -30,10 +30,10 @@ commits it straight to its own buffer and the reader's.  Every `spent`
 count is therefore the same whichever path a read takes.
 
 A chained tank settles lazily (`Fuel`): a charge moves only the tank
-charged last, which pays its ancestors when another tank of its chain is
-charged or asked for its headroom, or when a count is read.  So a run of
-ticks on a deep chain costs what ticks on a root tank cost, and a stage of
-the injected output is a plain child tank.
+charged last, the process's one open tank, which pays its ancestors when
+any other tank is charged or asked for its headroom, or when a count is
+read.  So ticks on a deep chain cost what ticks on a root tank cost, and a
+stage of the injected output is a plain child tank.
 
 A stream read at mapped indices is the one view, `MappedView`: a pair's
 `halves`, a tuple's components (`project`) and a shifted stream.  It is
@@ -72,56 +72,41 @@ class Fuel:
     Cached reads are free, so resuming an interrupted computation replays
     cheaply and deterministically.
 
-    A chain is charged lazily.  The tank charged last is its root's open
-    tank, and a `tick` or `take` on it moves only its own count, against a
-    limit fixed when it was opened: its count then plus the chain's
-    headroom then.  What it spent since is paid to its ancestors when
-    another tank of the chain is charged or asked for its headroom, or when
-    any tank's `spent` or `remaining` is read.  Grants, counts and the tank
-    a signal names are those of charging the whole chain on every step.
+    A chain is charged lazily.  The tank charged last is the process's one
+    open tank (module state, with its limit), and a `tick` or `take` on it
+    moves only its own count, against a limit fixed when it was opened: its
+    count then plus the chain's headroom then.  What it spent since is paid
+    to its ancestors when any other tank is charged or asked for its
+    headroom, or when any tank's `spent` or `remaining` is read.  Grants,
+    counts and the tank a signal names are those of charging the whole
+    chain on every step, and a tank refers to no tank but its parent.
     """
 
-    __slots__ = ("steps", "parent", "_spent", "_mark", "_root", "_open", "_limit")
+    __slots__ = ("steps", "parent", "_spent", "_mark")
 
     def __init__(self, steps: int, parent: Optional["Fuel"] = None):
         self.steps = steps
         self.parent = parent
         self._spent = 0
         self._mark = 0  # `_spent` when the ancestors were last paid
-        if parent is None:
-            self._root = self._open = self
-            self._limit = steps
-        else:
-            self._root = parent._root
 
     @property
     def spent(self) -> int:
-        self._root._settle()
+        _settle()
         return self._spent
 
     @property
     def remaining(self) -> int:
-        self._root._settle()
+        _settle()
         return self.steps - self._spent
 
-    def _settle(self) -> None:
-        """On a root: pay the open tank's ancestors what it spent since."""
-        tank = self._open
-        due = tank._spent - tank._mark
-        if due:
-            tank._mark = tank._spent
-            tank = tank.parent
-            while tank is not None:
-                tank._spent += due
-                tank = tank.parent
-
     def _reopen(self) -> None:
-        """Settle the chain and make this tank its root's open tank."""
-        root = self._root
-        root._settle()
-        root._open = self
+        """Settle the open tank's chain and make this tank the open tank."""
+        global _open, _limit
+        _settle()
+        _open = self
         self._mark = self._spent
-        root._limit = self._spent + self._room()
+        _limit = self._spent + self._room()
 
     def _room(self) -> int:
         """The smallest remaining on the settled chain."""
@@ -135,15 +120,14 @@ class Fuel:
         return room
 
     def tick(self) -> None:
-        root = self._root
-        if root._open is not self:
+        if _open is not self:
             self._reopen()
-        if self._spent < root._limit:
+        if self._spent < _limit:
             self._spent += 1
             return
         # nothing is charged, so an exhausted budget records no phantom
         # work and resumption stays exact
-        root._settle()
+        _settle()
         exhausted = None
         tank = self
         while tank is not None:
@@ -157,10 +141,9 @@ class Fuel:
 
         This many one-step ticks in a row succeed, and the next one raises.
         """
-        root = self._root
-        if root._open is self:
-            return root._limit - self._spent
-        root._settle()
+        if _open is self:
+            return _limit - self._spent
+        _settle()
         return self._room()
 
     def take(self, n: int) -> int:
@@ -171,16 +154,31 @@ class Fuel:
         row.  After a short grant the next `tick()` raises for the same tank
         the one-step path would have named.
         """
-        root = self._root
-        if root._open is not self:
+        if _open is not self:
             self._reopen()
-        grant = root._limit - self._spent
+        grant = _limit - self._spent
         if n < grant:
             grant = n
         if grant <= 0:
             return 0
         self._spent += grant
         return grant
+
+
+def _settle() -> None:
+    """Pay the open tank's ancestors what it spent since they were last paid."""
+    tank = _open
+    due = tank._spent - tank._mark
+    if due:
+        tank._mark = tank._spent
+        tank = tank.parent
+        while tank is not None:
+            tank._spent += due
+            tank = tank.parent
+
+
+_open = Fuel(0)  # the tank charged last; this first one never is
+_limit = 0  # `_open`'s count at which the next tick signals
 
 
 FuelLike = Union[Fuel, int, None]

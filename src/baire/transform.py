@@ -154,8 +154,8 @@ class PairFunctional:
     after exactly one `apply_name` call on a word (its tick, then the
     nesting check) and charges or reads nothing else.  Every round of the
     specialized name then costs exactly two steps and produces nothing, so
-    `smn` charges them in bulk (`_SilentName`).  False, the default,
-    promises nothing.
+    `smn` runs the first one only, on candidate 0, and charges the others
+    in bulk (`_SilentName`).  False, the default, promises nothing.
 
     What a functional builds for a parameter is cached with what it
     describes: on the parameter name (`MachineName.self_value`), in the
@@ -270,16 +270,18 @@ class _SilentName(MachineName):
     (`PairFunctional.silent`): each costs two steps, the round's own and
     `apply_name`'s, and queues nothing.
 
-    `_extend` runs one real round, which keeps `apply_name`'s tick and
-    nesting check, and then charges the rest of the headroom with one
-    `charge_run`.  `commit(n)` takes the n charged steps as round steps and
-    moves the candidate past the n // 2 rounds they pay in full.  The short
-    grant then ticks for the tank the round-by-round path names, with every
+    `_extend` runs the next round as the round on candidate 0, which is
+    alike and reads no word, so it keeps `apply_name`'s tick and nesting
+    check; then it charges the rest of the headroom with one `charge_run`.
+    `commit(n)` takes the n charged steps as round steps and moves the
+    candidate past the n // 2 rounds they pay in full.  The short grant
+    then ticks for the tank the round-by-round path names, with every
     tank's `spent` and `_cand` as that path leaves them.
     """
 
     def _extend(self, fuel: Fuel) -> None:
-        self._round(fuel)  # () by the certificate
+        self._raw_at(0)((), fuel)  # () by the certificate
+        self._cand += 1
         charge_run(self, math.inf, fuel)
 
     def commit(self, n: int) -> None:

@@ -5,15 +5,20 @@ scans, quadratic filters) so they stay independent of the production code
 paths they check.
 """
 
+import gc
 import random
 from typing import Callable
 
+from baire import machine
 from baire.machine import (
+    ExplicitName,
     GraphEntry,
+    MachineName,
     RawEvalStream,
     WordMachine,
     _raw_schedule,
     encode_entry_block,
+    eval_stream,
 )
 from baire.streams import WORD_EDGE, Fuel, NeedMoreFuel, PlanStream, interleave_word, is_prefix
 from baire.transform import (
@@ -21,6 +26,10 @@ from baire.transform import (
     PairFunctional,
     SliceSource,
     available_prefix,
+    const_transformer_name,
+    dummy_prefix_transformer_name,
+    injection,
+    recursion_T,
     split_source,
 )
 
@@ -396,3 +405,36 @@ def seeded_plan_stream(seed, bound=4, length=24):
     head = tuple(rng.randrange(bound) for _ in range(length))
     cyc = tuple(rng.randrange(bound) for _ in range(1 + rng.randrange(3)))
     return PlanStream(head, ("cycle", cyc) if any(cyc) else ("zeros",))
+
+
+def long_run_sizes(cycles, ops):
+    """Run `cycles` cycles of `ops` operations on one shared recursion_T()
+    and one shared injection(): each a dummy-prefix fixed point read on both
+    sides of its equation, every third also an injection round trip of a
+    name whose transformer returns a graph name.  After each cycle, with
+    garbage collected, record the sizes of the process's candidate pools
+    and the live `MachineName`s and `Fuel`s: [word pool, head pool, names,
+    tanks]."""
+    T, inj = recursion_T(), injection()
+    sizes = []
+    for _ in range(cycles):
+        for i in range(ops):
+            p_name = dummy_prefix_transformer_name(tuple((i // 3**j) % 3 for j in range(4)))
+            fixed = T.apply(p_name)
+            z = seeded_plan_stream(i)
+            eval_stream(fixed, z).determined_prefix(16, Fuel(25_000))
+            eval_stream(eval_stream(p_name, fixed), z).determined_prefix(16, Fuel(25_000))
+            if i % 3 == 0:
+                s = const_transformer_name(ExplicitName([((i % 5,), (4, 4))]))
+                out = eval_stream(inj.apply(s), seeded_plan_stream(i, bound=3))
+                inj.extract(out).determined_prefix(8, Fuel(50_000))
+        gc.collect()
+        live = gc.get_objects()
+        sizes.append([
+            len(machine._word_pool),
+            len(machine._head_pool),
+            sum(isinstance(o, MachineName) for o in live),
+            sum(type(o) is Fuel for o in live),
+        ])
+        del live  # the next cycle's list would hold this one and all it holds
+    return sizes

@@ -185,9 +185,10 @@ def _main_on_canned_runs(monkeypatch, ref_replay, tree_replay, pairs):
     bench_pairs = _bench_pairs()
     runs = []
     monkeypatch.setattr(bench_pairs, "extract", lambda ref, into: None)
+    monkeypatch.setattr(bench_pairs, "copy_tree", lambda into: None)
 
     def run_replay(checkout, workload, seed):
-        return json.loads(tree_replay if checkout == bench_pairs.ROOT else ref_replay)
+        return json.loads(tree_replay if checkout.name == "tree" else ref_replay)
 
     def run_bench(checkout, workload, seed, seconds):
         runs.append(checkout)
@@ -215,3 +216,27 @@ def test_bench_pairs_exits_1_when_the_replays_differ(monkeypatch, capsys, tree, 
     status, runs = _main_on_canned_runs(monkeypatch, _replay_line(["a1", "b2"], [10, 7]), tree, pairs)
     assert (status, len(runs)) == (1, 2 * pairs)
     assert "DIFFERENT" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_bench_pairs_copies_the_tree_git_would_commit(tmp_path):
+    # tracked files, edited or not, and untracked files git does not ignore
+    # are copied; ignored files and tracked files deleted in the tree are not
+    repo, into = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src").mkdir(parents=True)
+    files = {"src/a.py": "a = 1\n", "gone.py": "", ".gitignore": "*.pyc\nout/\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run([*git, "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "seed"], cwd=repo, check=True)
+    (repo / "src/a.py").write_text("a = 2\n")
+    (repo / "gone.py").unlink()
+    (repo / "src/new.py").write_text("b = 3\n")
+    (repo / "src/a.pyc").write_text("")
+    (repo / "out").mkdir()
+    (repo / "out/run.json").write_text("{}")
+    _bench_pairs().copy_tree(into, repo)
+    copied = sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/a.py", "src/new.py"]
+    assert (into / "src/a.py").read_text() == "a = 2\n"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -14,8 +15,20 @@ from baire.machine import (
     _DEPTH_EDGE,
     _DEPTH_LIMIT,
     _NestingGuard,
+    _head_pool,
+    _word_pool,
     encode_entry_block,
+    eval_stream,
     identity_name,
+)
+from baire.operators import problem_loop
+from baire.reductions import (
+    c2_nondet_witness,
+    c2_to_cn_witness,
+    check_loop_nondet,
+    check_reduction,
+    identity_llpo_witness,
+    nondet_lift_inverse_limit,
 )
 from baire.streams import (
     BufferedStream,
@@ -1035,6 +1048,19 @@ def test_silent_name_signals_the_nesting_limit_after_two_steps(word):
         assert (tank.spent, name._cand) == (2, 0)
 
 
+@pytest.mark.parametrize("word", sorted(SILENT_WORDS))
+def test_silent_reads_leave_the_candidate_pools_alone(word):
+    # every silent round is run as the round on candidate 0, so no
+    # candidate word is read, although one drain's rounds pass the pool
+    name, _ = _silent_names(SILENT_WORDS[word])
+    pools = len(_word_pool), len(_head_pool)
+    rounds = pools[0] + 10_000
+    for _ in range(3):
+        assert name.determined_prefix(1, Fuel(2 * rounds)) == ()
+    assert (len(_word_pool), len(_head_pool)) == pools
+    assert name._cand == 3 * rounds
+
+
 @pytest.mark.parametrize("shape", TANK_SHAPES + ("three-deep",))
 @pytest.mark.parametrize("budget", [0, 1, 4])
 def test_headroom_is_the_grant_of_take_and_charges_nothing(shape, budget):
@@ -1189,6 +1215,34 @@ def test_lazy_fuel_charges_as_the_chained_walk(roots, program):
             (t.spent, t.remaining) for t in ref
         ]
     assert [(t.spent, t.remaining) for t in quiet] == [(t.spent, t.remaining) for t in ref]
+
+
+def _live_tanks():
+    return sum(type(o) is Fuel for o in gc.get_objects())
+
+
+def test_finished_tanks_are_freed_without_the_cycle_collector():
+    # a tank refers to nothing but its parent, so the tanks of finished
+    # checks and reads go with their last reference
+    inj = injection()
+    gc.collect()
+    gc.disable()
+    try:
+        check_reduction(identity_llpo_witness(), seeds=3, depth=8)
+        check_reduction(c2_to_cn_witness(), seeds=3, depth=8)
+        lifted = nondet_lift_inverse_limit(c2_nondet_witness(), "c2-loop-lift")
+        check_loop_nondet(lifted, lambda s: problem_loop("llpo", s, 5), seeds=3, depth=8)
+        for i in range(3):
+            p = PlanStream((1, i, 0, 2), ("cycle", (3, 1, 2)))
+            out = inj.apply(const_transformer_name(ExplicitName([((1,), (4, 4))])))
+            eval_stream(out, p).determined_prefix(12, Fuel(20_000))
+            out = inj.apply(PlanStream((3, 6, 4, 5), ("zeros",)))
+            inj.extract(eval_stream(out, p)).determined_prefix(8, Fuel(20_000))
+        left = _live_tanks()
+        gc.collect()
+        assert _live_tanks() == left
+    finally:
+        gc.enable()
 
 
 def test_plan_prefix_folds_a_memo_at_its_new_dense_end():

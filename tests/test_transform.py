@@ -1,5 +1,10 @@
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +176,25 @@ def test_fixed_points_on_one_T_keep_no_names_alive():
         if i % 10 == 9:
             live.append(_live_machine_names())
     assert live == [live[0]] * 6
+
+
+def test_a_long_run_on_one_T_keeps_pools_names_and_tanks_flat():
+    # the word pool once grew by about 200 words per dummy fixed point, from
+    # the first operation on; after a first cycle of ten operations, eleven
+    # more must leave the candidate pools and the live names and tanks as
+    # they were.  The pools are process state, so the run starts from empty
+    # pools in a fresh interpreter.
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import helpers, json; print(json.dumps(helpers.long_run_sizes(12, 10)))"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    sizes = json.loads(done.stdout)
+    assert sizes == [sizes[0]] * 12
 
 
 # `_SelfApplication.silent(w)` certifies a word parameter whose self-value
