@@ -555,7 +555,7 @@ def limnat_loop(seed: int, steps: int) -> LoopInstance:
     guess genuinely invalidates them.
     """
     rng = random.Random(f"limnat-budget:{seed}")
-    total = rng.randrange(4)  # at most 3 mind changes in all
+    total = rng.randrange(4) if steps else 0  # at most 3 mind changes in all
     per_level = [0] * steps
     for _ in range(total):
         per_level[rng.randrange(steps)] += 1

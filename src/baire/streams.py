@@ -29,11 +29,9 @@ decode route pays a run's symbols and its rounds' steps with one, and a
 commits it straight to its own buffer and the reader's.  Every `spent`
 count is therefore the same whichever path a read takes.
 
-A chained tank settles lazily (`Fuel`): a charge moves only the tank
-charged last, the process's one open tank, which pays its ancestors when
-any other tank is charged or asked for its headroom, or when a count is
-read.  So ticks on a deep chain cost what ticks on a root tank cost, and a
-stage of the injected output is a plain child tank.
+A chained tank (`Fuel`) charges eagerly: a tick or take moves every tank
+on its chain, so each count is current whenever it is read, and a stage of
+the injected output is a plain child tank.
 
 A stream read at mapped indices is the one view, `MappedView`: a pair's
 `halves`, a tuple's components (`project`) and a shifted stream.  It is
@@ -68,83 +66,56 @@ class NeedMoreFuel(Exception):
 class Fuel:
     """A per-query step budget, optionally chained to an enclosing budget.
 
-    Every unit of fresh work ticks the tank and, in effect, its ancestors.
-    Cached reads are free, so resuming an interrupted computation replays
-    cheaply and deterministically.
-
-    A chain is charged lazily.  The tank charged last is the process's one
-    open tank (module state, with its limit), and a `tick` or `take` on it
-    moves only its own count, against a limit fixed when it was opened: its
-    count then plus the chain's headroom then.  What it spent since is paid
-    to its ancestors when any other tank is charged or asked for its
-    headroom, or when any tank's `spent` or `remaining` is read.  Grants,
-    counts and the tank a signal names are those of charging the whole
-    chain on every step, and a tank refers to no tank but its parent.
+    Every unit of fresh work ticks the tank and all its ancestors.  Cached
+    reads are free, so resuming an interrupted computation replays cheaply
+    and deterministically.  A tank refers to no tank but its parent.
     """
 
-    __slots__ = ("steps", "parent", "_spent", "_mark")
+    __slots__ = ("steps", "parent", "spent")
 
     def __init__(self, steps: int, parent: Optional["Fuel"] = None):
         self.steps = steps
         self.parent = parent
-        self._spent = 0
-        self._mark = 0  # `_spent` when the ancestors were last paid
-
-    @property
-    def spent(self) -> int:
-        _settle()
-        return self._spent
+        self.spent = 0
 
     @property
     def remaining(self) -> int:
-        _settle()
-        return self.steps - self._spent
-
-    def _reopen(self) -> None:
-        """Settle the open tank's chain and make this tank the open tank."""
-        global _open, _limit
-        _settle()
-        _open = self
-        self._mark = self._spent
-        _limit = self._spent + self._room()
-
-    def _room(self) -> int:
-        """The smallest remaining on the settled chain."""
-        room = self.steps - self._spent
-        tank = self.parent
-        while tank is not None:
-            left = tank.steps - tank._spent
-            if left < room:
-                room = left
-            tank = tank.parent
-        return room
+        return self.steps - self.spent
 
     def tick(self) -> None:
-        if _open is not self:
-            self._reopen()
-        if self._spent < _limit:
-            self._spent += 1
+        if self.parent is None:
+            if self.spent >= self.steps:
+                raise NeedMoreFuel(self)
+            self.spent += 1
             return
-        # nothing is charged, so an exhausted budget records no phantom
-        # work and resumption stays exact
-        _settle()
+        # check the whole chain before charging any tank, so an exhausted
+        # budget records no phantom work and resumption stays exact
         exhausted = None
         tank = self
         while tank is not None:
-            if tank.steps <= tank._spent:
+            if tank.spent >= tank.steps:
                 exhausted = tank  # outermost exhausted tank wins
             tank = tank.parent
-        raise NeedMoreFuel(exhausted)
+        if exhausted is not None:
+            raise NeedMoreFuel(exhausted)
+        tank = self
+        while tank is not None:
+            tank.spent += 1
+            tank = tank.parent
 
     def headroom(self) -> int:
         """The smallest `remaining` on the chain; charges nothing.
 
         This many one-step ticks in a row succeed, and the next one raises.
         """
-        if _open is self:
-            return _limit - self._spent
-        _settle()
-        return self._room()
+        room = self.steps - self.spent
+        tank = self.parent
+        while tank is not None:
+            left = tank.steps - tank.spent
+            if left < room:
+                room = left
+            tank = tank.parent
+        return room
 
     def take(self, n: int) -> int:
         """Charge up to n steps to every tank on the chain; return how many.
@@ -154,31 +125,20 @@ class Fuel:
         row.  After a short grant the next `tick()` raises for the same tank
         the one-step path would have named.
         """
-        if _open is not self:
-            self._reopen()
-        grant = _limit - self._spent
-        if n < grant:
-            grant = n
+        grant = n
+        tank = self
+        while tank is not None:  # `headroom` inline: calling it doubles the cost
+            left = tank.steps - tank.spent
+            if left < grant:
+                grant = left
+            tank = tank.parent
         if grant <= 0:
             return 0
-        self._spent += grant
-        return grant
-
-
-def _settle() -> None:
-    """Pay the open tank's ancestors what it spent since they were last paid."""
-    tank = _open
-    due = tank._spent - tank._mark
-    if due:
-        tank._mark = tank._spent
-        tank = tank.parent
+        tank = self
         while tank is not None:
-            tank._spent += due
+            tank.spent += grant
             tank = tank.parent
-
-
-_open = Fuel(0)  # the tank charged last; this first one never is
-_limit = 0  # `_open`'s count at which the next tick signals
+        return grant
 
 
 FuelLike = Union[Fuel, int, None]

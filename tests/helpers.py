@@ -256,9 +256,9 @@ def generator_entry_block(entry):
 
 
 class ChainedFuel:
-    """`streams.Fuel` as it was before chains settled lazily: every charge
-    walks the whole chain.  Kept as the reference the lazy tank must equal
-    in every grant, count and signal.
+    """The chain walk of `streams.Fuel`, frozen over `remaining` counts:
+    every charge walks the whole chain.  Kept as the reference the tank must
+    equal in every grant, count and signal.
     """
 
     __slots__ = ("remaining", "parent", "spent")

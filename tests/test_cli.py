@@ -423,6 +423,17 @@ def test_limsim_deterministic(limnat_loop_file):
     assert run_cli("limsim", limnat_loop_file) == run_cli("limsim", limnat_loop_file)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_limnat_loop_with_no_steps_runs_at_every_seed(tmp_path, seed):
+    # the drawn mind changes were placed at randrange(steps), which raised
+    # for steps 0 at the seeds that drew any
+    path = tmp_path / "empty.loop"
+    path.write_text(f"problem limnat-loop seed {seed}\npublic: steps 0\n")
+    code, text = run_cli("loop", "infty", str(path))
+    assert code == 0
+    assert "error:" not in text
+
+
 def test_limsim_rejects_loop_without_step_instances(countdown_file):
     code, text = run_cli("limsim", countdown_file)
     assert code == 2

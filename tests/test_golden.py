@@ -12,6 +12,7 @@ import io
 import os
 import pathlib
 import re
+import shlex
 from unittest import mock
 
 import pytest
@@ -145,6 +146,60 @@ def test_shared_parser_carries_nothing_between_calls(monkeypatch):
     backward = [battery_block(argv) for argv in reversed(BATTERY)]
     assert backward[::-1] == golden
     assert [battery_block(argv) for argv in BATTERY] == golden
+
+
+def readme_examples():
+    """(command, shown lines, shown exit code lines) for each `$` line of the
+    README's "Command line" section; `$ echo $?` shows the previous exit."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples, target = [], None
+    for line in section.splitlines():
+        if not line.startswith("    "):
+            target = None  # prose or a blank line ends a code block
+        elif line == "    $ echo $?" and target is not None:
+            target = examples[-1][2]
+        elif line.startswith("    $ "):
+            examples.append((line[6:], [], []))
+            target = examples[-1][1]
+        elif target is not None:
+            target.append(line[4:])
+    return examples
+
+
+def shown_pattern(shown):
+    """A regex for an output whose lines are the shown lines: a `...` line
+    stands for any lines and a trailing `...` for any tail of its line."""
+    parts = []
+    for line in shown:
+        if line == "...":
+            parts.append(r"(?:.*\n)*")
+        elif line.endswith("..."):
+            parts.append(re.escape(line[:-3]) + r".*\n")
+        else:
+            parts.append(re.escape(line) + r"\n")
+    return "".join(parts)
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(
+    "command, shown, exit_shown", README_EXAMPLES, ids=[e[0] for e in README_EXAMPLES]
+)
+def test_readme_command_line_examples_print_what_they_show(
+    monkeypatch, command, shown, exit_shown
+):
+    # the examples name the files of tests/golden/ as if run beside them
+    monkeypatch.chdir(GOLDEN)
+    program, *argv = shlex.split(command)
+    if program == "cat":
+        code, text = 0, pathlib.Path(*argv).read_text()
+    else:
+        assert program == "baire"
+        code, text = run(*argv)
+    assert re.fullmatch(shown_pattern(shown), text), text
+    assert exit_shown in ([], [str(code)])
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baire import streams
 from baire.machine import (
     ExplicitName,
     GraphEntry,
@@ -1072,12 +1073,12 @@ def test_headroom_is_the_grant_of_take_and_charges_nothing(shape, budget):
     assert tanks[0].take(budget + 3) == room
 
 
-# A chained tank settles lazily: a charge moves only the tank charged last,
-# which pays its ancestors later.  helpers.ChainedFuel, the tank that walks
-# its whole chain on every charge, is the reference.  Each script of ticks
-# and takes runs as a stage: on a child tank of the reading tank, on child
-# tanks that charge up through it, and on nested stages, themselves child
-# tanks.  A stage's own signal ends it quietly and any other propagates.
+# A chained tank charges its whole chain on every tick and take, and
+# helpers.ChainedFuel, the frozen chain walk over `remaining` counts, is the
+# reference.  Each script of ticks and takes runs as a stage: on a child
+# tank of the reading tank, on child tanks that charge up through it, and on
+# nested stages, themselves child tanks.  A stage's own signal ends it
+# quietly and any other propagates.
 # At every cap, budget and shape both must grant the same takes, charge
 # every tank alike and name the same tank.
 
@@ -1146,9 +1147,9 @@ def test_stage_tank_settles_as_a_chained_tank_charges(script):
 # Random programs over a growing forest of tanks: ticks and takes on any
 # tank, headroom queries, new children of any tank, runs of charges that
 # alternate between two tanks or between a tank and an ancestor, and reads
-# of any tank.  Two lazy forests run each program: one has every tank read
-# after every step, which settles it, and one only where the program reads.
-# Both must grant, signal and count as the chained reference does.
+# of any tank.  Two forests of `Fuel` run each program: one has every tank
+# read after every step, and one only where the program reads.  Both must
+# grant, signal and count as the chained reference does.
 
 _tank_index = st.integers(min_value=0, max_value=40)
 _tank_steps = st.one_of(
@@ -1243,6 +1244,13 @@ def test_finished_tanks_are_freed_without_the_cycle_collector():
         assert _live_tanks() == left
     finally:
         gc.enable()
+
+
+def test_a_tank_is_its_budget_its_parent_and_its_count():
+    # no module state: each tank's counts are current, charged on every
+    # tick and take along its chain
+    assert Fuel.__slots__ == ("steps", "parent", "spent")
+    assert not {"_open", "_limit", "_settle"} & set(vars(streams))
 
 
 def test_plan_prefix_folds_a_memo_at_its_new_dense_end():
