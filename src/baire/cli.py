@@ -27,7 +27,7 @@ from .operators import (
     star,
     validate_run,
 )
-from .problems import CONSISTENT, REFUTED, parse_plan
+from .problems import CONSISTENT, REFUTED, UNDETERMINED, parse_plan
 from .reductions import simulate_limit_machine, witness_library
 from .streams import Fuel, NeedMoreFuel, PlanStream, odd_part, pair_stream, project
 from .transform import const_transformer_name, injective_recursion, injection, quine, recursion_T, smn
@@ -395,8 +395,7 @@ def cmd_limsim(args, out) -> int:
         return 1
     if not result.stabilized:
         emit(out, "undetermined: budget exhausted before stabilization")
-        return 3 if args.strict else 0
-    return 0
+    return 3 if args.strict and result.verdict == UNDETERMINED else 0
 
 
 # ---------------------------------------------------------------------------

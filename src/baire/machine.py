@@ -386,7 +386,6 @@ class MachineName(BufferedStream):
         self.transformer = None  # argument -> NameLike, when this names a transformer
         self.entries = None  # explicit finite graph, when known
         self.self_value = None  # U_self(self), once a fixed point has read it
-        self.graph_complete = False
         self._raw_for_length = raw_for_length or (lambda n: machine.apply)
         self._raw = {}  # candidate length -> its raw function
         self._pending.extend(head)
@@ -474,7 +473,6 @@ class ExplicitName(MachineName):
         machine = WordMachine(lambda w, fuel: applied_sup(accepted, w), label or "table")
         super().__init__(machine, head, label)
         self.entries = entries
-        self.graph_complete = True
         for e in entries:
             self._pending.extend(encode_entry_block(e))
 
@@ -510,22 +508,19 @@ _DEPTH_EDGE = Fuel(0)
 
 
 class _NestingGuard:
-    """Context manager counting nested evaluations on one shared counter.
+    """Context manager counting nested evaluations and structure applications.
 
-    Entering past the limit signals "not yet" with the _DEPTH_EDGE tank and
-    `what` as the message.  `check` is the same test without entering, for
-    leaf evaluations that cannot nest further.
+    Entering past the limit signals "not yet" with the _DEPTH_EDGE tank.
+    `check` is the same test without entering, for leaf evaluations that
+    cannot nest further.
     """
 
-    __slots__ = ("what",)
-    depth = [0]  # shared by every guard; a list, so entering never writes the class
-
-    def __init__(self, what: str):
-        self.what = what
+    __slots__ = ()
+    depth = [0]  # a list, so entering never writes the class
 
     def check(self) -> None:
         if self.depth[0] >= _DEPTH_LIMIT:
-            raise NeedMoreFuel(_DEPTH_EDGE, self.what)
+            raise NeedMoreFuel(_DEPTH_EDGE, "nesting limit")
 
     def __enter__(self):
         self.check()
@@ -535,8 +530,7 @@ class _NestingGuard:
         self.depth[0] -= 1
 
 
-_EVAL_NESTING = _NestingGuard("evaluation nesting limit")
-_STRUCTURE_NESTING = _NestingGuard("structure nesting limit")
+_NESTING = _NestingGuard()
 
 
 def apply_name(name: NameLike, input_prefix: Word, fuel: FuelLike = None) -> Word:
@@ -551,9 +545,9 @@ def apply_name(name: NameLike, input_prefix: Word, fuel: FuelLike = None) -> Wor
     if isinstance(name, tuple):
         # decoding a word never nests, and a `with` would double the cost
         # of this, the hottest call
-        _EVAL_NESTING.check()
+        _NESTING.check()
         return eval_name(name, input_prefix)
-    with _EVAL_NESTING:
+    with _NESTING:
         machine = getattr(name, "machine", None)
         if machine is not None:
             return machine.apply(input_prefix, fuel)
@@ -728,7 +722,7 @@ def apply_name_structured(name: NameLike, argument, fuel: FuelLike = None):
     """
     transformer = getattr(name, "transformer", None)
     if transformer is not None:
-        with _STRUCTURE_NESTING:
+        with _NESTING:
             return transformer(argument)
     if isinstance(argument, tuple):
         return apply_name(name, argument, fuel)

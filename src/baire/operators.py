@@ -21,10 +21,10 @@ job has one implementation: `LoopStates` is the one loop driver,
 inverse_limit and parallel_inverse_limit read their states off
 `LoopStates`, and so do the constructions comparing the inverse limit with
 the other operators: run_lifted_loop, omega_via_inverse_limit and
-diamond_via_inverse_limit run the loop once and map its states.  Two
-drivers are kept apart: `omega`, because every power runs its own chain
-on the shared input, and `reductions.simulate_limit_machine`, because a
-revised guess throws the downstream states away.  Parts of a stream are
+diamond_via_inverse_limit run the loop once and map its states, and
+`reductions.simulate_limit_machine`, whose revised guess `forget`s the
+states downstream of it.  One driver is kept apart: `omega`, because every
+power runs its own chain on the shared input.  Parts of a stream are
 read through the one view, `streams.MappedView`, which reads its base at a
 mapped index: a state that is not a lazy pair splits into its `halves`,
 star drops the first symbol of an input that is not a `TaggedStream`, and
@@ -312,11 +312,9 @@ def classify_run(run: Run, budget: int = 100_000) -> RunClass:
 
 def _provably_stalled(state: Stream, budget: int) -> bool:
     program, data = unpair_stream(state)
-    if not getattr(program, "graph_complete", False):
-        return False
-    entries = getattr(program, "entries", None) or []
-    if not entries:
-        return True
+    entries = getattr(program, "entries", None)
+    if entries is None:
+        return False  # no explicit graph: the program may still produce
     fuel = Fuel(budget)
     for u, v in entries:
         got = data.determined_prefix(len(u), fuel)
@@ -473,6 +471,12 @@ class LoopStates:
     def run(self, steps: int) -> Run:
         self.state(steps)
         return Run(self.states[: steps + 1], self.records[:steps])
+
+    def forget(self, i: int) -> None:
+        """Drop the states after state i and the steps from step i on, so
+        the next `state(i + 1)` asks the oracle again."""
+        del self.states[i + 1 :]
+        del self.records[i:]
 
 
 def inverse_limit(oracle: StepOracle, q0: Stream):
@@ -665,16 +669,14 @@ def run_lifted_loop(
 def infty_states_from_omega(step_machine: WordMachine, q0: Stream, steps: int):
     """Recover the loop states from the power components (single-valued).
 
-    State 0 is the input; state i+0 for i >= 1 is the universal step applied
-    to power component i.  Checked against the direct run by the tests.
+    State 0 is the input; state i >= 1 is the universal step applied to
+    component i of the omega output.  Checked against the direct run by the
+    tests.
     """
-    oracle = machine_oracle(step_machine)
-    states = [q0]
-    for n in range(1, steps + 1):
-        comp, _ = power_n(oracle, n, q0)
-        program, answer = unpair_stream(comp)
-        states.append(eval_stream(program, answer))
-    return states
+    powers = omega(machine_oracle(step_machine), q0)
+    return [q0] + [
+        eval_stream(*unpair_stream(powers.component(n))) for n in range(1, steps + 1)
+    ]
 
 
 def omega_via_inverse_limit(step_machine: WordMachine, q0: Stream, steps: int):

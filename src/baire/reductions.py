@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, List, Optional
 
-from .machine import MachineStream, WordMachine, eval_stream, pure_machine
+from .machine import MachineStream, WordMachine, pure_machine
 from .operators import (
     LoopInstance,
     LoopStates,
     Run,
     StepOracle,
-    StepRecord,
     check_step,
     generic_universal,
     lift_reduction_to_inverse_limit,
@@ -434,9 +433,11 @@ def broken_c2_nondet_witness() -> NonDetWitness:
 class LoopNonDetWitness:
     """The independent-choice lift of a NonDetWitness to whole loops.
 
-    Its advice space is A^N: component i of the advice answers step i.  F2
-    is the staged advice checker on the loop's initial state.  A unique lift
-    has the singleton advice space, so its suites sample no advice.
+    Its advice space is A^N: component i of the advice answers step i, and
+    a `LoopStates` driving the advice oracle asks it once per step, in
+    order.  F2 is the staged advice checker on the loop's initial state.  A
+    unique lift has the singleton advice space, so its suites sample no
+    advice.
     """
 
     label: str
@@ -445,15 +446,9 @@ class LoopNonDetWitness:
     unique: bool = False
 
     def advice_oracle(self, advice: Stream) -> StepOracle:
-        consulted = []
-
-        def answer(data, i):
-            consulted.append(i)
-            return self.base.F1(data, project(advice, i))
-
-        oracle = StepOracle(f"{self.label}-advice", answer)
-        oracle.consulted = consulted
-        return oracle
+        return StepOracle(
+            f"{self.label}-advice", lambda data, i: self.base.F1(data, project(advice, i))
+        )
 
     def F2(self, q0: Stream, advice: Stream) -> Stream:
         return _StagedAdviceCheck(self, q0, advice)
@@ -537,8 +532,8 @@ def check_loop_nondet(
     """Verify the lifted witness over seeded loops with the one advice judge.
 
     An outcome is refuted unless the `steps`-long run under the advice
-    passes `check_loop_run` and consults each advice component once.  Each
-    seed samples `adversarial` advice sequences, none for a unique lift.
+    passes `check_loop_run`.  Each seed samples `adversarial` advice
+    sequences, none for a unique lift.
     """
     base_problem = get_problem(make_loop(0).base_problem)
     k = 0 if lifted.unique else adversarial
@@ -547,12 +542,8 @@ def check_loop_nondet(
         loop = make_loop(seed)
 
         def outcome(advice):
-            oracle = lifted.advice_oracle(advice)
-            run = LoopStates(loop.q0, oracle).run(steps)
-            verdict = check_loop_run(run, loop.step_instance, base_problem, 5)
-            if sorted(set(oracle.consulted)) != list(range(steps)):
-                return REFUTED
-            return verdict
+            run = LoopStates(loop.q0, lifted.advice_oracle(advice)).run(steps)
+            return check_loop_run(run, loop.step_instance, base_problem, 5)
 
         return advice_judge(lifted, loop, outcome, range(13 * seed, 13 * seed + k), depth, tank)
 
@@ -587,43 +578,28 @@ def simulate_limit_machine(
 ) -> SimulationResult:
     """Run an eventual-value loop by guessing each level's limit.
 
-    Every level is assumed constant at its latest seen value; downstream
-    states are computed from the guesses and thrown away whenever an
-    upstream level changes its mind.  With finitely many changes the
+    Every level is assumed constant at its latest seen value, and a
+    `LoopStates` answers step i with level i's guess.  Whenever an upstream
+    level changes its mind the loop `forget`s the states after it, which are
+    rebuilt from the new guess on demand.  With finitely many changes the
     guesses stabilize and the final run validates like an oracle run.
     `budget` is a step count or the tank to run under.
     """
-    # kept apart from LoopStates: a revised guess throws downstream states away
     steps = loop.steps if steps is None else steps
     fuel = as_fuel(budget)
     problem = get_problem(loop.base_problem)
-    states = [loop.q0]
     guesses: List[list] = []  # per level: [value, scanned-upto]
-    answers: List[Stream] = []
+    handle = LoopStates(loop.q0, StepOracle("guess", lambda data, i: value_stream(guesses[i][0])))
     trace = []
     restarts = 0
 
     def data_at(i):
-        return unpair_stream(states[i])[1]
-
-    def rebuild_from(i):
-        # downstream states depend on the revised answer; the guesses and
-        # scan positions stay, because the data parts a loop hands out are
-        # the same streams regardless of the answers fed to its programs
-        del states[i + 1 :]
-        for j in range(i, len(guesses)):
-            program, _ = unpair_stream(states[j])
-            states.append(eval_stream(program, answers[j]))
+        return unpair_stream(handle.state(i))[1]
 
     try:
         while True:
             while len(guesses) < steps:
-                i = len(guesses)
-                v = data_at(i).at(0, fuel)
-                guesses.append([v, 1])
-                answers.append(value_stream(v))
-                program, _ = unpair_stream(states[i])
-                states.append(eval_stream(program, answers[i]))
+                guesses.append([data_at(len(guesses)).at(0, fuel), 1])
             progressed = False
             for i in range(steps):
                 pos = guesses[i][1]
@@ -636,16 +612,16 @@ def simulate_limit_machine(
                     trace.append((i, guesses[i][0], v, pos))
                     restarts += 1
                     guesses[i][0] = v
-                    answers[i] = value_stream(v)
-                    rebuild_from(i)
+                    # the other guesses and scan positions stay, because the
+                    # data parts a loop hands out are the same streams
+                    # regardless of the answers fed to its programs
+                    handle.forget(i)
                     break
             if not progressed:
                 break
     except NeedMoreFuel:
-        run = Run(states, [StepRecord(i, "guess", answers[i]) for i in range(len(answers))])
-        return SimulationResult(run, trace, restarts, False, UNDETERMINED)
-    records = [StepRecord(i, "guess", answers[i]) for i in range(steps)]
-    run = Run(states, records)
+        return SimulationResult(handle.run(len(guesses)), trace, restarts, False, UNDETERMINED)
+    run = handle.run(steps)
     verdict = check_loop_run(run, loop.step_instance, problem, scan_depth)
     return SimulationResult(run, trace, restarts, True, verdict)
 

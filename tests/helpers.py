@@ -255,72 +255,28 @@ def generator_entry_block(entry):
     return (3, *(s + 6 for s in entry.inp), 4, *(s + 6 for s in entry.out), 5)
 
 
-class ChainedFuel:
-    """The chain walk of `streams.Fuel`, frozen over `remaining` counts:
-    every charge walks the whole chain.  Kept as the reference the tank must
-    equal in every grant, count and signal.
+class TickedFuel(Fuel):
+    """`streams.Fuel` whose `take(n)` is up to n `tick()`s, stopping at the
+    first signal, and whose `headroom` is the smallest `remaining` on the
+    chain.  Kept as the reference the bulk charges must equal in every
+    grant, count and signal.
     """
 
-    __slots__ = ("remaining", "parent", "spent")
-
-    def __init__(self, steps, parent=None):
-        self.remaining = steps
-        self.spent = 0
-        self.parent = parent
-
-    def tick(self):
-        if self.parent is None:
-            if self.remaining <= 0:
-                raise NeedMoreFuel(self)
-            self.remaining -= 1
-            self.spent += 1
-            return
-        # check the whole chain before charging any tank, so an exhausted
-        # budget never records phantom work and resumption stays exact
-        exhausted = None
-        tank = self
-        while tank is not None:
-            if tank.remaining <= 0:
-                exhausted = tank  # outermost exhausted tank wins
-            tank = tank.parent
-        if exhausted is not None:
-            raise NeedMoreFuel(exhausted)
-        tank = self
-        while tank is not None:
-            tank.remaining -= 1
-            tank.spent += 1
-            tank = tank.parent
+    __slots__ = ()
 
     def headroom(self):
-        """The smallest `remaining` on the chain; charges nothing.
-
-        This many one-step ticks in a row succeed, and the next one raises.
-        """
-        room = self.remaining
-        tank = self.parent
+        room, tank = self.remaining, self.parent
         while tank is not None:
-            if tank.remaining < room:
-                room = tank.remaining
-            tank = tank.parent
+            room, tank = min(room, tank.remaining), tank.parent
         return room
 
     def take(self, n):
-        """Charge up to n steps to every tank on the chain; return how many.
-
-        The grant is n capped by the smallest `remaining` on the chain, so
-        it is exactly the number of one-step ticks that would succeed in a
-        row.  After a short grant the next `tick()` raises for the same tank
-        the one-step path would have named.
-        """
-        grant = min(n, self.headroom())
-        if grant <= 0:
-            return 0
-        tank = self
-        while tank is not None:
-            tank.remaining -= grant
-            tank.spent += grant
-            tank = tank.parent
-        return grant
+        for grant in range(n):
+            try:
+                self.tick()
+            except NeedMoreFuel:
+                return grant
+        return n
 
 
 # --- seeded word machines -----------------------------------------------------

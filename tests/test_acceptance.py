@@ -2,7 +2,7 @@
 
 Each test prints one line of the form
 
-    criterion <n> <name>: PASS (<elapsed>s < <budget>s)
+    criterion <n> <name>: PASS (<elapsed>s, budget <budget>s)
 
 so a full run (`pytest tests/test_acceptance.py -s`) reads as a checklist.
 """

@@ -23,7 +23,9 @@ no stream class brings back a bulk reader of its own.
 
 Graph blocks are built in one place, `machine.py`: no other library module
 names the codec's block-format constants.  `transform` keeps no memo class
-of its own; its caches live with the objects they describe.
+of its own; its caches live with the objects they describe.  Loop states
+are built by `operators.LoopStates` alone, so `reductions` names neither
+`eval_stream` nor `loop_step`.
 
 The `check` workload replays CLI runs in one process, so `cli.main` builds
 its argument parser on its first call only.
@@ -233,26 +235,26 @@ def test_dense_streams_charge_through_one_charger():
 BLOCK_FORMAT = {"ENTRY_BEGIN", "ENTRY_SEP", "ENTRY_END", "PAYLOAD_BASE"}
 
 
-def _block_format_files():
-    """The library files that name a block-format constant, imports included."""
-    files = set()
-    for path in sorted(LIBRARY.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name in BLOCK_FORMAT:
-                files.add(path.name)
-    return files
+def _names(path):
+    """The names, attributes and imported names a library file mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
 
 
 def test_only_the_codec_names_the_block_format():
-    assert _block_format_files() == {"machine.py"}
+    files = {path.name for path in LIBRARY.glob("*.py") if _names(path) & BLOCK_FORMAT}
+    assert files == {"machine.py"}
+
+
+def test_the_mind_change_simulation_steps_through_the_loop_driver():
+    assert not _names(LIBRARY / "reductions.py") & {"eval_stream", "loop_step"}
 
 
 def test_the_flag_guard_is_the_entry_end():

@@ -454,6 +454,17 @@ def test_limsim_honours_fuel(tmp_path):
     assert run_cli("--strict", "--fuel", "1", "limsim", str(path))[0] == 3
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--depth"])
+def test_limsim_strict_exits_3_on_a_stabilized_undetermined_verdict(flag):
+    # with no steps or no scan depth the simulation stabilizes at once and
+    # judges nothing; --strict used to exit 0 on that undetermined verdict
+    loop = str(Path(__file__).parent / "golden" / "limnat.loop")
+    code, text = run_cli("--strict", flag, "0", "limsim", loop)
+    assert "restarts 0 stabilized True verdict undetermined" in text
+    assert code == 3
+    assert run_cli(flag, "0", "limsim", loop)[0] == 0
+
+
 @pytest.mark.parametrize("kind", ["llpo-loop", "cn-loop", "id-loop"])
 def test_limsim_runs_only_eventual_value_loops(tmp_path, kind):
     # these kinds used to run and exit 1, the refutation code, although the

@@ -229,6 +229,24 @@ def test_inverse_limit_llpo_validates_stepwise():
     assert verdicts.count(CONSISTENT) >= 8
 
 
+def test_forget_keeps_states_through_i_and_asks_the_oracle_again():
+    # a pass-through program hands out the answer, so a state's data part
+    # shows the answer that built it
+    current = [1]
+    oracle = StepOracle("current", lambda data, i: PlanStream((current[0],), ("zeros",)))
+    loop = LoopStates(pair_stream(pass_through_program([1]), ZEROS), oracle)
+    run = loop.run(4)
+    loop.forget(2)
+    assert len(loop.states) == 3 and all(a is b for a, b in zip(loop.states, run.states))
+    assert len(loop.records) == 2 and all(a is b for a, b in zip(loop.records, run.records))
+    current[0] = 7
+    rebuilt = loop.state(3)
+    assert rebuilt is not run.states[3]
+    assert det(unpair_stream(rebuilt)[1], 1) == (7,)
+    assert det(unpair_stream(loop.state(2))[1], 1) == (1,)
+    assert [r.index for r in loop.records] == [0, 1, 2]
+
+
 def test_validate_run_catches_forged_state():
     loop_inst = problem_loop("llpo", 2, 4)
     run = run_loop(loop_inst.q0, loop_inst.oracle, 3)

@@ -199,10 +199,9 @@ def test_lifted_nondet_consults_each_component_once():
     lifted = nondet_lift_inverse_limit(c2_nondet_witness(), "one-shot")
     loop = problem_loop("llpo", 8, 5)
     advice = lifted.advice.helpful(loop)
-    oracle = lifted.advice_oracle(advice)
-    _, handle = inverse_limit(oracle, loop.q0)
+    _, handle = inverse_limit(lifted.advice_oracle(advice), loop.q0)
     handle.run(5)
-    assert oracle.consulted == [0, 1, 2, 3, 4]
+    assert [rec.index for rec in handle.records] == [0, 1, 2, 3, 4]
 
 
 def test_refuted_loop_nondet_seeds_count_their_fuel():

@@ -67,10 +67,10 @@ from baire.transform import (
     smn,
 )
 from helpers import (
-    ChainedFuel,
     LastSplitReferencingFunctional,
     PerSymbolInjectionOutput,
     PerSymbolRawEval,
+    TickedFuel,
     transducer_machine,
 )
 
@@ -1074,11 +1074,11 @@ def test_headroom_is_the_grant_of_take_and_charges_nothing(shape, budget):
 
 
 # A chained tank charges its whole chain on every tick and take, and
-# helpers.ChainedFuel, the frozen chain walk over `remaining` counts, is the
-# reference.  Each script of ticks and takes runs as a stage: on a child
-# tank of the reading tank, on child tanks that charge up through it, and on
-# nested stages, themselves child tanks.  A stage's own signal ends it
-# quietly and any other propagates.
+# helpers.TickedFuel, whose take is one tick at a time, is the reference.
+# Each script of ticks and takes runs as a stage: on a child tank of the
+# reading tank, on child tanks that charge up through it, and on nested
+# stages, themselves child tanks.  A stage's own signal ends it quietly and
+# any other propagates.
 # At every cap, budget and shape both must grant the same takes, charge
 # every tank alike and name the same tank.
 
@@ -1135,12 +1135,12 @@ def _stage_outcome(make, script, cap, shape, budget):
 
 
 @pytest.mark.parametrize("script", sorted(STAGE_SCRIPTS))
-def test_stage_tank_settles_as_a_chained_tank_charges(script):
+def test_stage_tank_charges_as_its_ticks(script):
     for shape in TANK_SHAPES + ("three-deep",):
         for budget in range(14):
             for cap in range(12):
                 got = _stage_outcome(Fuel, STAGE_SCRIPTS[script], cap, shape, budget)
-                want = _stage_outcome(ChainedFuel, STAGE_SCRIPTS[script], cap, shape, budget)
+                want = _stage_outcome(TickedFuel, STAGE_SCRIPTS[script], cap, shape, budget)
                 assert got == want, (shape, budget, cap)
 
 
@@ -1149,7 +1149,7 @@ def test_stage_tank_settles_as_a_chained_tank_charges(script):
 # alternate between two tanks or between a tank and an ancestor, and reads
 # of any tank.  Two forests of `Fuel` run each program: one has every tank
 # read after every step, and one only where the program reads.  Both must
-# grant, signal and count as the chained reference does.
+# grant, signal and count as the one-tick reference does.
 
 _tank_index = st.integers(min_value=0, max_value=40)
 _tank_steps = st.one_of(
@@ -1204,8 +1204,8 @@ def _tank_step(step, tanks):
     roots=st.lists(st.integers(min_value=0, max_value=24), min_size=1, max_size=2),
     program=st.lists(_tank_steps, max_size=40),
 )
-def test_lazy_fuel_charges_as_the_chained_walk(roots, program):
-    ref = [ChainedFuel(n) for n in roots]
+def test_fuel_charges_as_its_ticks(roots, program):
+    ref = [TickedFuel(n) for n in roots]
     watched = [Fuel(n) for n in roots]
     quiet = [Fuel(n) for n in roots]
     for step in program:
