@@ -14,16 +14,14 @@ import sys
 
 from .machine import eval_stream, parse_machine_text, parse_natural
 from .operators import (
+    LOOP_KINDS,
     LoopInstance,
     TaggedStream,
     classify_run,
-    countdown_loop,
     diamond,
     inverse_limit,
-    limnat_loop,
     omega,
     power_n,
-    problem_loop,
     star,
     validate_run,
 )
@@ -58,14 +56,6 @@ READERS = {
 
 class CliError(Exception):
     pass
-
-
-# loop kinds with per-step problem instances
-INSTANCE_LOOP_KINDS = ("llpo-loop", "cn-loop", "id-loop", "limnat-loop")
-# the one kind limsim runs: its guess-and-restart simulation treats a data
-# stream's eventual value as the step's answer, which only eventual-value
-# loops mean
-LIMSIM_KIND = "limnat-loop"
 
 
 def natural(text: str) -> int:
@@ -275,6 +265,8 @@ def parse_loop_file(text: str) -> LoopInstance:
         tokens = line.split()
         try:
             if tokens[0] == "problem":
+                if kind is not None:
+                    raise ValueError("a second `problem` line")
                 if len(tokens) != 4 or tokens[2] != "seed":
                     raise ValueError("expected `problem <kind> seed <n>`")
                 kind, seed = tokens[1], parse_natural(tokens[3])
@@ -282,26 +274,23 @@ def parse_loop_file(text: str) -> LoopInstance:
                 keys, values = tokens[1::2], tokens[2::2]
                 if len(keys) != len(values):
                     raise ValueError("public: takes `key value` pairs")
-                params.update((k, (parse_natural(v), lineno)) for k, v in zip(keys, values))
+                for key, value in zip(keys, values):
+                    if key in params:
+                        raise ValueError(f"public key {key} given twice")
+                    params[key] = (parse_natural(value), lineno)
             elif tokens[0] != "witness:":
                 raise ValueError(f"unrecognized record {tokens[0]}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if kind is None:
         raise ValueError("loop file needs a `problem <kind> seed <n>` line")
-    if kind != "countdown" and kind not in INSTANCE_LOOP_KINDS:
+    if kind not in LOOP_KINDS:
         raise ValueError(f"unknown loop kind: {kind}")
-    # the one public key a kind reads: countdown's n, the other kinds' steps
-    countdown = kind == "countdown"
-    value, _ = params.pop("n" if countdown else "steps", (3 if countdown else 5, 0))
+    make, key, default = LOOP_KINDS[kind]
+    value, _ = params.pop(key, (default, 0))
     for key, (_, lineno) in params.items():  # the first key left over
         raise ValueError(f"line {lineno}: loop kind {kind} reads no public key {key}")
-    if countdown:
-        loop = countdown_loop(value, seed)
-    elif kind == "limnat-loop":
-        loop = limnat_loop(seed, value)
-    else:
-        loop = problem_loop(kind[: -len("-loop")], seed, value)
+    loop = make(seed, value)
     loop.meta["kind"] = kind
     return loop
 
@@ -378,9 +367,11 @@ def cmd_check(args, out) -> int:
 
 def cmd_limsim(args, out) -> int:
     loop = read_file(args.loop, parse_loop_file, "loop")
-    if loop.meta["kind"] != LIMSIM_KIND:
+    # the guess-and-restart simulation treats a data stream's eventual value
+    # as the step's answer, which only eventual-value loops mean
+    if loop.base_problem != "limnat":
         raise CliError(
-            f"{args.loop}: limsim runs eventual-value loops ({LIMSIM_KIND})"
+            f"{args.loop}: limsim runs eventual-value loops (limnat-loop)"
             f" only, not {loop.meta['kind']}"
         )
     # a given --fuel is the simulation's budget; otherwise it keeps its own

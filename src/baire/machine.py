@@ -480,9 +480,9 @@ class ExplicitName(MachineName):
         self._buf.append(0)  # dummy padding once the blocks are drained
 
 
-def encode_machine(machine: WordMachine, head: Word = (), label: str = "") -> MachineName:
+def encode_machine(machine: WordMachine, label: str = "") -> MachineName:
     """Name whose decoded entries are the machine's enumerated graph."""
-    return MachineName(machine, head, label)
+    return MachineName(machine, label=label)
 
 
 def universal_machine() -> WordMachine:

@@ -30,6 +30,11 @@ mapped index: a state that is not a lazy pair splits into its `halves`,
 star drops the first symbol of an input that is not a `TaggedStream`, and
 omega_via_inverse_limit's powers are halves of an extracted program.
 
+Level i of a program chain hands out `data_for(i, answer)`, the data part
+of state i+1.  `LOOP_KINDS` is the one table of loop kinds; all but
+`countdown` (pass-through) hand out data that ignores the answer, which
+`reductions.simulate_limit_machine` relies on when it `forget`s states.
+
 Runs carry provenance (which step answered what) and are classified as
 successful / stalled / undetermined at an explicit budget; the generic
 validator re-derives every step through the machine or decode face of the
@@ -77,6 +82,7 @@ from .streams import (
     interleave_word,
     odd_part,
     pair_stream,
+    read_prefix,
     tuple_countable,
     unpair_stream,
 )
@@ -132,15 +138,16 @@ def machine_oracle(machine: WordMachine) -> StepOracle:
 
 
 class ProgramName(MachineName):
-    """A loop program as a name: maps an answer y to <next program, data'>.
+    """A loop program as a name: maps an answer y to <next program, data(y)>.
 
     `next_program(answer_head)` builds the successor lazily; programs whose
     successor embeds the answer (dummy padding provenance) receive its
-    first symbol, others ignore it.  `data_word(y_prefix, fuel)` is the
-    monotone word-level approximation of `data(y)`, which is what the raw
-    and machine faces emit; the structured transformer face returns the
-    real pair so loop running stays linear.  The head is the flag followed
-    by `pad`, dummy symbols the decoder skips.
+    first symbol, others ignore it.  `data(y)`, a chain's `data_for` at its
+    level, is the next data part; today's kinds ignore the answer.  The raw
+    and machine faces emit the `len(y)` prefix of `data(y)` for a word y;
+    the structured transformer face returns the real pair so loop running
+    stays linear.  The head is the flag followed by `pad`, dummy symbols
+    the decoder skips.
     """
 
     def __init__(
@@ -148,14 +155,12 @@ class ProgramName(MachineName):
         flag: int,
         next_program: Callable[[Optional[int]], "ProgramName"],
         data: Callable[[Stream], Stream],
-        data_word: Callable[[Word, Fuel], Word],
         label: str = "prog",
         pad: Word = (),
     ):
         self.flag = flag
         self._next_program = next_program
         self._data = data
-        self._data_word = data_word
         # the raw face calls _apply directly: going through the memo would
         # skip the ticks a fresh block costs
         super().__init__(
@@ -186,17 +191,19 @@ class ProgramName(MachineName):
             head = y[0]
         successor = self._next_program(head)
         left = successor.prefix(len(y), fuel)
-        return interleave_word(left, self._data_word(y, fuel))
+        return interleave_word(left, read_prefix(self._data(y), len(y), fuel, ()))
 
 
 def chain_program(
     flags,
-    data_streams: Optional[Callable[[int], Stream]] = None,
+    data_for: Callable[[int, Stream], Stream],
     label: str = "chain",
     pad_answers: bool = False,
 ) -> ProgramName:
     """The one program-chain builder: level i signals flags[i] and hands out
-    data_streams(i+1), or the answer itself when `data_streams` is None.
+    data_for(i, answer), the data part of state i+1 (`answer` is a word on
+    the word faces).  Pass-through is `lambda i, answer: answer`; today's
+    instance loops hand out step i+1's fixed instance, ignoring the answer.
 
     Levels beyond the given flags keep the last flag.  With `pad_answers`,
     each successor's head carries the previous answer in a dummy block
@@ -216,13 +223,9 @@ def chain_program(
             return level(i + 1, extra)
 
         next_program.reads_answer = pad_answers
-        if data_streams is None:
-            data, data_word = (lambda answer: answer), (lambda y, fuel: y)
-        else:
-            data = lambda answer: data_streams(i + 1)
-            data_word = lambda y, fuel: data_streams(i + 1).prefix(len(y), fuel)
         flag = flags[min(i, len(flags) - 1)]
-        memo[key] = ProgramName(flag, next_program, data, data_word, f"{label}[{i}]", pad)
+        data = lambda answer: data_for(i, answer)
+        memo[key] = ProgramName(flag, next_program, data, f"{label}[{i}]", pad)
         return memo[key]
 
     return level(0)
@@ -230,7 +233,7 @@ def chain_program(
 
 def pass_through_program(flags, label: str = "pass") -> ProgramName:
     """Program chain whose data part is the answer itself."""
-    return chain_program(flags, None, label)
+    return chain_program(flags, lambda i, answer: answer, label)
 
 
 def countdown_program(n: int) -> ProgramName:
@@ -341,17 +344,20 @@ def check_step(
     return (CONSISTENT if short else UNDETERMINED), short
 
 
+def rederive_step(run: Run, i: int, answer: Stream, depth: int, budget: int) -> str:
+    """State i+1 against state i's program on `answer` through the generic
+    universal face, each read under a fresh `budget`-step tank."""
+    program, _ = unpair_stream(run.states[i])
+    expected = generic_universal(program, answer)
+    return check_step(run.states[i + 1], expected, depth, Fuel(budget), Fuel(budget))[0]
+
+
 def validate_run(run: Run, oracle: StepOracle, depth: int = 8) -> List[str]:
     """Step-wise verdicts: does each state match a generic re-derivation?"""
-    verdicts = []
-    for i in range(len(run.states) - 1):
-        program, data = unpair_stream(run.states[i])
-        expected = generic_universal(program, oracle.answer(data, i))
-        verdict, _ = check_step(
-            run.states[i + 1], expected, depth, Fuel(400_000), Fuel(400_000)
-        )
-        verdicts.append(verdict)
-    return verdicts
+    return [
+        rederive_step(run, i, oracle.answer(unpair_stream(run.states[i])[1], i), depth, 400_000)
+        for i in range(len(run.states) - 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +517,26 @@ class LoopInstance:
         return self.q0
 
 
-def problem_loop(problem_name: str, seed: int, steps: int) -> LoopInstance:
-    """Loop whose step inputs are seeded instances of a named problem.
+def _instance_loop(
+    problem_name: str, seed: int, steps: int, instances, pad_answers: bool = False
+) -> LoopInstance:
+    """Loop whose step inputs are the per-step instances i -> Instance.
 
     The program chain embeds the instances' public names as successive data
     parts, so the oracle's per-step instances line up with what the loop
-    actually feeds it.
+    actually feeds it; the data ignores the answers.
     """
-    problem = get_problem(problem_name)
-    oracle = oracle_for(problem_name, lambda i: problem.generate(seed * 1009 + i))
-    program = chain_program(
-        [1], lambda i: oracle.instance_at(i).public_name, label=f"{problem_name}-loop"
-    )
+    oracle = oracle_for(problem_name, instances)
+    data_for = lambda i, answer: oracle.instance_at(i + 1).public_name
+    program = chain_program([1], data_for, f"{problem_name}-loop", pad_answers)
     q0 = pair_stream(program, oracle.instance_at(0).public_name)
     return LoopInstance(problem_name, seed, q0, oracle, steps)
+
+
+def problem_loop(problem_name: str, seed: int, steps: int) -> LoopInstance:
+    """Loop whose step inputs are seeded instances of a named problem."""
+    problem = get_problem(problem_name)
+    return _instance_loop(problem_name, seed, steps, lambda i: problem.generate(seed * 1009 + i))
 
 
 def countdown_loop(n: int, seed: int = 0) -> LoopInstance:
@@ -563,21 +575,21 @@ def limnat_loop(seed: int, steps: int) -> LoopInstance:
     per_level = [0] * steps
     for _ in range(total):
         per_level[rng.randrange(steps)] += 1
-    oracle = oracle_for(
-        "limnat",
-        lambda i: make_limnat_instance(
-            seed * 601 + i, per_level[i] if i < steps else 0
-        ),
-    )
-    program = chain_program(
-        [1],
-        lambda i: oracle.instance_at(i).public_name,
-        label="limnat-loop",
-        pad_answers=True,
-    )
-    q0 = pair_stream(program, oracle.instance_at(0).public_name)
-    meta = {"total_changes": total, "per_level": per_level}
-    return LoopInstance("limnat", seed, q0, oracle, steps, meta)
+    instances = lambda i: make_limnat_instance(seed * 601 + i, per_level[i] if i < steps else 0)
+    loop = _instance_loop("limnat", seed, steps, instances, pad_answers=True)
+    loop.meta.update(total_changes=total, per_level=per_level)
+    return loop
+
+
+# loop kind -> (constructor (seed, value), the one `public:` key it reads,
+# that key's default); a loop file names a kind, and the CLI reads it here
+LOOP_KINDS = {
+    "countdown": (lambda seed, n: countdown_loop(n, seed), "n", 3),
+    "llpo-loop": (lambda seed, steps: problem_loop("llpo", seed, steps), "steps", 5),
+    "cn-loop": (lambda seed, steps: problem_loop("cn", seed, steps), "steps", 5),
+    "id-loop": (lambda seed, steps: problem_loop("id", seed, steps), "steps", 5),
+    "limnat-loop": (limnat_loop, "steps", 5),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -755,9 +767,7 @@ def diamond_via_inverse_limit(loop: LoopInstance, designated: Instance, step_cei
     if answer is None:
         return None, run, None
     point = designated.public_name
-    pad = ProgramName(
-        0, lambda head: pad, lambda a: point, lambda y, fuel: point.prefix(len(y), fuel), "pad"
-    )
+    pad = ProgramName(0, lambda head: pad, lambda a: point, "pad")
     padded = pair_stream(pad, point)
     success = cls.index
     states = run.states + [padded] * (step_ceiling + 1 - success)

@@ -30,10 +30,10 @@ from .operators import (
     Run,
     StepOracle,
     check_step,
-    generic_universal,
     lift_reduction_to_inverse_limit,
     limnat_loop,
     problem_loop,
+    rederive_step,
     run_lifted_loop,
     run_loop,
 )
@@ -225,11 +225,7 @@ def check_loop_run(
         verdict = base_problem.check_solution(instances(i), answer, depth)
         if verdict == REFUTED:
             return REFUTED
-        program, _ = unpair_stream(run.states[i])
-        expected = generic_universal(program, record.answer)
-        verdict, _ = check_step(
-            run.states[i + 1], expected, depth, Fuel(600_000), Fuel(600_000)
-        )
+        verdict = rederive_step(run, i, record.answer, depth, 600_000)
         if verdict == REFUTED:
             return REFUTED
         if verdict == CONSISTENT:
@@ -613,8 +609,9 @@ def simulate_limit_machine(
                     restarts += 1
                     guesses[i][0] = v
                     # the other guesses and scan positions stay, because the
-                    # data parts a loop hands out are the same streams
-                    # regardless of the answers fed to its programs
+                    # loop's `data_for` ignores the answer: the data parts it
+                    # hands out are the same streams whatever answers its
+                    # programs are fed
                     handle.forget(i)
                     break
             if not progressed:

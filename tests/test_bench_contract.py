@@ -29,6 +29,9 @@ are built by `operators.LoopStates` alone, so `reductions` names neither
 
 The `check` workload replays CLI runs in one process, so `cli.main` builds
 its argument parser on its first call only.
+
+Loop kinds are decided in one place, `operators.LOOP_KINDS`: `cli` imports
+no loop constructor and names no kind of its own.
 """
 
 import ast
@@ -251,6 +254,23 @@ def _names(path):
 def test_only_the_codec_names_the_block_format():
     files = {path.name for path in LIBRARY.glob("*.py") if _names(path) & BLOCK_FORMAT}
     assert files == {"machine.py"}
+
+
+def test_only_the_operators_know_the_loop_kinds():
+    from baire import operators
+
+    constructors = {
+        name
+        for name, obj in vars(operators).items()
+        if inspect.isfunction(obj) and obj.__annotations__.get("return") == "LoopInstance"
+    }
+    assert {"problem_loop", "limnat_loop", "countdown_loop"} <= constructors
+    cli = LIBRARY / "cli.py"
+    assert not _names(cli) & constructors
+    assert "LOOP_KINDS" in _names(cli)
+    tree = ast.parse(cli.read_text())
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not constants & set(operators.LOOP_KINDS)
 
 
 def test_the_mind_change_simulation_steps_through_the_loop_driver():

@@ -1,4 +1,5 @@
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baire.cli import main
+from baire.cli import main, parse_loop_file
 from baire.machine import machine_text
+from baire.operators import LOOP_KINDS, countdown_loop, limnat_loop, problem_loop
 from baire.reductions import witness_library
+from baire.streams import Fuel
 
 
 def run_cli(*argv):
@@ -352,6 +355,11 @@ def test_malformed_loop_file_exits_two(tmp_path, command, body):
         ("problem countdown seed 0\npublic: steps 9\n", 2),  # countdown reads n
         ("problem limnat-loop seed 1\npublic: n 3\n", 2),  # the other kinds read steps
         ("public: steps 4 n 2\nproblem id-loop seed 1\n", 1),
+        # a second problem line used to replace the first, a repeated key to
+        # keep its last value
+        ("problem llpo-loop seed 3\nproblem countdown seed 0\npublic: n 2\n", 2),
+        ("problem countdown seed 0\npublic: n 2 n 7\n", 2),
+        ("problem countdown seed 0\npublic: n 2\npublic: n 9\n", 3),
     ],
 )
 def test_loop_file_rejects_fields_that_do_nothing(tmp_path, body, line):
@@ -360,6 +368,64 @@ def test_loop_file_rejects_fields_that_do_nothing(tmp_path, body, line):
     code, text = run_cli("loop", "diamond", str(path))
     assert code == 2
     assert text.startswith("error: ") and f"line {line}:" in text
+
+
+# --- the loop-kind table ------------------------------------------------------------
+
+# each kind's constructor, called directly rather than through the table
+DIRECT = {
+    "countdown": lambda seed, n: countdown_loop(n, seed),
+    "llpo-loop": lambda seed, steps: problem_loop("llpo", seed, steps),
+    "cn-loop": lambda seed, steps: problem_loop("cn", seed, steps),
+    "id-loop": lambda seed, steps: problem_loop("id", seed, steps),
+    "limnat-loop": lambda seed, steps: limnat_loop(seed, steps),
+}
+
+
+def loop_view(loop, depth=40):
+    """What a loop is made of: its horizon, a q0 prefix and its step instances."""
+    instances = []
+    if loop.oracle.instance_at is not None:
+        for i in range(loop.steps + 1):
+            inst = loop.step_instance(i)
+            instances.append((inst.seed, inst.public_name.prefix(12), inst.hidden))
+    return loop.steps, loop.q0.prefix(depth, Fuel(10**6)), instances
+
+
+@pytest.mark.parametrize("kind", list(LOOP_KINDS))
+@pytest.mark.parametrize("given", [None, 2])
+def test_loop_file_builds_the_direct_constructors_loop(kind, given):
+    # a two-line file gives the key's default; a `public:` line, its value
+    _, key, default = LOOP_KINDS[kind]
+    second = "witness: none" if given is None else f"public: {key} {given}"
+    loop = parse_loop_file(f"problem {kind} seed 3\n{second}\n")
+    value = default if given is None else given
+    assert loop.meta["kind"] == kind
+    assert loop_view(loop) == loop_view(DIRECT[kind](3, value))
+    assert loop_view(loop) != loop_view(DIRECT[kind](3, value + 1))
+
+
+@pytest.mark.parametrize("kind", list(LOOP_KINDS))
+def test_loop_kind_rejects_another_kinds_key(kind):
+    key = LOOP_KINDS[kind][1]
+    other = next(k for _, k, _ in LOOP_KINDS.values() if k != key)
+    with pytest.raises(ValueError, match=f"line 2: loop kind {kind} reads no public key {other}"):
+        parse_loop_file(f"problem {kind} seed 3\npublic: {other} 2\n")
+
+
+def test_readme_names_the_loop_kinds_their_keys_and_defaults():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = text[text.index("Loop kinds") :].split(". ")[0]
+    named, pending = {}, []
+    for span in re.findall(r"`([^`]*)`", sentence):
+        if span.startswith("public: "):
+            _, key, default = span.split()
+            named.update((kind, (key, int(default))) for kind in pending)
+            pending = []
+        else:
+            pending.append(span)
+    assert pending == []
+    assert named == {kind: (key, default) for kind, (_, key, default) in LOOP_KINDS.items()}
 
 
 # --- check ------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from baire.cli import parse_loop_file
 from baire.machine import machine_text, parse_machine_text
+from baire.operators import LOOP_KINDS as KINDS
 from baire.problems import parse_plan
 
 NATURALS = ("0", "1", "2", "3", "7", "10")
-LOOP_KINDS = ("countdown", "llpo-loop", "cn-loop", "id-loop", "limnat-loop")
+LOOP_KINDS = tuple(KINDS)
 WORDS = (
     "-1", "+3", "1_0", "eps", "zeros", "cycle", "->", "#",
     "problem", "seed", "public:", "witness:", "n", "steps", "none",
