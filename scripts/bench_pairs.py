@@ -14,13 +14,17 @@ quartiles, the number of pairs the working tree wins, and whether the
 medians lie further apart than REF's interquartile range.  For every
 operation kind it prints each side's median, over the pairs, of the run's
 median time of that kind (the `kinds` block `bench/run.py` prints before its
-result line), and the number of pairs the working tree wins.  Before the
-pairs, `bench/run.py --replay 140` runs once on each side, and the script
-prints whether the two replays give identical answer digests and identical
-per-operation fuel; with `--pairs 0` it stops there.  With --json it also
-writes that summary to PATH, with the per-kind rows under `kinds`, the
-replay comparison, REF's commit, the workload, the seed and the number of
-pairs (`BENCH_<label>.json` records a claimed gain).  The temporary
+result line), and the number of pairs the working tree wins.  Beside it, it
+prints each side's median end-of-run cache figures from the same line (the
+`caches` block): the `currsize` of `decode_entries` and of `eval_name`, and
+`word_pool_len`, which show a growth that `peak_rss_mb`, read at operation
+140, does not.  Before the pairs, `bench/run.py --replay 140` runs once on
+each side, and the script prints whether the two replays give identical
+answer digests and identical per-operation fuel; with `--pairs 0` it stops
+there.  With --json it also writes that summary to PATH, with the per-kind
+rows under `kinds`, the cache figures under `caches`, the replay comparison,
+REF's commit, the workload, the seed and the number of pairs
+(`BENCH_<label>.json` records a claimed gain).  The temporary
 directory is deleted at the end.  The exit status is 1 when the replays
 differ in an answer digest or a per-operation fuel count, and 0 otherwise.
 """
@@ -108,6 +112,37 @@ def format_kinds(rows, n_pairs):
     return "\n".join(lines)
 
 
+def cache_figures(result):
+    """The end-of-run cache figures of a result, by name."""
+    caches = result["caches"]
+    return {
+        "decode_entries.currsize": caches["decode_entries"]["currsize"],
+        "eval_name.currsize": caches["eval_name"]["currsize"],
+        "word_pool_len": caches["word_pool_len"],
+    }
+
+
+def summarize_caches(pairs):
+    """One row per cache figure, when every run has a `caches` block: the
+    figure and REF's and the tree's median over the runs."""
+    if not all("caches" in r and "caches" in t for r, t in pairs):
+        return []
+    ref = [cache_figures(r) for r, _ in pairs]
+    tree = [cache_figures(t) for _, t in pairs]
+    return [
+        (name, statistics.median(r[name] for r in ref), statistics.median(t[name] for t in tree))
+        for name in ref[0]
+    ]
+
+
+def format_caches(rows):
+    row = "{:24s} {:>12s} {:>12s}".format
+    lines = [row("cache figure", "REF median", "tree median")]
+    for name, ref, tree in rows:
+        lines.append(row(name, f"{ref:g}", f"{tree:g}"))
+    return "\n".join(lines)
+
+
 def kinds_record(rows):
     """The per-kind rows as a JSON-ready dict, one entry per kind."""
     return {kind: {"ref": ref, "tree": tree, "wins": wins} for kind, ref, tree, wins in rows}
@@ -183,7 +218,7 @@ def copy_tree(into: Path, root: Path = ROOT) -> None:
 
 def bench_line(checkout: Path, *argv) -> dict:
     """The last line of a `bench/run.py` run in the checkout, parsed, with
-    the `kinds` block of the line before it when that line has one."""
+    the `kinds` and `caches` blocks of the line before it when it has them."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "bench/run.py", *argv],
@@ -192,8 +227,9 @@ def bench_line(checkout: Path, *argv) -> dict:
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     info = json.loads(lines[-2]) if len(lines) > 1 else {}
-    if "kinds" in info:
-        result["kinds"] = info["kinds"]
+    for block in ("kinds", "caches"):
+        if block in info:
+            result[block] = info[block]
     return result
 
 
@@ -241,12 +277,14 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}: ops_per_s REF {ops[0]:.4g} tree {ops[1]:.4g}", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    rows = kind_rows = []
+    rows = kind_rows = cache_rows = []
     if pairs:
         rows = summarize(pairs, end_to_end)
         print(format_rows(rows, len(pairs)))
         kind_rows = summarize_kinds(pairs)
         print(format_kinds(kind_rows, len(pairs)))
+        cache_rows = summarize_caches(pairs)
+        print(format_caches(cache_rows))
     if args.json is not None:
         commit = subprocess.run(
             ["git", "rev-parse", args.ref], cwd=ROOT, capture_output=True, text=True, check=True
@@ -255,6 +293,7 @@ def main(argv=None) -> int:
             args.ref, commit, args.workload, args.seed, args.seconds, rows, len(pairs)
         )
         record["kinds"] = kinds_record(kind_rows)
+        record["caches"] = {name: {"ref": ref, "tree": tree} for name, ref, tree in cache_rows}
         record["replay"] = replay
         args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if replay["digests_identical"] and replay["fuel_identical"] else 1

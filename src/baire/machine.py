@@ -21,9 +21,10 @@ Decoding works on runs of symbols:
 `EntryParser.scan` finds a run's structural symbols (3, 4, 5) in one pass
 and takes the payload between them by slices; `EntryAccumulator` indexes the
 accepted inputs in a trie, so an entry is compared only with the accepted
-entries whose inputs are comparable with its own; `decode_entries` resumes
-a longer prefix of a name from the accumulator of its previous schedule
-prefix; and `RawEvalStream` charges each run of name symbols in closed form.
+entries whose inputs are comparable with its own; `decode_entries` keeps
+one resume slot, the last prefix it decoded and that prefix's accumulator,
+and a miss that extends that prefix resumes from it; and `RawEvalStream`
+charges each run of name symbols in closed form.
 
 Constructed names additionally carry their word function, so evaluation can
 take a direct route instead of scanning the encoded graph; the two routes
@@ -36,7 +37,6 @@ flatten.  `eval_stream` and `apply_name_structured` are its only readers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -210,29 +210,25 @@ class EntryAccumulator:
         return entry
 
 
-# decode_entries hands the accumulator of each prefix it decodes on to the
-# next, longer prefix of the same content; the table keeps the last few
-_HANDOFF_SIZE = 8
-_handoff: dict = {}  # name prefix -> the accumulator that decoded it
+# decode_entries' resume slot: the last prefix it decoded and the accumulator
+# that decoded it; (None, None) before the first decode and while one runs
+_resume: list = [None, None]
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=64)  # a codec group re-reads the 33 ladder prefixes of one name
 def decode_entries(name_prefix: Word) -> tuple:
     """Accepted entries of a finite name prefix, in acceptance order.
 
-    A miss resumes from the accumulator of the previous schedule prefix
-    (the longest (k+3)² shorter than this one) of the same content when
-    the hand-on table still holds it, and decodes from scratch otherwise.
+    A miss resumes from the accumulator in the resume slot when this prefix
+    extends the slot's prefix, and decodes from scratch otherwise; either
+    way the slot then holds this prefix and its accumulator.
     """
-    n = len(name_prefix)
-    start = math.isqrt(n - 1) ** 2 if n > 9 else 0  # (k+3)² < n, k >= 0
-    acc = _handoff.pop(name_prefix[:start], None) if start else None
-    if acc is None:
-        acc, start = EntryAccumulator(), 0
-    acc.take_run(name_prefix, start, n)
-    if len(_handoff) >= _HANDOFF_SIZE:
-        del _handoff[next(iter(_handoff))]
-    _handoff[name_prefix] = acc
+    last, acc = _resume
+    _resume[:] = None, None  # a decode that raises leaves nothing half-advanced
+    if acc is None or name_prefix[: len(last)] != last:
+        acc, last = EntryAccumulator(), ()
+    acc.take_run(name_prefix, len(last), len(name_prefix))
+    _resume[:] = name_prefix, acc
     return tuple(acc.accepted)
 
 
@@ -251,7 +247,7 @@ def applied_sup(accepted, word: Word) -> Word:
     return best
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=256)  # a codec group adds about 135 keys it reuses; check reads 4
 def eval_name(name_prefix: Word, input_prefix: Word) -> Word:
     """The name prefix's value on the input: `applied_sup` of its entries."""
     return applied_sup(decode_entries(name_prefix), input_prefix)

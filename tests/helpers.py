@@ -394,3 +394,37 @@ def long_run_sizes(cycles, ops):
         ])
         del live  # the next cycle's list would hold this one and all it holds
     return sizes
+
+
+def codec_run_sizes(queries, every):
+    """Run `queries` raw-name queries of the benchmark's `codec` workload
+    (bench/workloads.py's `CodecOps(7)`, its machine-file queries skipped)
+    in order, and after every `every`-th, with garbage collected, record
+    [`decode_entries` entries, `eval_name` entries, bytes traced].  The
+    queries are built before tracing starts, so the traced bytes are those
+    that running them keeps.  Tracing starts after `every // 2` queries:
+    a group of eight adds about 33 `decode_entries` and 135 `eval_name`
+    entries, so with `every` >= 48 a bounded cache holds only traced entries
+    at the first record.  bench/ must be on the path; run without bytecode
+    writing, so that nothing under bench/ is written."""
+    import tracemalloc
+
+    import workloads
+
+    codec = workloads.CodecOps(7, {}, None)
+    raw = [i for i in range(queries * 2) if codec.kinds[i % len(codec.kinds)] != "file"]
+    ops = [codec.op(i) for i in raw[:queries]]
+    sizes = []
+    for n, op in enumerate(ops, start=1):
+        if n == every // 2:
+            tracemalloc.start()
+        op.run()
+        if n % every == 0:
+            gc.collect()
+            sizes.append([
+                machine.decode_entries.cache_info().currsize,
+                machine.eval_name.cache_info().currsize,
+                tracemalloc.get_traced_memory()[0],
+            ])
+    tracemalloc.stop()
+    return sizes

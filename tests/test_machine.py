@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -187,16 +192,16 @@ def test_resumed_decode_matches_naive_oracle(order):
     elif order == "other-lengths":
         lengths = sorted(rng.sample(range(1300), 60))
     decode_entries.cache_clear()
-    for _ in range(2):  # the second round after cache_clear: a stale table
+    for _ in range(2):  # the second round after cache_clear: a stale resume slot
         for word in _decode_names():
             for n in lengths:
                 assert list(decode_entries(word[:n])) == naive_decode(word[:n]), (order, n)
         decode_entries.cache_clear()
 
 
-def test_resumed_decode_with_a_full_hand_on_table():
-    # the names' ladders interleave with more names than the table holds,
-    # so it is full and evicts entries the ladders would resume from
+def test_resumed_decode_with_interleaved_ladders():
+    # the names' ladders interleave, so most steps find another name's
+    # prefix in the resume slot and decode from scratch
     rng = random.Random("resume-full")
     words = [ChainPlan(seed).name.prefix(700, Fuel(10**6)) for seed in range(12)]
     decode_entries.cache_clear()
@@ -204,19 +209,73 @@ def test_resumed_decode_with_a_full_hand_on_table():
     steps.sort(key=lambda step: step[1] + rng.randrange(60))
     for w, n in steps:
         assert list(decode_entries(w[:n])) == naive_decode(w[:n])
-        assert len(machine._handoff) <= machine._HANDOFF_SIZE
-    assert len(machine._handoff) == machine._HANDOFF_SIZE
+        assert machine._resume[0] == w[:n]
 
 
 def test_decode_hands_its_accumulator_on_without_copying():
     word = ChainPlan(11).name.prefix(400, Fuel(10**6))
     decode_entries.cache_clear()
     decode_entries(word[:9])
-    acc = machine._handoff[word[:9]]
+    acc = machine._resume[1]
     decode_entries(word[:16])
-    assert machine._handoff[word[:16]] is acc and word[:9] not in machine._handoff
+    assert machine._resume == [word[:16], acc] and machine._resume[1] is acc
     decode_entries(word[:20])  # resumes from the 16-prefix too
-    assert machine._handoff[word[:20]] is acc
+    assert machine._resume[1] is acc
+
+
+def _record_runs(monkeypatch):
+    # (accumulator, lo, hi) of every run a decode feeds, in order, from an
+    # empty resume slot
+    monkeypatch.setattr(machine, "_resume", [None, None])
+    runs = []
+    take_run = EntryAccumulator.take_run
+
+    def recording(self, run, lo, hi):
+        runs.append((self, lo, hi))
+        take_run(self, run, lo, hi)
+
+    monkeypatch.setattr(EntryAccumulator, "take_run", recording)
+    return runs
+
+
+def test_decode_resumes_a_prefix_off_the_schedule(monkeypatch):
+    word = ChainPlan(11).name.prefix(400, Fuel(10**6))
+    decode_entries.cache_clear()
+    runs = _record_runs(monkeypatch)
+    assert list(decode_entries(word[:10])) == naive_decode(word[:10])
+    assert list(decode_entries(word[:12])) == naive_decode(word[:12])
+    (acc, *first), (resumed, *second) = runs
+    assert resumed is acc and (first, second) == ([0, 10], [10, 12])
+
+
+def test_a_prefix_that_does_not_extend_the_slot_decodes_fresh_and_takes_it(monkeypatch):
+    word = ChainPlan(11).name.prefix(400, Fuel(10**6))
+    other = ChainPlan(12).name.prefix(400, Fuel(10**6))
+    decode_entries.cache_clear()
+    runs = _record_runs(monkeypatch)
+    for w in (word[:30], other[:20], other[:25], word[:12]):
+        assert list(decode_entries(w)) == naive_decode(w)
+        assert machine._resume[0] == w
+    accs = [acc for acc, *_ in runs]
+    assert [lo for _, lo, _ in runs] == [0, 0, 20, 0]
+    assert accs[2] is accs[1] and len({id(a) for a in accs}) == 3
+    assert machine._resume[1] is accs[3]
+
+
+def test_a_decode_that_raises_leaves_the_slot_empty(monkeypatch):
+    word = ChainPlan(11).name.prefix(400, Fuel(10**6))
+    decode_entries.cache_clear()
+    decode_entries(word[:10])
+
+    def boom(self, run, lo, hi):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(EntryAccumulator, "take_run", boom)
+    with pytest.raises(KeyboardInterrupt):
+        decode_entries(word[:12])
+    assert machine._resume == [None, None]
+    monkeypatch.undo()
+    assert list(decode_entries(word[:12])) == naive_decode(word[:12])
 
 
 @settings(max_examples=200)
@@ -256,6 +315,27 @@ def test_decode_of_encode_reproduces_machine(seed):
                 for d in range(3):
                     for u in [(), (a,), (a, b), (a, b, c), (a, b, c, d)]:
                         assert oracle(u) == m.apply(u, None)
+
+
+def test_a_long_codec_run_keeps_the_decode_caches_and_traced_memory_flat():
+    # the caches once kept every name prefix a query read, about 17
+    # `eval_name` entries a query; after the first 100 queries, 200 more must
+    # leave both caches' sizes as they were and the traced memory within
+    # 512 KB.  The caches are process state, so the run starts from empty
+    # caches in a fresh interpreter, with bytecode writing off.
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", "import helpers, json; print(json.dumps(helpers.codec_run_sizes(300, 100)))"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / d) for d in ("src", "tests", "bench"))),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    sizes = json.loads(done.stdout)
+    assert [caches for *caches, _ in sizes] == [sizes[0][:2]] * 3
+    traced = [size for *_, size in sizes]
+    assert max(traced) - min(traced) < 512 * 1024, traced
 
 
 # --- eval_name ----------------------------------------------------------------

@@ -179,9 +179,10 @@ def _full_result_line(value):
     return {"correct": True, "metrics": {name: {"value": value} for name in names}}
 
 
-def _main_on_canned_runs(monkeypatch, ref_replay, tree_replay, pairs):
-    """bench_pairs.main with --pairs `pairs` on canned replay and result lines,
-    no checkout extracted and no benchmark run: (exit status, runs made)."""
+def _main_on_canned_runs(monkeypatch, ref_replay, tree_replay, pairs, result=None, extra=()):
+    """bench_pairs.main with --pairs `pairs` and the arguments `extra` on
+    canned replay and result lines (`result(checkout, run)` when given), no
+    checkout extracted and no benchmark run: (exit status, runs made)."""
     bench_pairs = _bench_pairs()
     runs = []
     monkeypatch.setattr(bench_pairs, "extract", lambda ref, into: None)
@@ -192,11 +193,11 @@ def _main_on_canned_runs(monkeypatch, ref_replay, tree_replay, pairs):
 
     def run_bench(checkout, workload, seed, seconds):
         runs.append(checkout)
-        return _full_result_line(1.0)
+        return result(checkout, len(runs)) if result else _full_result_line(1.0)
 
     monkeypatch.setattr(bench_pairs, "run_replay", run_replay)
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
-    argv = ["HEAD", "--workload", "transform", "--pairs", str(pairs)]
+    argv = ["HEAD", "--workload", "transform", "--pairs", str(pairs), *extra]
     return bench_pairs.main(argv), runs
 
 
@@ -216,6 +217,40 @@ def test_bench_pairs_exits_1_when_the_replays_differ(monkeypatch, capsys, tree, 
     status, runs = _main_on_canned_runs(monkeypatch, _replay_line(["a1", "b2"], [10, 7]), tree, pairs)
     assert (status, len(runs)) == (1, 2 * pairs)
     assert "DIFFERENT" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_bench_pairs_prints_and_records_the_median_cache_figures(monkeypatch, capsys, tmp_path):
+    # the `caches` block of `bench/run.py`'s info line, as `bench_line` keeps it
+    def result(checkout, run):
+        line = _full_result_line(1.0)
+        grown = 1000 * run if checkout.name == "ref" else 0
+        line["caches"] = {
+            "decode_entries": {"hits": 9, "misses": 5, "maxsize": 64, "currsize": 64 + grown},
+            "eval_name": {"hits": 9, "misses": 5, "maxsize": 256, "currsize": 256 + 2 * grown},
+            "word_pool_len": 11912 + run,
+        }
+        return line
+
+    same = _replay_line(["a1", "b2"], [10, 7])
+    out = tmp_path / "pairs.json"
+    status, runs = _main_on_canned_runs(monkeypatch, same, same, 3, result, ["--json", str(out)])
+    assert status == 0 and len(runs) == 6
+    # the ref side runs 1st, 4th and 5th; the median is over the pairs
+    table = capsys.readouterr().out.splitlines()[-4:]
+    assert [line.split() for line in table] == [
+        ["cache", "figure", "REF", "median", "tree", "median"],
+        ["decode_entries.currsize", "4064", "64"],
+        ["eval_name.currsize", "8256", "256"],
+        ["word_pool_len", "11916", "11915"],
+    ]
+    assert json.loads(out.read_text())["caches"] == {
+        "decode_entries.currsize": {"ref": 4064, "tree": 64},
+        "eval_name.currsize": {"ref": 8256, "tree": 256},
+        "word_pool_len": {"ref": 11916, "tree": 11915},
+    }
+    # result lines without a `caches` block give no rows
+    bare = [(json.loads(_result_line(30.0, 0.01)), json.loads(_result_line(31.0, 0.01)))]
+    assert _bench_pairs().summarize_caches(bare) == []
 
 
 def test_bench_pairs_copies_the_tree_git_would_commit(tmp_path):
