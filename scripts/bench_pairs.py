@@ -1,6 +1,6 @@
 """Compare a git revision with the working tree on one benchmark workload.
 
-    python scripts/bench_pairs.py REF --workload W --pairs N --seed S [--seconds T] [--json PATH]
+    python scripts/bench_pairs.py REF --workload W --pairs N --seed S [--seconds T] [--aa M] [--json PATH]
 
 Both sides run from fresh copies side by side in one temporary directory,
 so that they differ only in their files: REF extracted with `git archive`
@@ -11,7 +11,11 @@ tree, one run of each per pair, with the side that runs first alternating
 from pair to pair.  For every
 end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the number of pairs the working tree wins, and whether the
-medians lie further apart than REF's interquartile range.  For every
+medians lie further apart than REF's interquartile range.  With --aa M,
+M pairs of REF against REF run before the pairs, and the script prints
+each end-to-end metric's A/A spread, the largest difference between the
+two runs of one such pair; the medians then read apart only when they lie
+further apart than both REF's interquartile range and that spread.  For every
 operation kind it prints each side's median, over the pairs, of the run's
 median time of that kind (the `kinds` block `bench/run.py` prints before its
 result line), and the number of pairs the working tree wins.  Beside it, it
@@ -20,11 +24,12 @@ prints each side's median end-of-run cache figures from the same line (the
 `word_pool_len`, which show a growth that `peak_rss_mb`, read at operation
 140, does not.  Before the pairs, `bench/run.py --replay 140` runs once on
 each side, and the script prints whether the two replays give identical
-answer digests and identical per-operation fuel; with `--pairs 0` it stops
-there.  With --json it also writes that summary to PATH, with the per-kind
-rows under `kinds`, the cache figures under `caches`, the replay comparison,
-REF's commit, the workload, the seed and the number of pairs
-(`BENCH_<label>.json` records a claimed gain).  The temporary
+answer digests and identical per-operation fuel; with `--pairs 0` and no
+`--aa` it stops there.  With --json it also writes that summary to PATH,
+with the per-kind rows under `kinds`, the cache figures under `caches`,
+the A/A pairs and spread under `aa`, the replay comparison, REF's commit,
+the workload, the seed and the number of pairs (`BENCH_<label>.json`
+records a claimed gain).  The temporary
 directory is deleted at the end.  The exit status is 1 when the replays
 differ in an answer digest or a per-operation fuel count, and 0 otherwise.
 """
@@ -55,14 +60,15 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(pairs, end_to_end):
+def summarize(pairs, end_to_end, spread=None):
     """One row per metric of `end_to_end` for a list of (ref, tree) results.
 
     A result is the parsed last line of `bench/run.py`; a metric is a
     BENCHMARK.json entry with `name` and `better`.  A row holds the metric
     name, its direction, REF's and the tree's (q1, median, q3), the pairs
     the tree wins (strictly better than REF in the same pair) and whether
-    the medians are further apart than REF's interquartile range.
+    the medians are further apart than REF's interquartile range and than
+    the metric's A/A spread in `spread`, when given (`aa_spread`).
     """
     rows = []
     for metric in end_to_end:
@@ -71,9 +77,30 @@ def summarize(pairs, end_to_end):
         tree = [t["metrics"][name]["value"] for _, t in pairs]
         wins = sum(sign * (t - r) > 0 for r, t in zip(ref, tree))
         ref_q, tree_q = quartiles(ref), quartiles(tree)
-        apart = abs(tree_q[1] - ref_q[1]) > ref_q[2] - ref_q[0]
+        noise = max(ref_q[2] - ref_q[0], (spread or {}).get(name, 0))
+        apart = abs(tree_q[1] - ref_q[1]) > noise
         rows.append((name, metric["better"], ref_q, tree_q, wins, apart))
     return rows
+
+
+def aa_spread(pairs, end_to_end):
+    """Per metric of `end_to_end`, the largest difference between the two
+    runs of one pair, for pairs of REF against REF: how far apart runs of
+    identical code read."""
+    def value(result, name):
+        return result["metrics"][name]["value"]
+
+    return {
+        m["name"]: max(abs(value(a, m["name"]) - value(b, m["name"])) for a, b in pairs)
+        for m in end_to_end
+    }
+
+
+def format_spread(spread, n_pairs):
+    row = "{:16s} {:>12s}".format
+    lines = [row("metric", f"A/A spread ({n_pairs} pairs)")]
+    lines.extend(row(name, f"{value:.6g}") for name, value in spread.items())
+    return "\n".join(lines)
 
 
 def format_rows(rows, n_pairs):
@@ -256,6 +283,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--aa", type=int, default=0, help="pairs of REF against REF to run first")
     parser.add_argument("--json", type=Path, default=None, help="also write the summary here")
     args = parser.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -268,6 +296,13 @@ def main(argv=None) -> int:
             *(run_replay(c, args.workload, args.seed) for c in (ref_dir, tree_dir))
         )
         print(format_replay(replay), flush=True)
+        aa = [
+            tuple(run_bench(ref_dir, args.workload, args.seed, args.seconds) for _ in range(2))
+            for _ in range(args.aa)
+        ]
+        spread = aa_spread(aa, end_to_end) if aa else {}
+        if spread:
+            print(format_spread(spread, len(aa)), flush=True)
         pairs = []
         for i in range(args.pairs):
             order = (ref_dir, tree_dir) if i % 2 == 0 else (tree_dir, ref_dir)
@@ -279,7 +314,7 @@ def main(argv=None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     rows = kind_rows = cache_rows = []
     if pairs:
-        rows = summarize(pairs, end_to_end)
+        rows = summarize(pairs, end_to_end, spread)
         print(format_rows(rows, len(pairs)))
         kind_rows = summarize_kinds(pairs)
         print(format_kinds(kind_rows, len(pairs)))
@@ -294,6 +329,7 @@ def main(argv=None) -> int:
         )
         record["kinds"] = kinds_record(kind_rows)
         record["caches"] = {name: {"ref": ref, "tree": tree} for name, ref, tree in cache_rows}
+        record["aa"] = {"pairs": len(aa), "spread": spread}
         record["replay"] = replay
         args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if replay["digests_identical"] and replay["fuel_identical"] else 1

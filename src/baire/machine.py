@@ -23,8 +23,12 @@ and takes the payload between them by slices; `EntryAccumulator` indexes the
 accepted inputs in a trie, so an entry is compared only with the accepted
 entries whose inputs are comparable with its own; `decode_entries` keeps
 one resume slot, the last prefix it decoded and that prefix's accumulator,
-and a miss that extends that prefix resumes from it; and `RawEvalStream`
-charges each run of name symbols in closed form.
+and a miss that extends that prefix resumes from it.  `RawEvalStream`
+charges each run of name symbols in closed form and reads the accepted
+entries from a `DecodeLog`, which owns the decode: the streams on one plan
+name (`PlanStream`, whose plan fixes its symbols) share the log of the last
+plan read, so a name queried again is parsed once, while fuel is still
+charged per stream; any other name gets a log of its own.
 
 Constructed names additionally carry their word function, so evaluation can
 take a direct route instead of scanning the encoded graph; the two routes
@@ -47,6 +51,7 @@ from .streams import (
     FuelLike,
     BufferedStream,
     NeedMoreFuel,
+    PlanStream,
     Stream,
     Word,
     as_fuel,
@@ -208,6 +213,58 @@ class EntryAccumulator:
         self.accepted.append(entry)
         self._seen.add(entry)
         return entry
+
+
+class DecodeLog:
+    """The accepted entries of a name's symbols, parsed once for its readers.
+
+    `acc` is the accumulator that has parsed symbols 0 .. frontier-1, and
+    `ends[j]` is the index of the end symbol of `acc.accepted[j]`.  What it
+    accepts is a function of the symbols alone, so every reader of the same
+    symbols may read its entries, each charging its own reads.
+    """
+
+    __slots__ = ("acc", "ends", "frontier")
+
+    def __init__(self):
+        self.acc = EntryAccumulator()
+        self.ends = []
+        self.frontier = 0
+
+    def take_run(self, run, lo: int, hi: int) -> None:
+        """Parse run[lo:hi], the symbols from the frontier on.
+
+        A parse that raises leaves the log half-advanced, so it leaves the
+        plan slot empty if the log was there.
+        """
+        base = self.frontier - lo
+        offer, ends = self.acc.offer, self.ends
+        try:
+            for i, entry in self.acc.parser.scan(run, lo, hi):
+                if offer(entry) is not None:
+                    ends.append(base + i)
+        except BaseException:
+            if _plan_log[1] is self:
+                _plan_log[:] = None, None
+            raise
+        self.frontier = base + hi
+
+
+# the decode log of the last plan name a `RawEvalStream` was built on, keyed
+# by its plan (head, tail); (None, None) before the first and after a parse
+# that raised
+_plan_log: list = [None, None]
+
+
+def _decode_log(name: Stream) -> DecodeLog:
+    """The log a `RawEvalStream` reads its name's entries from: shared by
+    the streams on one plan, which fixes the symbols, and private otherwise."""
+    if type(name) is not PlanStream:
+        return DecodeLog()
+    key = (name.head, name.tail)
+    if _plan_log[0] != key:
+        _plan_log[:] = key, DecodeLog()
+    return _plan_log[1]
 
 
 # decode_entries' resume slot: the last prefix it decoded and the accumulator
@@ -594,14 +651,18 @@ class RawEvalStream(BufferedStream):
     steps, and the symbol where the one-step path would signal follows from
     c and `Fuel.headroom` alone, with no per-symbol count; a run costing
     exactly the headroom is read to its end, and the next step signals.
-    Only that stretch is scanned, by `EntryParser.scan`, which skips
-    dummies; an entry that makes the output grow ends the run after its end
-    symbol.  The run's total is charged with one `Fuel.take`, the queued
-    symbols read go to the name's `_buf` by `commit`, and a run cut short
-    by the headroom ticks after it, so the same tank signals.  A buffered
-    name runs its producer rounds inside `read_run`, charged as `at`
-    charges them; other names come one symbol a run, read and charged by
-    `at`.
+    The name's `DecodeLog` parses the part of the run past its frontier,
+    and the stream notes, in order, the log's entries that end within the
+    symbols it can pay for; an entry that makes the output grow ends the
+    run after its end symbol.  The log belongs to the name's content:
+    streams on one plan share it (`_decode_log`), so each symbol is parsed
+    once whichever stream reads it first, and parsing reads content, never
+    fuel; every stream still charges its own reads.  The run's total is
+    charged with one `Fuel.take`, the queued symbols read go to the name's
+    `_buf` by `commit`, and a run cut short by the headroom ticks after it,
+    so the same tank signals.  A buffered name runs its producer rounds
+    inside `read_run`, charged as `at` charges them; other names come one
+    symbol a run, read and charged by `at`.
     """
 
     def __init__(self, name: Stream, source: Stream, label: str = ""):
@@ -609,7 +670,8 @@ class RawEvalStream(BufferedStream):
         self.name = name
         self.source = source
         self.label = label
-        self._acc = EntryAccumulator()
+        self._log = _decode_log(name)
+        self._j = 0  # the log's entries noted: those ending before _name_pos
         self._name_pos = 0
         self._input = []
         self._waiting = []  # entries whose inputs may still extend the input
@@ -640,8 +702,8 @@ class RawEvalStream(BufferedStream):
         # next schedule boundary is charged here with one take
         buf = self._buf
         name = self.name
-        scan = self._acc.parser.scan
-        offer = self._acc.offer
+        log = self._log
+        ends, accepted = log.ends, log.acc.accepted
         while True:
             end = _raw_schedule(len(self._input))
             while self._name_pos >= end:
@@ -661,13 +723,18 @@ class RawEvalStream(BufferedStream):
             # fresh and c(m) = 2m - paid leaves no step for its read (a
             # paid m has c(m) = m = room < paid, and passes the test)
             used = m + (2 * m - paid < room) if dry else n
+            pos = self._name_pos
+            if pos + n > log.frontier:
+                log.take_run(run, log.frontier - pos, n)
             produced = False
-            for i, entry in scan(run, 0, used):
-                if offer(entry) is not None:
-                    self._note(entry)
-                    if len(self._best) > len(buf):
-                        used, produced = i + 1, True
-                        break
+            j, stop = self._j, pos + used
+            while j < len(ends) and ends[j] < stop:
+                self._note(accepted[j])
+                j += 1
+                if len(self._best) > len(buf):
+                    used, produced = ends[j - 1] + 1 - pos, True
+                    break
+            self._j = j
             # not `charge_run`: this one take also pays for the rounds
             if produced:  # no round step after the producing symbol
                 fuel.take(used - 1 + max(0, used - paid))
@@ -675,7 +742,7 @@ class RawEvalStream(BufferedStream):
                 fuel.take(room if dry else n + max(0, n - paid))
             if used > paid:
                 name.commit(used - paid)
-            self._name_pos += used
+            self._name_pos = pos + used
             if produced:
                 buf.extend(self._best[len(buf) :])
                 return

@@ -11,6 +11,7 @@ from typing import Callable
 
 from baire import machine
 from baire.machine import (
+    EntryAccumulator,
     ExplicitName,
     GraphEntry,
     MachineName,
@@ -116,7 +117,12 @@ class PerSymbolRawEval(RawEvalStream):
 
     This is `RawEvalStream._extend` as it was before names were read in
     runs, kept as the reference the run reader must match step for step.
+    It feeds an accumulator of its own, symbol by symbol.
     """
+
+    def __init__(self, name, source, label=""):
+        super().__init__(name, source, label)
+        self._acc = EntryAccumulator()
 
     def _extend(self, fuel):
         buf = self._buf

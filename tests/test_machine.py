@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ from baire.streams import Fuel, NeedMoreFuel, PlanStream, ZEROS, pair_stream
 
 from helpers import (
     ChainPlan,
+    PerSymbolRawEval,
     generator_entry_block,
     naive_blocks,
     naive_decode,
@@ -336,6 +339,149 @@ def test_a_long_codec_run_keeps_the_decode_caches_and_traced_memory_flat():
     assert [caches for *caches, _ in sizes] == [sizes[0][:2]] * 3
     traced = [size for *_, size in sizes]
     assert max(traced) - min(traced) < 512 * 1024, traced
+
+
+# --- the decode log -------------------------------------------------------------
+# A RawEvalStream reads its name's accepted entries from a DecodeLog.  The
+# streams on one plan name share the log of the last plan read, so a group
+# of queries on one name parses it once, while each stream still charges its
+# own reads.  helpers.PerSymbolRawEval, which feeds an accumulator of its own
+# one symbol at a time, is the reference for every stream.
+
+
+def _plan_copy(plan):
+    """A fresh PlanStream on a chain plan's name, as each codec query builds."""
+    return PlanStream(plan.name.head, plan.name.tail)
+
+
+def _group_inputs(plan):
+    """Eight fresh inputs, as a codec group asks of one name: four along
+    the spine, whose value reaches the depth, and four that leave it early."""
+    along = [plan.spine_stream(t) for t in range(4)]
+    off = [
+        PlanStream(plan.spine[:j] + ((plan.spine[j] + 1) % 4,), ("cycle", (j % 3 + 1,)))
+        for j in range(4)
+    ]
+    return along + off
+
+
+def _read(stream, k, budget):
+    """The symbols, `spent` and name position of a read of k symbols on a
+    fresh tank, which may signal."""
+    tank = Fuel(budget)
+    try:
+        stream.prefix(k, tank)
+    except NeedMoreFuel:
+        pass
+    return tuple(stream._buf), tank.spent, stream._name_pos
+
+
+def _count_parsed(monkeypatch):
+    """A counter of the symbols handed to `EntryParser.scan` from now on."""
+    parsed = [0]
+    scan = EntryParser.scan
+
+    def counting(self, run, lo, hi):
+        parsed[0] += hi - lo
+        return scan(self, run, lo, hi)
+
+    monkeypatch.setattr(EntryParser, "scan", counting)
+    return parsed
+
+
+GROUP_DEPTH = 8
+
+
+def test_a_codec_group_on_one_plan_matches_the_reference_and_parses_it_once(monkeypatch):
+    plan = ChainPlan(5, blocks=8)
+    k = GROUP_DEPTH
+
+    def group(budget, cls=RawEvalStream):
+        machine._plan_log[:] = None, None
+        return [_read(cls(_plan_copy(plan), src), k, budget) for src in _group_inputs(plan)]
+
+    reads = group(10**5)
+    assert [len(buf) == k for buf, *_ in reads] == [True] * 4 + [False] * 4
+    full = max(spent for _, spent, _ in reads[:4])
+    for budget in range(full + 2):
+        assert group(budget) == group(budget, PerSymbolRawEval), budget
+    parsed = _count_parsed(monkeypatch)
+    alone = []
+    for src in _group_inputs(plan):
+        machine._plan_log[:] = None, None
+        parsed[0] = 0
+        _read(RawEvalStream(_plan_copy(plan), src), k, full)
+        alone.append(parsed[0])
+    parsed[0] = 0
+    group(full)
+    # each symbol once: as much as the stream that reads furthest parses alone
+    assert parsed[0] == max(alone) < sum(alone)
+    assert not hasattr(RawEvalStream(_plan_copy(plan), ZEROS), "_acc")
+
+
+def test_streams_on_two_plans_read_alternately_match_the_reference():
+    # each turn builds a stream on its plan, which takes the slot from the
+    # other plan, and resumes every earlier stream on that plan, whose log
+    # is no longer the slot's, on a small tank
+    plans = (ChainPlan(6, blocks=8), ChainPlan(7, blocks=8))
+    machine._plan_log[:] = None, None
+    live = ([], [])
+    for turn in range(12):
+        side = turn % 2
+        plan = plans[side]
+        pick = turn // 2 % 8
+        stream = RawEvalStream(_plan_copy(plan), _group_inputs(plan)[pick])
+        assert machine._plan_log[1] is stream._log
+        live[side].append((stream, PerSymbolRawEval(_plan_copy(plan), _group_inputs(plan)[pick])))
+        for got, want in live[side]:
+            assert _read(got, GROUP_DEPTH, 23) == _read(want, GROUP_DEPTH, 23), turn
+    for got, want in live[0] + live[1]:
+        assert _read(got, GROUP_DEPTH, 10**4) == _read(want, GROUP_DEPTH, 10**4)
+
+
+def test_a_parse_that_raises_leaves_the_plan_slot_empty(monkeypatch):
+    plan = ChainPlan(5, blocks=8)
+    machine._plan_log[:] = None, None
+    _read(RawEvalStream(_plan_copy(plan), plan.spine_stream(0)), GROUP_DEPTH, 40)
+
+    def boom(self, run, lo, hi):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(EntryParser, "scan", boom)
+    with pytest.raises(KeyboardInterrupt):
+        RawEvalStream(_plan_copy(plan), plan.spine_stream(0)).prefix(GROUP_DEPTH, Fuel(10**4))
+    assert machine._plan_log == [None, None]
+    monkeypatch.undo()
+    got = RawEvalStream(_plan_copy(plan), plan.spine_stream(0))
+    want = PerSymbolRawEval(_plan_copy(plan), plan.spine_stream(0))
+    assert _read(got, GROUP_DEPTH, 10**4) == _read(want, GROUP_DEPTH, 10**4)
+
+
+class _PlanSubclass(PlanStream):
+    pass
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda plan: _PlanSubclass(plan.name.head, plan.name.tail),
+        lambda plan: ExplicitName([(plan.spine[:j], plan.target[:j]) for j in range(6)]),
+    ],
+    ids=["plan-subclass", "explicit-name"],
+)
+def test_a_non_plan_name_gets_a_private_log_and_is_not_kept_alive(build):
+    plan = ChainPlan(5, blocks=8)
+    machine._plan_log[:] = None, None
+    name = build(plan)
+    readers = [RawEvalStream(name, plan.spine_stream(t)) for t in range(2)]
+    for reader in readers:
+        _read(reader, GROUP_DEPTH, 10**4)
+    assert readers[0]._log is not readers[1]._log
+    assert machine._plan_log == [None, None]
+    alive = weakref.ref(name)
+    del name, readers, reader
+    gc.collect()
+    assert alive() is None
 
 
 # --- eval_name ----------------------------------------------------------------

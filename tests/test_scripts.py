@@ -275,3 +275,43 @@ def test_bench_pairs_copies_the_tree_git_would_commit(tmp_path):
     copied = sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file())
     assert copied == [".gitignore", "src/a.py", "src/new.py"]
     assert (into / "src/a.py").read_text() == "a = 2\n"
+
+
+
+def test_bench_pairs_reads_apart_only_beyond_the_aa_spread(monkeypatch, capsys, tmp_path):
+    # the A/A runs of REF read ops_per_s 10 and 13 and op_s.p50 6 and 6.5;
+    # in the pairs REF reads 11 and 6 every time and the tree 13 and 1.  The
+    # tree's ops_per_s median is 2 above REF's, beyond REF's interquartile
+    # range (0) but within the A/A spread (3); its p50 is beyond both
+    aa_values = [(10.0, 6.0), (13.0, 6.5)]
+
+    def result(checkout, run):
+        line = _full_result_line(1.0)
+        if checkout.name == "tree":
+            ops, p50 = 13.0, 1.0
+        elif run <= 2 * aa:
+            ops, p50 = aa_values[run % 2]
+        else:
+            ops, p50 = 11.0, 6.0
+        line["metrics"]["ops_per_s"]["value"] = ops
+        line["metrics"]["op_s.p50"]["value"] = p50
+        return line
+
+    same = _replay_line(["a1", "b2"], [10, 7])
+    apart = {}
+    for aa in (0, 2):
+        out = tmp_path / f"aa{aa}.json"
+        status, runs = _main_on_canned_runs(
+            monkeypatch, same, same, 4, result, ["--aa", str(aa), "--json", str(out)]
+        )
+        assert status == 0 and len(runs) == 2 * aa + 8
+        assert [c.name for c in runs[: 2 * aa]] == ["ref"] * 2 * aa
+        record = json.loads(out.read_text())
+        apart[aa] = {name: m["apart"] for name, m in record["metrics"].items()}
+        printed = capsys.readouterr().out.splitlines()
+    assert apart[0]["ops_per_s"] and apart[0]["op_s.p50"]
+    assert not apart[2]["ops_per_s"] and apart[2]["op_s.p50"]
+    assert record["aa"]["pairs"] == 2
+    assert (record["aa"]["spread"]["ops_per_s"], record["aa"]["spread"]["op_s.p50"]) == (3.0, 0.5)
+    assert printed[1].split()[:3] == ["metric", "A/A", "spread"]
+    assert ["ops_per_s", "3"] in [line.split() for line in printed]
