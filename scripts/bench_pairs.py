@@ -15,7 +15,13 @@ medians lie further apart than REF's interquartile range.  With --aa M,
 M pairs of REF against REF run before the pairs, and the script prints
 each end-to-end metric's A/A spread, the largest difference between the
 two runs of one such pair; the medians then read apart only when they lie
-further apart than both REF's interquartile range and that spread.  For every
+further apart than both REF's interquartile range and that spread.
+`setup_s` reads apart only beyond one more floor, the set-up probe spread:
+the median, over every run of the pairs, of the interquartile range of the
+run's own nine set-up timings (`setup_wall_s` on the line before the result
+line), taken relative to their median and scaled to the run's `setup_s`.
+The script prints it, and --json records it under `setup_probe_spread`.
+For every
 operation kind it prints each side's median, over the pairs, of the run's
 median time of that kind (the `kinds` block `bench/run.py` prints before its
 result line), and the number of pairs the working tree wins.  Beside it, it
@@ -68,7 +74,8 @@ def summarize(pairs, end_to_end, spread=None):
     name, its direction, REF's and the tree's (q1, median, q3), the pairs
     the tree wins (strictly better than REF in the same pair) and whether
     the medians are further apart than REF's interquartile range and than
-    the metric's A/A spread in `spread`, when given (`aa_spread`).
+    the metric's floor in `spread`, when given: its A/A spread
+    (`aa_spread`), and for `setup_s` at least `setup_probe_spread`.
     """
     rows = []
     for metric in end_to_end:
@@ -81,6 +88,21 @@ def summarize(pairs, end_to_end, spread=None):
         apart = abs(tree_q[1] - ref_q[1]) > noise
         rows.append((name, metric["better"], ref_q, tree_q, wins, apart))
     return rows
+
+
+def setup_probe_spread(pairs):
+    """The median, over every run of the (ref, tree) pairs, of the
+    interquartile range of the run's nine set-up timings (`setup_wall_s`)
+    relative to their median, scaled to the run's `setup_s`: how far apart
+    the set-up of identical code reads within one run.  0 when a run lacks
+    the timings."""
+    spreads = []
+    for result in (run for pair in pairs for run in pair):
+        if "setup_wall_s" not in result:
+            return 0
+        q1, median, q3 = quartiles(result["setup_wall_s"])
+        spreads.append((q3 - q1) / median * result["metrics"]["setup_s"]["value"])
+    return statistics.median(spreads) if spreads else 0
 
 
 def aa_spread(pairs, end_to_end):
@@ -245,7 +267,8 @@ def copy_tree(into: Path, root: Path = ROOT) -> None:
 
 def bench_line(checkout: Path, *argv) -> dict:
     """The last line of a `bench/run.py` run in the checkout, parsed, with
-    the `kinds` and `caches` blocks of the line before it when it has them."""
+    the `kinds` and `caches` blocks and the `setup_wall_s` timings of the
+    line before it when it has them."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "bench/run.py", *argv],
@@ -254,7 +277,7 @@ def bench_line(checkout: Path, *argv) -> dict:
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     info = json.loads(lines[-2]) if len(lines) > 1 else {}
-    for block in ("kinds", "caches"):
+    for block in ("kinds", "caches", "setup_wall_s"):
         if block in info:
             result[block] = info[block]
     return result
@@ -313,8 +336,11 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     rows = kind_rows = cache_rows = []
+    probe_spread = setup_probe_spread(pairs)
     if pairs:
-        rows = summarize(pairs, end_to_end, spread)
+        print(f"setup_s probe spread {probe_spread:.6g}")
+        noise = dict(spread, setup_s=max(spread.get("setup_s", 0), probe_spread))
+        rows = summarize(pairs, end_to_end, noise)
         print(format_rows(rows, len(pairs)))
         kind_rows = summarize_kinds(pairs)
         print(format_kinds(kind_rows, len(pairs)))
@@ -330,6 +356,7 @@ def main(argv=None) -> int:
         record["kinds"] = kinds_record(kind_rows)
         record["caches"] = {name: {"ref": ref, "tree": tree} for name, ref, tree in cache_rows}
         record["aa"] = {"pairs": len(aa), "spread": spread}
+        record["setup_probe_spread"] = probe_spread
         record["replay"] = replay
         args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if replay["digests_identical"] and replay["fuel_identical"] else 1

@@ -21,14 +21,18 @@ Decoding works on runs of symbols:
 `EntryParser.scan` finds a run's structural symbols (3, 4, 5) in one pass
 and takes the payload between them by slices; `EntryAccumulator` indexes the
 accepted inputs in a trie, so an entry is compared only with the accepted
-entries whose inputs are comparable with its own; `decode_entries` keeps
-one resume slot, the last prefix it decoded and that prefix's accumulator,
-and a miss that extends that prefix resumes from it.  `RawEvalStream`
-charges each run of name symbols in closed form and reads the accepted
-entries from a `DecodeLog`, which owns the decode: the streams on one plan
-name (`PlanStream`, whose plan fixes its symbols) share the log of the last
-plan read, so a name queried again is parsed once, while fuel is still
-charged per stream; any other name gets a log of its own.
+entries whose inputs are comparable with its own.  A raw stream name's
+accepted entries come from a `DecodeLog`, which owns the decode: the
+readers of one plan name (`PlanStream`, whose plan fixes its symbols) share
+the log of the last plan read, so a name queried again is parsed once,
+while fuel is still charged per reader; any other name gets a log of its
+own.  Both raw routes read the log through an `AppliedValue`, the value
+on an input that only grows, carried forward entry by entry:
+`RawEvalStream` charges each run of name symbols in closed form and keeps
+a value of its own, and `apply_name` on a plan name resumes the value the
+log keeps from its last call while the input extends that call's.  Word
+names decode through `decode_entries` and `eval_name`, two small caches
+keyed by content.
 
 Constructed names additionally carry their word function, so evaluation can
 take a direct route instead of scanning the encoded graph; the two routes
@@ -41,6 +45,7 @@ flatten.  `eval_stream` and `apply_name_structured` are its only readers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -215,21 +220,61 @@ class EntryAccumulator:
         return entry
 
 
+class AppliedValue:
+    """`applied_sup` carried forward along an input that grows.
+
+    `best` is the supremum of the outputs of the noted entries that apply
+    to `input`, and `waiting` holds the noted entries whose inputs extend
+    `input`, which a longer input may still apply.  `count` is the number
+    of a log's accepted entries noted, in log order: its reader notes the
+    entries from there on.
+    """
+
+    __slots__ = ("input", "count", "waiting", "best")
+
+    def __init__(self):
+        self.input: Word = ()
+        self.count = 0
+        self.waiting = []
+        self.best: Word = ()
+
+    def note(self, entry: GraphEntry) -> None:
+        u = entry.inp
+        got = self.input[: len(u)]
+        if u[: len(got)] != got:
+            return  # contradicts the input: never applicable
+        if len(u) <= len(self.input):
+            joined = word_sup(self.best, entry.out)
+            assert joined is not None, "consistency filter violated"
+            self.best = joined
+        else:
+            self.waiting.append(entry)
+
+    def grow(self, symbols: Word) -> None:
+        """Extend the input by `symbols` and note the waiting entries again."""
+        self.input += symbols
+        waiting, self.waiting = self.waiting, []
+        for entry in waiting:
+            self.note(entry)
+
+
 class DecodeLog:
     """The accepted entries of a name's symbols, parsed once for its readers.
 
     `acc` is the accumulator that has parsed symbols 0 .. frontier-1, and
     `ends[j]` is the index of the end symbol of `acc.accepted[j]`.  What it
     accepts is a function of the symbols alone, so every reader of the same
-    symbols may read its entries, each charging its own reads.
+    symbols may read its entries, each charging its own reads.  `value` is
+    the last value the word face computed on the log (`value_on`), or None.
     """
 
-    __slots__ = ("acc", "ends", "frontier")
+    __slots__ = ("acc", "ends", "frontier", "value")
 
     def __init__(self):
         self.acc = EntryAccumulator()
         self.ends = []
         self.frontier = 0
+        self.value = None
 
     def take_run(self, run, lo: int, hi: int) -> None:
         """Parse run[lo:hi], the symbols from the frontier on.
@@ -249,16 +294,40 @@ class DecodeLog:
             raise
         self.frontier = base + hi
 
+    def value_on(self, prefix: Word, word: Word) -> Word:
+        """`applied_sup` on `word` of the entries that end within `prefix`,
+        the name's first symbols, whose length grows with the word's.
 
-# the decode log of the last plan name a `RawEvalStream` was built on, keyed
-# by its plan (head, tail); (None, None) before the first and after a parse
-# that raised
+        The log parses up to the prefix's end first.  When `word` extends
+        the input of the last value, that value resumes: its waiting
+        entries meet the new symbols and the entries after its count are
+        noted; otherwise a value starts from entry 0.
+        """
+        value, self.value = self.value, None  # a raise leaves no half-advanced value
+        if len(prefix) > self.frontier:
+            self.take_run(prefix, self.frontier, len(prefix))
+        if value is None or word[: len(value.input)] != value.input:
+            value = AppliedValue()
+        if len(word) > len(value.input):
+            value.grow(word[len(value.input) :])
+        top = bisect_left(self.ends, len(prefix))
+        for entry in self.acc.accepted[value.count : top]:
+            value.note(entry)
+        value.count = top
+        self.value = value
+        return value.best
+
+
+# the decode log of the last plan name read on the raw route, keyed by its
+# plan (head, tail); (None, None) before the first and after a parse that
+# raised
 _plan_log: list = [None, None]
 
 
 def _decode_log(name: Stream) -> DecodeLog:
-    """The log a `RawEvalStream` reads its name's entries from: shared by
-    the streams on one plan, which fixes the symbols, and private otherwise."""
+    """The log a raw route reads its name's entries from: a `RawEvalStream`
+    on any name, and `apply_name` on a `PlanStream`.  Shared by the readers
+    of one plan, which fixes the symbols, and private otherwise."""
     if type(name) is not PlanStream:
         return DecodeLog()
     key = (name.head, name.tail)
@@ -267,25 +336,11 @@ def _decode_log(name: Stream) -> DecodeLog:
     return _plan_log[1]
 
 
-# decode_entries' resume slot: the last prefix it decoded and the accumulator
-# that decoded it; (None, None) before the first decode and while one runs
-_resume: list = [None, None]
-
-
-@lru_cache(maxsize=64)  # a codec group re-reads the 33 ladder prefixes of one name
+@lru_cache(maxsize=64)  # transform: 221 words, each read twice, 1 other between; check: 2
 def decode_entries(name_prefix: Word) -> tuple:
-    """Accepted entries of a finite name prefix, in acceptance order.
-
-    A miss resumes from the accumulator in the resume slot when this prefix
-    extends the slot's prefix, and decodes from scratch otherwise; either
-    way the slot then holds this prefix and its accumulator.
-    """
-    last, acc = _resume
-    _resume[:] = None, None  # a decode that raises leaves nothing half-advanced
-    if acc is None or name_prefix[: len(last)] != last:
-        acc, last = EntryAccumulator(), ()
-    acc.take_run(name_prefix, len(last), len(name_prefix))
-    _resume[:] = name_prefix, acc
+    """Accepted entries of a finite name prefix, in acceptance order."""
+    acc = EntryAccumulator()
+    acc.take_run(name_prefix, 0, len(name_prefix))
     return tuple(acc.accepted)
 
 
@@ -304,7 +359,7 @@ def applied_sup(accepted, word: Word) -> Word:
     return best
 
 
-@lru_cache(maxsize=256)  # a codec group adds about 135 keys it reuses; check reads 4
+@lru_cache(maxsize=256)  # transform: 221 keys, each reread at most 1 other apart; check: 4
 def eval_name(name_prefix: Word, input_prefix: Word) -> Word:
     """The name prefix's value on the input: `applied_sup` of its entries."""
     return applied_sup(decode_entries(name_prefix), input_prefix)
@@ -589,9 +644,12 @@ _NESTING = _NestingGuard()
 def apply_name(name: NameLike, input_prefix: Word, fuel: FuelLike = None) -> Word:
     """Evaluate a name on a finite input prefix, as a word.
 
-    Words evaluate by decoding; constructed names use their machine; raw
-    streams read a schedule-bounded prefix and decode it.  The result only
-    grows when the input prefix grows.
+    Words evaluate by decoding (`eval_name`); constructed names use their
+    machine; raw streams read a schedule-bounded prefix and decode it.  A
+    `PlanStream` takes the value from its plan's `DecodeLog`, which
+    carries it forward while the input only grows (`DecodeLog.value_on`);
+    any other stream decodes the prefix through `eval_name`.  The result
+    only grows when the input prefix grows.
     """
     fuel = as_fuel(fuel)
     fuel.tick()
@@ -605,6 +663,8 @@ def apply_name(name: NameLike, input_prefix: Word, fuel: FuelLike = None) -> Wor
         if machine is not None:
             return machine.apply(input_prefix, fuel)
         pfx = name.prefix(_raw_schedule(len(input_prefix)), fuel)
+        if type(name) is PlanStream:
+            return _decode_log(name).value_on(pfx, input_prefix)
         return eval_name(pfx, input_prefix)
 
 
@@ -652,17 +712,17 @@ class RawEvalStream(BufferedStream):
     c and `Fuel.headroom` alone, with no per-symbol count; a run costing
     exactly the headroom is read to its end, and the next step signals.
     The name's `DecodeLog` parses the part of the run past its frontier,
-    and the stream notes, in order, the log's entries that end within the
-    symbols it can pay for; an entry that makes the output grow ends the
-    run after its end symbol.  The log belongs to the name's content:
-    streams on one plan share it (`_decode_log`), so each symbol is parsed
-    once whichever stream reads it first, and parsing reads content, never
-    fuel; every stream still charges its own reads.  The run's total is
-    charged with one `Fuel.take`, the queued symbols read go to the name's
-    `_buf` by `commit`, and a run cut short by the headroom ticks after it,
-    so the same tank signals.  A buffered name runs its producer rounds
-    inside `read_run`, charged as `at` charges them; other names come one
-    symbol a run, read and charged by `at`.
+    and the stream notes in its own `AppliedValue`, in order, the log's
+    entries that end within the symbols it can pay for; an entry that makes
+    the output grow ends the run after its end symbol.  The log belongs to
+    the name's content: streams on one plan share it (`_decode_log`), so
+    each symbol is parsed once whichever stream reads it first, and parsing
+    reads content, never fuel; every stream still charges its own reads.
+    The run's total is charged with one `Fuel.take`, the queued symbols
+    read go to the name's `_buf` by `commit`, and a run cut short by the
+    headroom ticks after it, so the same tank signals.  A buffered name
+    runs its producer rounds inside `read_run`, charged as `at` charges
+    them; other names come one symbol a run, read and charged by `at`.
     """
 
     def __init__(self, name: Stream, source: Stream, label: str = ""):
@@ -671,30 +731,9 @@ class RawEvalStream(BufferedStream):
         self.source = source
         self.label = label
         self._log = _decode_log(name)
-        self._j = 0  # the log's entries noted: those ending before _name_pos
+        # its count: the log's entries noted, those ending before _name_pos
+        self._value = AppliedValue()
         self._name_pos = 0
-        self._input = []
-        self._waiting = []  # entries whose inputs may still extend the input
-        self._best: Word = ()
-
-    def _note(self, entry: GraphEntry) -> None:
-        u = entry.inp
-        got = tuple(self._input[: len(u)])
-        if u[: len(got)] != got:
-            return  # contradicts the input: never applicable
-        if len(u) <= len(self._input):
-            joined = word_sup(self._best, entry.out)
-            assert joined is not None, "consistency filter violated"
-            self._best = joined
-        else:
-            self._waiting.append(entry)
-
-    def _grow_input(self, fuel: Fuel) -> None:
-        sym = self.source.at(len(self._input), fuel)
-        self._input.append(sym)
-        waiting, self._waiting = self._waiting, []
-        for entry in waiting:
-            self._note(entry)
 
     def _extend(self, fuel: Fuel) -> None:
         # runs rounds until one produces, one name symbol per round; the
@@ -703,14 +742,15 @@ class RawEvalStream(BufferedStream):
         buf = self._buf
         name = self.name
         log = self._log
+        value = self._value
         ends, accepted = log.ends, log.acc.accepted
         while True:
-            end = _raw_schedule(len(self._input))
+            end = _raw_schedule(len(value.input))
             while self._name_pos >= end:
-                self._grow_input(fuel)
-                end = _raw_schedule(len(self._input))
-            if len(self._best) > len(buf):
-                buf.extend(self._best[len(buf) :])
+                value.grow((self.source.at(len(value.input), fuel),))
+                end = _raw_schedule(len(value.input))
+            if len(value.best) > len(buf):
+                buf.extend(value.best[len(buf) :])
                 return
             run, paid = name.read_run(self._name_pos, end, fuel)
             n = len(run)
@@ -727,14 +767,14 @@ class RawEvalStream(BufferedStream):
             if pos + n > log.frontier:
                 log.take_run(run, log.frontier - pos, n)
             produced = False
-            j, stop = self._j, pos + used
+            j, stop = value.count, pos + used
             while j < len(ends) and ends[j] < stop:
-                self._note(accepted[j])
+                value.note(accepted[j])
                 j += 1
-                if len(self._best) > len(buf):
+                if len(value.best) > len(buf):
                     used, produced = ends[j - 1] + 1 - pos, True
                     break
-            self._j = j
+            value.count = j
             # not `charge_run`: this one take also pays for the rounds
             if produced:  # no round step after the producing symbol
                 fuel.take(used - 1 + max(0, used - paid))
@@ -744,7 +784,7 @@ class RawEvalStream(BufferedStream):
                 name.commit(used - paid)
             self._name_pos = pos + used
             if produced:
-                buf.extend(self._best[len(buf) :])
+                buf.extend(value.best[len(buf) :])
                 return
             if dry:
                 fuel.tick()  # raises for the tank the per-step path names

@@ -126,19 +126,20 @@ class PerSymbolRawEval(RawEvalStream):
 
     def _extend(self, fuel):
         buf = self._buf
+        value = self._value
         while True:
-            while self._name_pos >= _raw_schedule(len(self._input)):
-                self._grow_input(fuel)
-            if len(self._best) > len(buf):
-                buf.extend(self._best[len(buf) :])
+            while self._name_pos >= _raw_schedule(len(value.input)):
+                value.grow((self.source.at(len(value.input), fuel),))
+            if len(value.best) > len(buf):
+                buf.extend(value.best[len(buf) :])
                 return
             sym = self.name.at(self._name_pos, fuel)
             self._name_pos += 1
             entry = self._acc.feed(sym)
             if entry is not None:
-                self._note(entry)
-                if len(self._best) > len(buf):
-                    buf.extend(self._best[len(buf) :])
+                value.note(entry)
+                if len(value.best) > len(buf):
+                    buf.extend(value.best[len(buf) :])
                     return
             fuel.tick()
 
@@ -406,16 +407,23 @@ def codec_run_sizes(queries, every):
     """Run `queries` raw-name queries of the benchmark's `codec` workload
     (bench/workloads.py's `CodecOps(7)`, its machine-file queries skipped)
     in order, and after every `every`-th, with garbage collected, record
-    [`decode_entries` entries, `eval_name` entries, bytes traced].  The
-    queries are built before tracing starts, so the traced bytes are those
-    that running them keeps.  Tracing starts after `every // 2` queries:
-    a group of eight adds about 33 `decode_entries` and 135 `eval_name`
-    entries, so with `every` >= 48 a bounded cache holds only traced entries
-    at the first record.  bench/ must be on the path; run without bytecode
-    writing, so that nothing under bench/ is written."""
+    [`decode_entries` entries, `eval_name` entries, plan log excess, word
+    value excess, bytes traced].  The plan log excess is the number of
+    accepted entries the plan slot's `DecodeLog` holds beyond those of its
+    own name's symbols up to its frontier, and the word value excess the
+    size (input, waiting entries and value) of the log's word value beyond
+    that of a fresh value on the same input and entries: a log or value
+    that kept anything of an earlier group reads above 0.  The queries are
+    built before tracing starts, so the traced bytes are those that running
+    them keeps; tracing starts after `every // 2` queries.  bench/ must be
+    on the path; run without bytecode writing, so that nothing under bench/
+    is written."""
     import tracemalloc
 
     import workloads
+
+    def value_size(value):
+        return len(value.input) + len(value.waiting) + len(value.best)
 
     codec = workloads.CodecOps(7, {}, None)
     raw = [i for i in range(queries * 2) if codec.kinds[i % len(codec.kinds)] != "file"]
@@ -427,10 +435,19 @@ def codec_run_sizes(queries, every):
         op.run()
         if n % every == 0:
             gc.collect()
+            traced = tracemalloc.get_traced_memory()[0]
+            (head, tail), log = machine._plan_log
+            symbols = PlanStream(head, tail).prefix(log.frontier, Fuel(10**6))
+            fresh = machine.DecodeLog()
+            fresh.take_run(symbols, 0, len(symbols))
+            fresh.value_on(symbols[: _raw_schedule(len(log.value.input))], log.value.input)
             sizes.append([
                 machine.decode_entries.cache_info().currsize,
                 machine.eval_name.cache_info().currsize,
-                tracemalloc.get_traced_memory()[0],
+                len(log.acc.accepted) - len(fresh.acc.accepted),
+                value_size(log.value) - value_size(fresh.value),
+                traced,
             ])
+            del symbols, fresh, log
     tracemalloc.stop()
     return sizes

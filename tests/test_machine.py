@@ -20,6 +20,8 @@ from baire.machine import (
     MachineName,
     RawEvalStream,
     WordMachine,
+    _raw_schedule,
+    applied_sup,
     apply_name,
     block_head,
     candidate_word,
@@ -195,7 +197,7 @@ def test_resumed_decode_matches_naive_oracle(order):
     elif order == "other-lengths":
         lengths = sorted(rng.sample(range(1300), 60))
     decode_entries.cache_clear()
-    for _ in range(2):  # the second round after cache_clear: a stale resume slot
+    for _ in range(2):  # the second round after cache_clear: fresh decodes again
         for word in _decode_names():
             for n in lengths:
                 assert list(decode_entries(word[:n])) == naive_decode(word[:n]), (order, n)
@@ -203,8 +205,8 @@ def test_resumed_decode_matches_naive_oracle(order):
 
 
 def test_resumed_decode_with_interleaved_ladders():
-    # the names' ladders interleave, so most steps find another name's
-    # prefix in the resume slot and decode from scratch
+    # the names' ladders interleave, so consecutive decodes are of
+    # different names and most steps miss the cache
     rng = random.Random("resume-full")
     words = [ChainPlan(seed).name.prefix(700, Fuel(10**6)) for seed in range(12)]
     decode_entries.cache_clear()
@@ -212,73 +214,6 @@ def test_resumed_decode_with_interleaved_ladders():
     steps.sort(key=lambda step: step[1] + rng.randrange(60))
     for w, n in steps:
         assert list(decode_entries(w[:n])) == naive_decode(w[:n])
-        assert machine._resume[0] == w[:n]
-
-
-def test_decode_hands_its_accumulator_on_without_copying():
-    word = ChainPlan(11).name.prefix(400, Fuel(10**6))
-    decode_entries.cache_clear()
-    decode_entries(word[:9])
-    acc = machine._resume[1]
-    decode_entries(word[:16])
-    assert machine._resume == [word[:16], acc] and machine._resume[1] is acc
-    decode_entries(word[:20])  # resumes from the 16-prefix too
-    assert machine._resume[1] is acc
-
-
-def _record_runs(monkeypatch):
-    # (accumulator, lo, hi) of every run a decode feeds, in order, from an
-    # empty resume slot
-    monkeypatch.setattr(machine, "_resume", [None, None])
-    runs = []
-    take_run = EntryAccumulator.take_run
-
-    def recording(self, run, lo, hi):
-        runs.append((self, lo, hi))
-        take_run(self, run, lo, hi)
-
-    monkeypatch.setattr(EntryAccumulator, "take_run", recording)
-    return runs
-
-
-def test_decode_resumes_a_prefix_off_the_schedule(monkeypatch):
-    word = ChainPlan(11).name.prefix(400, Fuel(10**6))
-    decode_entries.cache_clear()
-    runs = _record_runs(monkeypatch)
-    assert list(decode_entries(word[:10])) == naive_decode(word[:10])
-    assert list(decode_entries(word[:12])) == naive_decode(word[:12])
-    (acc, *first), (resumed, *second) = runs
-    assert resumed is acc and (first, second) == ([0, 10], [10, 12])
-
-
-def test_a_prefix_that_does_not_extend_the_slot_decodes_fresh_and_takes_it(monkeypatch):
-    word = ChainPlan(11).name.prefix(400, Fuel(10**6))
-    other = ChainPlan(12).name.prefix(400, Fuel(10**6))
-    decode_entries.cache_clear()
-    runs = _record_runs(monkeypatch)
-    for w in (word[:30], other[:20], other[:25], word[:12]):
-        assert list(decode_entries(w)) == naive_decode(w)
-        assert machine._resume[0] == w
-    accs = [acc for acc, *_ in runs]
-    assert [lo for _, lo, _ in runs] == [0, 0, 20, 0]
-    assert accs[2] is accs[1] and len({id(a) for a in accs}) == 3
-    assert machine._resume[1] is accs[3]
-
-
-def test_a_decode_that_raises_leaves_the_slot_empty(monkeypatch):
-    word = ChainPlan(11).name.prefix(400, Fuel(10**6))
-    decode_entries.cache_clear()
-    decode_entries(word[:10])
-
-    def boom(self, run, lo, hi):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(EntryAccumulator, "take_run", boom)
-    with pytest.raises(KeyboardInterrupt):
-        decode_entries(word[:12])
-    assert machine._resume == [None, None]
-    monkeypatch.undo()
-    assert list(decode_entries(word[:12])) == naive_decode(word[:12])
 
 
 @settings(max_examples=200)
@@ -321,11 +256,14 @@ def test_decode_of_encode_reproduces_machine(seed):
 
 
 def test_a_long_codec_run_keeps_the_decode_caches_and_traced_memory_flat():
-    # the caches once kept every name prefix a query read, about 17
-    # `eval_name` entries a query; after the first 100 queries, 200 more must
-    # leave both caches' sizes as they were and the traced memory within
-    # 512 KB.  The caches are process state, so the run starts from empty
-    # caches in a fresh interpreter, with bytecode writing off.
+    # the caches once kept every name prefix a query read, and the word
+    # face once filled them with 33 prefixes a query; now it reads the plan
+    # log, so after the first 100 queries, 200 more must leave both caches'
+    # sizes, the plan log's entries beyond its own name's and the word
+    # value's size beyond a fresh one's as they were, and the traced memory
+    # within 512 KB.  The caches and the plan slot are process state, so the
+    # run starts from empty ones in a fresh interpreter, with bytecode
+    # writing off.
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-B", "-c", "import helpers, json; print(json.dumps(helpers.codec_run_sizes(300, 100)))"],
@@ -336,7 +274,8 @@ def test_a_long_codec_run_keeps_the_decode_caches_and_traced_memory_flat():
     )
     assert done.returncode == 0, done.stderr
     sizes = json.loads(done.stdout)
-    assert [caches for *caches, _ in sizes] == [sizes[0][:2]] * 3
+    assert [figures for *figures, _ in sizes] == [sizes[0][:4]] * 3
+    assert sizes[0][2:4] == [0, 0]
     traced = [size for *_, size in sizes]
     assert max(traced) - min(traced) < 512 * 1024, traced
 
@@ -482,6 +421,119 @@ def test_a_non_plan_name_gets_a_private_log_and_is_not_kept_alive(build):
     del name, readers, reader
     gc.collect()
     assert alive() is None
+
+
+# --- the plan word face ----------------------------------------------------------
+# apply_name on a PlanStream reads the entries from its plan's DecodeLog and
+# resumes the log's last word value while the input only grows.  The
+# reference is the route it replaced: a tick, the schedule prefix read on
+# the same tank, and the naive decode of that prefix applied to the input.
+
+
+def _reference_apply(name, w, tank):
+    tank.tick()
+    prefix = name.prefix(_raw_schedule(len(w)), tank)
+    return applied_sup(naive_decode(prefix), w)
+
+
+def _next_input(rng, w):
+    """An input that extends, shrinks or diverges from w, or is w again."""
+    move = rng.randrange(7)
+    if move < 4:
+        return w + tuple(rng.randrange(5) for _ in range(rng.randrange(1, 4)))
+    cut = w[: rng.randrange(len(w) + 1)]
+    if move == 4:
+        return cut
+    if move == 5:
+        return cut + tuple(rng.randrange(5) for _ in range(rng.randrange(1, 6)))
+    return w
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_plan_word_face_matches_the_reference_on_interleaved_ladders(seed):
+    # 2-3 plans (chain plans and the decode corpus) are each read twice, by
+    # apply_name and by the reference, in the same order, so each pair pays
+    # the same symbols; turns pick a plan at random, so the plan slot changes
+    # hands, and some tanks are too small for the prefix
+    rng = random.Random(f"word-face:{seed}")
+    words = [ChainPlan(seed).name.head, ChainPlan(seed + 20, blocks=12).name.head]
+    words += [w[:1300] for w in _decode_names()[:: 2 - seed % 2]][: 1 + seed % 2]
+    names = [(PlanStream(w, ("zeros",)), PlanStream(w, ("zeros",))) for w in words[: 2 + seed % 2]]
+    inputs = [()] * len(names)
+    machine._plan_log[:] = None, None
+    for turn in range(150):
+        side = rng.randrange(len(names))
+        got_name, want_name = names[side]
+        w = inputs[side] = _next_input(rng, inputs[side])[:40]
+        budget = rng.choice((10**6, 10**6, rng.randrange(1, 500)))
+        got_tank, want_tank = Fuel(budget), Fuel(budget)
+        try:
+            want = _reference_apply(want_name, w, want_tank)
+        except NeedMoreFuel:
+            want = "signal"
+        try:
+            got = apply_name(got_name, w, got_tank)
+        except NeedMoreFuel:
+            got = "signal"
+        assert (got, got_tank.spent) == (want, want_tank.spent), (seed, turn, w)
+
+
+def test_a_parse_that_raises_on_the_word_face_leaves_no_slot_or_value(monkeypatch):
+    plan = ChainPlan(5)
+    name = _plan_copy(plan)
+    machine._plan_log[:] = None, None
+    apply_name(name, plan.spine[:3], Fuel(10**6))
+    log = machine._plan_log[1]
+    assert log.value is not None
+
+    def boom(self, run, lo, hi):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(EntryParser, "scan", boom)
+    with pytest.raises(KeyboardInterrupt):
+        apply_name(name, plan.spine[:6], Fuel(10**6))
+    assert machine._plan_log == [None, None] and log.value is None
+    monkeypatch.undo()
+    for k in range(12):
+        want = applied_sup(naive_decode(name.prefix(_raw_schedule(k))), plan.spine[:k])
+        assert apply_name(name, plan.spine[:k], Fuel(10**6)) == want
+
+
+def test_a_ladder_on_one_plan_reads_its_log_and_notes_each_entry_once(monkeypatch):
+    # the ladder a codec query runs after its stream read: apply_name on
+    # input prefixes of length 0 .. 32 of one input, on one tank.  Entries
+    # noted again when the input grows (`grow`) are not counted
+    def unreachable(*args):
+        raise AssertionError("the word face decoded a word")
+
+    monkeypatch.setattr(machine, "eval_name", unreachable)
+    monkeypatch.setattr(machine, "decode_entries", unreachable)
+    noted, growing = [], [False]
+    note, grow = machine.AppliedValue.note, machine.AppliedValue.grow
+
+    def counting_note(self, entry):
+        if not growing[0]:
+            noted.append(entry)
+        note(self, entry)
+
+    def flagged_grow(self, symbols):
+        growing[0] = True
+        try:
+            grow(self, symbols)
+        finally:
+            growing[0] = False
+
+    monkeypatch.setattr(machine.AppliedValue, "note", counting_note)
+    monkeypatch.setattr(machine.AppliedValue, "grow", flagged_grow)
+    plan = ChainPlan(5)
+    name, source, tank = _plan_copy(plan), plan.spine_stream(0), Fuel(10**6)
+    machine._plan_log[:] = None, None
+    ladder = [apply_name(name, source.prefix(k, tank), tank) for k in range(33)]
+    word = plan.name.prefix(_raw_schedule(32))
+    assert ladder == [naive_eval(word[: _raw_schedule(k)], source.prefix(k)) for k in range(33)]
+    accepted = machine._plan_log[1].acc.accepted
+    assert len(noted) == len(set(noted)) and noted == accepted[: len(noted)]
+    assert len(noted) == len(naive_decode(word))
 
 
 # --- eval_name ----------------------------------------------------------------

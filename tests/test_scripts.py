@@ -315,3 +315,39 @@ def test_bench_pairs_reads_apart_only_beyond_the_aa_spread(monkeypatch, capsys, 
     assert (record["aa"]["spread"]["ops_per_s"], record["aa"]["spread"]["op_s.p50"]) == (3.0, 0.5)
     assert printed[1].split()[:3] == ["metric", "A/A", "spread"]
     assert ["ops_per_s", "3"] in [line.split() for line in printed]
+
+
+def test_bench_pairs_reads_setup_apart_only_beyond_the_probe_spread(monkeypatch, capsys, tmp_path):
+    # every pair reads setup_s 80 ms on REF and 84 ms on the tree, so REF's
+    # interquartile range is 0.  Loose runs time their nine set-ups at 90,
+    # 95, .., 130 ms (interquartile range 20 around a median of 110, so the
+    # spread is 20/110 of the run's setup_s, about 15 ms); tight runs at 100
+    # ms each.  The 4 ms move is apart only with tight runs, and result
+    # lines without the timings leave it apart as before
+    def runs(walls):
+        def result(checkout, run):
+            line = _full_result_line(1.0)
+            line["metrics"]["setup_s"]["value"] = 0.084 if checkout.name == "tree" else 0.080
+            if walls is not None:
+                line["setup_wall_s"] = walls
+            return line
+
+        return result
+
+    same = _replay_line(["a1", "b2"], [10, 7])
+    loose = [0.090 + 0.005 * i for i in range(9)]
+    apart, spread = {}, {}
+    for label, walls in (("loose", loose), ("tight", [0.1] * 9), ("none", None)):
+        out = tmp_path / f"{label}.json"
+        status, runs_made = _main_on_canned_runs(
+            monkeypatch, same, same, 4, runs(walls), ["--json", str(out)]
+        )
+        assert status == 0 and len(runs_made) == 8
+        record = json.loads(out.read_text())
+        apart[label] = record["metrics"]["setup_s"]["apart"]
+        spread[label] = record["setup_probe_spread"]
+        printed = capsys.readouterr().out.splitlines()
+        assert f"setup_s probe spread {spread[label]:.6g}" in printed
+    assert apart == {"loose": False, "tight": True, "none": True}
+    assert spread["loose"] == pytest.approx(0.082 * 0.02 / 0.11)
+    assert spread["tight"] == spread["none"] == 0
