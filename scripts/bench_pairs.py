@@ -243,6 +243,13 @@ def format_replay(replay):
     )
 
 
+def commit_of(ref: str) -> str:
+    """The commit id `ref` names in the repository."""
+    return subprocess.run(
+        ["git", "rev-parse", ref], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def extract(ref: str, into: Path) -> None:
     archive = subprocess.run(
         ["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True
@@ -347,11 +354,8 @@ def main(argv=None) -> int:
         cache_rows = summarize_caches(pairs)
         print(format_caches(cache_rows))
     if args.json is not None:
-        commit = subprocess.run(
-            ["git", "rev-parse", args.ref], cwd=ROOT, capture_output=True, text=True, check=True
-        ).stdout.strip()
         record = summary_record(
-            args.ref, commit, args.workload, args.seed, args.seconds, rows, len(pairs)
+            args.ref, commit_of(args.ref), args.workload, args.seed, args.seconds, rows, len(pairs)
         )
         record["kinds"] = kinds_record(kind_rows)
         record["caches"] = {name: {"ref": ref, "tree": tree} for name, ref, tree in cache_rows}

@@ -21,18 +21,20 @@ Decoding works on runs of symbols:
 `EntryParser.scan` finds a run's structural symbols (3, 4, 5) in one pass
 and takes the payload between them by slices; `EntryAccumulator` indexes the
 accepted inputs in a trie, so an entry is compared only with the accepted
-entries whose inputs are comparable with its own.  A raw stream name's
-accepted entries come from a `DecodeLog`, which owns the decode: the
-readers of one plan name (`PlanStream`, whose plan fixes its symbols) share
-the log of the last plan read, so a name queried again is parsed once,
-while fuel is still charged per reader; any other name gets a log of its
-own.  Both raw routes read the log through an `AppliedValue`, the value
-on an input that only grows, carried forward entry by entry:
-`RawEvalStream` charges each run of name symbols in closed form and keeps
-a value of its own, and `apply_name` on a plan name resumes the value the
-log keeps from its last call while the input extends that call's.  Word
-names decode through `decode_entries` and `eval_name`, two small caches
-keyed by content.
+entries whose inputs are comparable with its own.  `DecodeLog.take_run` is
+the one run parser feeding it.  A raw stream name's accepted entries come
+from a `DecodeLog`, which owns the decode: the readers of one plan name
+(`PlanStream`, whose plan fixes its symbols) share the log of the last plan
+read, so a name queried again is parsed once, while fuel is still charged
+per reader; any other name gets a log of its own.  Both raw routes read
+the log through an `AppliedValue`, the value on an input that only grows,
+carried forward entry by entry: `RawEvalStream` charges each run of name
+symbols in closed form and keeps a value of its own, and `apply_name` on
+any raw stream name resumes the value the log keeps from its last call
+while the input extends that call's.  Word names decode through
+`decode_entries` and `eval_name`, two small caches keyed by content, and
+take their value by `applied_sup`, the same rule in batch, kept apart
+because a resumed value compares and copies its whole input on every call.
 
 Constructed names additionally carry their word function, so evaluation can
 take a direct route instead of scanning the encoded graph; the two routes
@@ -180,12 +182,6 @@ class EntryAccumulator:
             return None
         return self.offer(entry)
 
-    def take_run(self, run, lo: int, hi: int) -> None:
-        """Parse run[lo:hi] and offer every entry it completes."""
-        offer = self.offer
-        for _, entry in self.parser.scan(run, lo, hi):
-            offer(entry)
-
     def offer(self, entry: GraphEntry) -> Optional[GraphEntry]:
         if entry in self._seen:
             return None
@@ -325,9 +321,9 @@ _plan_log: list = [None, None]
 
 
 def _decode_log(name: Stream) -> DecodeLog:
-    """The log a raw route reads its name's entries from: a `RawEvalStream`
-    on any name, and `apply_name` on a `PlanStream`.  Shared by the readers
-    of one plan, which fixes the symbols, and private otherwise."""
+    """The log a raw route, `RawEvalStream` or `apply_name`, reads its
+    name's entries from.  Shared by the readers of one plan, which fixes
+    the symbols, and private otherwise."""
     if type(name) is not PlanStream:
         return DecodeLog()
     key = (name.head, name.tail)
@@ -339,9 +335,9 @@ def _decode_log(name: Stream) -> DecodeLog:
 @lru_cache(maxsize=64)  # transform: 221 words, each read twice, 1 other between; check: 2
 def decode_entries(name_prefix: Word) -> tuple:
     """Accepted entries of a finite name prefix, in acceptance order."""
-    acc = EntryAccumulator()
-    acc.take_run(name_prefix, 0, len(name_prefix))
-    return tuple(acc.accepted)
+    log = DecodeLog()
+    log.take_run(name_prefix, 0, len(name_prefix))
+    return tuple(log.acc.accepted)
 
 
 def applied_sup(accepted, word: Word) -> Word:
@@ -645,11 +641,10 @@ def apply_name(name: NameLike, input_prefix: Word, fuel: FuelLike = None) -> Wor
     """Evaluate a name on a finite input prefix, as a word.
 
     Words evaluate by decoding (`eval_name`); constructed names use their
-    machine; raw streams read a schedule-bounded prefix and decode it.  A
-    `PlanStream` takes the value from its plan's `DecodeLog`, which
-    carries it forward while the input only grows (`DecodeLog.value_on`);
-    any other stream decodes the prefix through `eval_name`.  The result
-    only grows when the input prefix grows.
+    machine; raw streams read a schedule-bounded prefix and take its value
+    from the name's `DecodeLog`, which carries it forward while the input
+    only grows (`DecodeLog.value_on`).  The result only grows when the
+    input prefix grows.
     """
     fuel = as_fuel(fuel)
     fuel.tick()
@@ -663,9 +658,7 @@ def apply_name(name: NameLike, input_prefix: Word, fuel: FuelLike = None) -> Wor
         if machine is not None:
             return machine.apply(input_prefix, fuel)
         pfx = name.prefix(_raw_schedule(len(input_prefix)), fuel)
-        if type(name) is PlanStream:
-            return _decode_log(name).value_on(pfx, input_prefix)
-        return eval_name(pfx, input_prefix)
+        return _decode_log(name).value_on(pfx, input_prefix)
 
 
 class MachineStream(BufferedStream):

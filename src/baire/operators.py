@@ -140,14 +140,14 @@ def machine_oracle(machine: WordMachine) -> StepOracle:
 class ProgramName(MachineName):
     """A loop program as a name: maps an answer y to <next program, data(y)>.
 
-    `next_program(answer_head)` builds the successor lazily; programs whose
-    successor embeds the answer (dummy padding provenance) receive its
-    first symbol, others ignore it.  `data(y)`, a chain's `data_for` at its
-    level, is the next data part; today's kinds ignore the answer.  The raw
-    and machine faces emit the `len(y)` prefix of `data(y)` for a word y;
-    the structured transformer face returns the real pair so loop running
-    stays linear.  The head is the flag followed by `pad`, dummy symbols
-    the decoder skips.
+    `next_program(answer_head)` builds the successor lazily: with
+    `reads_answer` the successor embeds the answer (dummy padding
+    provenance) and receives its first symbol, otherwise None.  `data(y)`,
+    a chain's `data_for` at its level, is the next data part; today's kinds
+    ignore the answer.  The raw and machine faces emit the `len(y)` prefix
+    of `data(y)` for a word y; the structured transformer face returns the
+    real pair so loop running stays linear.  The head is the flag followed
+    by `pad`, dummy symbols the decoder skips.
     """
 
     def __init__(
@@ -157,9 +157,10 @@ class ProgramName(MachineName):
         data: Callable[[Stream], Stream],
         label: str = "prog",
         pad: Word = (),
+        reads_answer: bool = False,
     ):
-        self.flag = flag
         self._next_program = next_program
+        self._reads_answer = reads_answer
         self._data = data
         # the raw face calls _apply directly: going through the memo would
         # skip the ticks a fresh block costs
@@ -175,17 +176,12 @@ class ProgramName(MachineName):
 
     def step(self, answer) -> Stream:
         answer = as_stream(answer)
-        head = None
-        if self._successor_reads_answer():
-            head = answer.at(0)
+        head = answer.at(0) if self._reads_answer else None
         return pair_stream(self._next_program(head), self._data(answer))
-
-    def _successor_reads_answer(self) -> bool:
-        return getattr(self._next_program, "reads_answer", False)
 
     def _apply(self, y: Word, fuel: Fuel) -> Word:
         head = None
-        if self._successor_reads_answer():
+        if self._reads_answer:
             if not y:
                 return ()
             head = y[0]
@@ -222,10 +218,11 @@ def chain_program(
             extra = (1,) + (0,) * head + (1,) if head is not None else ()
             return level(i + 1, extra)
 
-        next_program.reads_answer = pad_answers
         flag = flags[min(i, len(flags) - 1)]
         data = lambda answer: data_for(i, answer)
-        memo[key] = ProgramName(flag, next_program, data, f"{label}[{i}]", pad)
+        memo[key] = ProgramName(
+            flag, next_program, data, f"{label}[{i}]", pad, reads_answer=pad_answers
+        )
         return memo[key]
 
     return level(0)

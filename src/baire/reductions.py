@@ -25,14 +25,13 @@ from typing import Callable, List, Optional
 
 from .machine import MachineStream, WordMachine, pure_machine
 from .operators import (
+    LOOP_KINDS,
     LoopInstance,
     LoopStates,
     Run,
     StepOracle,
     check_step,
     lift_reduction_to_inverse_limit,
-    limnat_loop,
-    problem_loop,
     rederive_step,
     run_lifted_loop,
     run_loop,
@@ -737,9 +736,10 @@ def simulation_report(
     seeds: int = 100, depth: int = 24, steps: int = 5, budget: int = 4_000_000
 ) -> CheckReport:
     """The mind-change simulation over seeded loops, each under the seed's tank."""
+    make_loop = LOOP_KINDS["limnat-loop"][0]
 
     def judge(seed, tank):
-        loop = limnat_loop(seed, steps)
+        loop = make_loop(seed, steps)
         result = simulate_limit_machine(loop, steps, scan_depth=depth, budget=tank)
         if not result.stabilized:
             return UNDETERMINED, "budget exhausted"
@@ -762,97 +762,73 @@ class WitnessEntry:
     describe: str = ""
 
 
+def _llpo_loops() -> tuple:
+    """(seed -> loop, step count) of the `llpo-loop` kind at its default size."""
+    make, _, steps = LOOP_KINDS["llpo-loop"]
+    return (lambda seed: make(seed, steps)), steps
+
+
+def _reduction_suite(witness: Callable[[], ReductionWitness]) -> Callable[..., CheckReport]:
+    return lambda seeds, **options: check_reduction(witness(), seeds, **options)
+
+
+def _advice_lift_suite(label: str, unique: bool = False) -> Callable[..., CheckReport]:
+    """The binary-choice advice witness lifted to `llpo-loop` loops."""
+    make_loop, steps = _llpo_loops()
+
+    def suite(seeds, **options):
+        lifted = nondet_lift_inverse_limit(c2_nondet_witness(), label, unique)
+        return check_loop_nondet(lifted, make_loop, seeds, steps=steps, **options)
+
+    return suite
+
+
+def _c2_cn_loop_lift_suite(seeds, **options) -> CheckReport:
+    make_loop, steps = _llpo_loops()
+    return check_lifted_reduction(
+        c2_cn_lift(), make_loop, _translate_llpo_step_to_cn, "cn", seeds, steps=steps, **options
+    )
+
+
+def _broken_c2_nondet_suite(seeds, **options) -> CheckReport:
+    return check_nondet(broken_c2_nondet_witness(), "llpo", seeds, **options)
+
+
+def _entry(name: str, kind: str, suite, default_seeds: int, describe: str) -> WitnessEntry:
+    def run_check(seeds=default_seeds, **options):
+        return suite(seeds, **options)
+
+    return WitnessEntry(name, kind, run_check, describe)
+
+
 @lru_cache(maxsize=1)
 def witness_library() -> dict:
     """Executable witnesses by name; lookups always return the same objects.
 
+    One row per entry: name, kind, suite, default seed count, description.
     `run_check(seeds=..., depth=..., budget=...)` runs an entry's suite; a
     depth or per-seed budget left out keeps the suite's own default.
     """
-    entries = {}
-
-    def add(name, kind, run_check, describe):
-        entries[name] = WitnessEntry(name, kind, run_check, describe)
-
-    add(
-        "llpo-id",
-        "reduction",
-        lambda seeds=500, **options: check_reduction(identity_llpo_witness(), seeds, **options),
-        "binary choice reduced to itself by the identity witness",
-    )
-    add(
-        "c2-to-cn",
-        "reduction",
-        lambda seeds=500, **options: check_reduction(c2_to_cn_witness(), seeds, **options),
-        "binary choice embedded into choice on the naturals",
-    )
-    add(
-        "llpo-to-cantor",
-        "reduction",
-        lambda seeds=200, **options: check_reduction(llpo_to_cantor_witness(), seeds, **options),
-        "binary choice as a path choice through length-one cylinders",
-    )
-    add(
-        "limn-to-lim",
-        "reduction",
-        lambda seeds=200, **options: check_reduction(limnat_to_lim_witness(), seeds, **options),
-        "eventual values embedded into stream limits (strong witness)",
-    )
-    add(
-        "c2-loop-lift",
-        "nondet-loop",
-        lambda seeds=200, **options: check_loop_nondet(
-            nondet_lift_inverse_limit(c2_nondet_witness(), "c2-loop-lift"),
-            lambda s: problem_loop("llpo", s, 5),
-            seeds,
-            steps=5,
-            **options,
-        ),
-        "advice-guessing binary-choice loops: independent choice, lifted",
-    )
-    add(
-        "c2-loop-lift-unique",
-        "nondet-loop",
-        lambda seeds=200, **options: check_loop_nondet(
-            nondet_lift_inverse_limit(c2_nondet_witness(), "c2-loop-lift-unique", unique=True),
-            lambda s: problem_loop("llpo", s, 5),
-            seeds,
-            steps=5,
-            **options,
-        ),
-        "the unique-advice variant: only the witness advice is consulted",
-    )
-
-    def c2_cn_loop_lift(seeds=50, **options):
-        lift, translate = lift_witness(c2_to_cn_witness(), "c2-cn-loop-lift")
-        return check_lifted_reduction(
-            lift, lambda s: problem_loop("llpo", s, 5), translate, "cn", seeds, steps=5, **options
-        )
-
-    add(
-        "c2-cn-loop-lift",
-        "loop-reduction",
-        c2_cn_loop_lift,
-        "one-step embedding lifted to whole loops by the injective fixed point",
-    )
-    add(
-        "cn-loop-limsim",
-        "simulation",
-        simulation_report,
-        "eventual-value loops computed by guess-and-restart",
-    )
-    add(
-        "broken-lpo",
-        "negative-control",
-        lambda seeds=100, **options: check_reduction(broken_lpo_witness(), seeds, **options),
-        "claims every input is zero; refuted on the nonzero instances",
-    )
-    add(
-        "broken-c2-nondet",
-        "negative-control",
-        lambda seeds=100, **options: check_nondet(
-            broken_c2_nondet_witness(), "llpo", seeds, **options
-        ),
-        "guesses the excluded point; refuted under helpful advice",
-    )
-    return entries
+    rows = [
+        ("llpo-id", "reduction", _reduction_suite(identity_llpo_witness), 500,
+         "binary choice reduced to itself by the identity witness"),
+        ("c2-to-cn", "reduction", _reduction_suite(c2_to_cn_witness), 500,
+         "binary choice embedded into choice on the naturals"),
+        ("llpo-to-cantor", "reduction", _reduction_suite(llpo_to_cantor_witness), 200,
+         "binary choice as a path choice through length-one cylinders"),
+        ("limn-to-lim", "reduction", _reduction_suite(limnat_to_lim_witness), 200,
+         "eventual values embedded into stream limits (strong witness)"),
+        ("c2-loop-lift", "nondet-loop", _advice_lift_suite("c2-loop-lift"), 200,
+         "advice-guessing binary-choice loops: independent choice, lifted"),
+        ("c2-loop-lift-unique", "nondet-loop", _advice_lift_suite("c2-loop-lift-unique", True),
+         200, "the unique-advice variant: only the witness advice is consulted"),
+        ("c2-cn-loop-lift", "loop-reduction", _c2_cn_loop_lift_suite, 50,
+         "one-step embedding lifted to whole loops by the injective fixed point"),
+        ("cn-loop-limsim", "simulation", simulation_report, 100,
+         "eventual-value loops computed by guess-and-restart"),
+        ("broken-lpo", "negative-control", _reduction_suite(broken_lpo_witness), 100,
+         "claims every input is zero; refuted on the nonzero instances"),
+        ("broken-c2-nondet", "negative-control", _broken_c2_nondet_suite, 100,
+         "guesses the excluded point; refuted under helpful advice"),
+    ]
+    return {row[0]: _entry(*row) for row in rows}

@@ -266,8 +266,9 @@ def test_only_the_operators_know_the_loop_kinds():
     }
     assert {"problem_loop", "limnat_loop", "countdown_loop"} <= constructors
     cli = LIBRARY / "cli.py"
-    assert not _names(cli) & constructors
-    assert "LOOP_KINDS" in _names(cli)
+    for reader in (cli, LIBRARY / "reductions.py"):
+        assert not _names(reader) & constructors, reader.name
+        assert "LOOP_KINDS" in _names(reader), reader.name
     tree = ast.parse(cli.read_text())
     constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     assert not constants & set(operators.LOOP_KINDS)

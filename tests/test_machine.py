@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from baire import machine
 from baire.machine import (
+    DecodeLog,
     EntryAccumulator,
     EntryParser,
     ExplicitName,
@@ -149,12 +150,12 @@ def test_run_scanner_matches_naive_oracle_at_any_split(seed):
     rng = random.Random(f"scan:{seed}")
     for word in _corpus(seed, rng):
         cuts = sorted(rng.sample(range(1, len(word)), 12))
-        parser, acc, found = EntryParser(), EntryAccumulator(), []
+        parser, log, found = EntryParser(), DecodeLog(), []
         for lo, hi in zip([0] + cuts, cuts + [len(word)]):
             found += parser.scan(word, lo, hi)
-            acc.take_run(word, lo, hi)
+            log.take_run(word, lo, hi)
         assert found == naive_blocks(word)
-        assert acc.accepted == naive_decode(word)
+        assert log.acc.accepted == naive_decode(word)
 
 
 @pytest.mark.parametrize("seed", range(6))

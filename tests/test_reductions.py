@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from baire.machine import MachineStream, pure_machine
@@ -386,6 +388,26 @@ def test_registry_contains_the_shipped_witnesses():
         "broken-c2-nondet",
     ):
         assert name in lib
+
+
+def test_registry_pins_each_entry_kind_and_default_seed_count():
+    # in registry order, which `check` prints when it lists the witnesses
+    pinned = [
+        (name, entry.kind, inspect.signature(entry.run_check).parameters["seeds"].default)
+        for name, entry in witness_library().items()
+    ]
+    assert pinned == [
+        ("llpo-id", "reduction", 500),
+        ("c2-to-cn", "reduction", 500),
+        ("llpo-to-cantor", "reduction", 200),
+        ("limn-to-lim", "reduction", 200),
+        ("c2-loop-lift", "nondet-loop", 200),
+        ("c2-loop-lift-unique", "nondet-loop", 200),
+        ("c2-cn-loop-lift", "loop-reduction", 50),
+        ("cn-loop-limsim", "simulation", 100),
+        ("broken-lpo", "negative-control", 100),
+        ("broken-c2-nondet", "negative-control", 100),
+    ]
 
 
 def test_registry_lookup_is_stable():

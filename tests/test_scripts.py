@@ -182,9 +182,11 @@ def _full_result_line(value):
 def _main_on_canned_runs(monkeypatch, ref_replay, tree_replay, pairs, result=None, extra=()):
     """bench_pairs.main with --pairs `pairs` and the arguments `extra` on
     canned replay and result lines (`result(checkout, run)` when given), no
-    checkout extracted and no benchmark run: (exit status, runs made)."""
+    checkout extracted, no commit looked up and no benchmark run: (exit
+    status, runs made)."""
     bench_pairs = _bench_pairs()
     runs = []
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda ref: "0" * 40)
     monkeypatch.setattr(bench_pairs, "extract", lambda ref, into: None)
     monkeypatch.setattr(bench_pairs, "copy_tree", lambda into: None)
 
