@@ -696,14 +696,15 @@ class RawEvalStream(BufferedStream):
     entry outputs as it grows.
 
     The name is read in runs that end at the next schedule boundary
-    (`Stream.read_run`).  A symbol already paid for (a dense stream's
-    `_buf`) costs nothing, a queued one (`queued()`) one step, and every
-    round that produces nothing one step, exactly as when each symbol is
-    read by `at` and each round ticks.  The first `paid` symbols of a run
-    are the paid ones, so symbols 0 .. i-1 cost c(i) = i + max(0, i - paid)
-    steps, and the symbol where the one-step path would signal follows from
-    c and `Fuel.headroom` alone, with no per-symbol count; a run costing
-    exactly the headroom is read to its end, and the next step signals.
+    (`Stream.read_run`).  A symbol already paid for (a plan's below its
+    `paid()`, a buffered name's in its `_buf`) costs nothing, a queued one
+    (`queued()`) one step, and every round that produces nothing one step,
+    exactly as when each symbol is read by `at` and each round ticks.  The
+    first `paid` symbols of a run are the paid ones, so symbols 0 .. i-1
+    cost c(i) = i + max(0, i - paid) steps, and the symbol where the
+    one-step path would signal follows from c and `Fuel.headroom` alone,
+    with no per-symbol count; a run costing exactly the headroom is read to
+    its end, and the next step signals.
     The name's `DecodeLog` parses the part of the run past its frontier,
     and the stream notes in its own `AppliedValue`, in order, the log's
     entries that end within the symbols it can pay for; an entry that makes
@@ -712,7 +713,7 @@ class RawEvalStream(BufferedStream):
     each symbol is parsed once whichever stream reads it first, and parsing
     reads content, never fuel; every stream still charges its own reads.
     The run's total is charged with one `Fuel.take`, the queued symbols
-    read go to the name's `_buf` by `commit`, and a run cut short by the
+    read are the name's paid ones after `commit`, and a run cut short by the
     headroom ticks after it, so the same tank signals.  A buffered name
     runs its producer rounds inside `read_run`, charged as `at` charges
     them; other names come one symbol a run, read and charged by `at`.

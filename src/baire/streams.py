@@ -8,26 +8,28 @@ never produces a wrong symbol and never corrupts cached state, so a later
 query with more fuel simply resumes.
 
 Symbols are produced and charged in bulk where that is exact.  A dense
-stream (`PlanStream`, `BufferedStream`) keeps the symbols it has paid for,
-from index 0 on, in the list `_buf`.  `queued()` says how many unpaid
-symbols wait after them, one step each: a plan's symbols up to its next
-memoized index, a buffered stream's queued ones.  `commit(n)` moves the
-next n of them into `_buf` once they are charged.  `charge_run` is the one
-charger of queued symbols: it takes up to n steps with a single
-`Fuel.take`, commits what was granted, and after a short grant ticks, so
-the tank that reading one symbol at a time would name signals.
-`read_prefix` reads dense streams with it.  A specialized name whose rounds
-are certified empty (`transform._SilentName`) charges them with it too: its
-`commit(n)` counts n paid round steps, two per round, and queues nothing.
-A reader that consumes a stream in runs (the decode route, `RawEvalStream`,
-and the injected output, `InjectionOutput`) gets the symbols up to a
-boundary from `Stream.read_run`, paid ones first, and charges and commits
-the unpaid ones it keeps.  Two hot paths also call `take` themselves: the
-decode route pays a run's symbols and its rounds' steps with one, and a
-`MachineName` drained by an injected output runs its rounds in one loop,
-`read_rounds`, that pays so for each block that fits the headroom and
-commits it straight to its own buffer and the reader's.  Every `spent`
-count is therefore the same whichever path a read takes.
+stream (`PlanStream`, `BufferedStream`) has paid for its symbols from index
+0 on.  A buffered stream keeps them in the list `_buf`; a plan keeps only
+their count, `paid()`, and takes any of its symbols from its head and tail
+without a charge, `word(a, b)`.
+`queued()` says how many unpaid symbols wait after them, one step each: a
+plan's symbols up to its next memoized index, a buffered stream's queued
+ones.  `commit(n)` counts the next n of them as paid once they are charged.
+`charge_run` is the one charger of queued symbols: it takes up to n steps
+with a single `Fuel.take`, commits what was granted, and after a short
+grant ticks, so the tank that reading one symbol at a time would name
+signals.  `read_prefix` reads dense streams with it.  A specialized name
+whose rounds are certified empty (`transform._SilentName`) charges them
+with it too: its `commit(n)` counts n paid round steps, two per round, and
+queues nothing.  A reader that consumes a stream in runs (the decode
+route, `RawEvalStream`, and the injected output, `InjectionOutput`) gets
+the symbols up to a boundary from `Stream.read_run`, paid ones first, and
+charges and commits the unpaid ones it keeps.  Two hot paths also call
+`take` themselves: the decode route pays a run's symbols and its rounds'
+steps with one, and a `MachineName` drained by an injected output runs its
+rounds in one loop, `read_rounds`, that pays so for each block that fits
+the headroom and commits it straight to its own buffer and the reader's.
+Every `spent` count is therefore the same whichever path a read takes.
 
 A chained tank (`Fuel`) charges eagerly: a tick or take moves every tank
 on its chain, so each count is current whenever it is read, and a stage of
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import count, islice, repeat
+from itertools import count, islice
 from typing import Callable, Iterable, Optional, Union
 
 Word = tuple  # finite word over the naturals
@@ -273,9 +275,10 @@ class PlanStream(_IndexedStream):
     """Finite prefix followed by a tail rule: all zeros, or a cycled word.
 
     This is the stream shape of the command-line input syntax, which
-    `spec_text` writes back.  The symbols read so far from index 0 on are
-    kept in the dense list `_buf`; reads past its end keep the per-index
-    memo, which therefore only holds indices past the dense end.
+    `spec_text` writes back.  A symbol is a function of the plan and its
+    index, so the stream keeps no symbols: `_paid` counts the symbols read
+    so far from index 0 on, the per-index memo holds the indices read past
+    them, and a reader takes a run of symbols from the plan by `word`.
     """
 
     def __init__(self, head: Iterable = (), tail=("zeros",), label: str = ""):
@@ -285,76 +288,66 @@ class PlanStream(_IndexedStream):
             raise ValueError("cycle tail needs a nonempty word")
         self.tail = (tail[0], tuple(tail[1])) if tail[0] == "cycle" else ("zeros",)
         self.label = label
-        self._buf = []  # symbols 0 .. len-1, each already charged
+        self._cycle = self.tail[1] if tail[0] == "cycle" else (0,)  # the tail's period
+        self._paid = 0  # symbols 0 .. _paid-1 are charged
 
     def at(self, n: int, fuel: FuelLike = None) -> int:
-        buf = self._buf
-        if n < len(buf):
-            return buf[n]
-        cache = self._cache
-        got = cache.get(n)
-        if got is not None:
-            return got
-        as_fuel(fuel).tick()
-        value = self._compute(n, fuel)
-        if n == len(buf):
-            buf.append(value)
-            while len(buf) in cache:  # the memo past the dense end folds in
-                buf.append(cache.pop(len(buf)))
-        else:
-            cache[n] = value
-        return value
+        if n >= self._paid:
+            cache = self._cache
+            got = cache.get(n)
+            if got is not None:
+                return got
+            as_fuel(fuel).tick()
+            if n > self._paid:
+                cache[n] = self.word(n, n + 1)[0]
+            else:
+                self._paid += 1
+                if cache:
+                    self.commit(0)  # the memo at the new dense end folds in
+        head = self.head  # `word` inline for one symbol: a paid read is the hot one
+        if n < len(head):
+            return head[n]
+        cyc = self._cycle
+        return cyc[(n - len(head)) % len(cyc)]
+
+    def paid(self) -> int:
+        return self._paid
 
     def queued(self) -> Union[int, float]:
-        """The plan symbols after `_buf` up to the first memoized index
-        (math.inf when nothing is memoized); none is paid for."""
-        return min(self._cache, default=math.inf) - len(self._buf)
+        """The plan symbols after the paid ones up to the first memoized
+        index (math.inf when nothing is memoized); none is paid for."""
+        cache = self._cache
+        return (min(cache) if cache else math.inf) - self._paid
 
     def commit(self, n: int) -> None:
-        """Append the next n plan symbols, charged by the caller, to `_buf`."""
-        buf = self._buf
-        self._plan_into(buf, len(buf), len(buf) + n)
+        """Count the next n plan symbols, charged by the caller, as paid;
+        the memo at the new dense end folds in."""
+        paid = self._paid + n
         cache = self._cache
-        while len(buf) in cache:
-            buf.append(cache.pop(len(buf)))
+        while paid in cache:
+            del cache[paid]
+            paid += 1
+        self._paid = paid
 
     def read_run(self, pos: int, end: int, fuel: Fuel) -> tuple:
         # the dense prefix is paid for; the queued plan symbols after it are not
-        buf = self._buf
-        dense = len(buf)
-        if pos > dense:
+        paid = self._paid
+        if pos > paid:
             return super().read_run(pos, end, fuel)  # sparse reads go by `at`
-        run = buf[pos:end]
-        paid = len(run)
-        if dense < end:
-            self._plan_into(run, dense, min(end, dense + self.queued()))
-        return run, paid
+        return self.word(pos, min(end, paid + self.queued())), min(end, paid) - pos
 
-    def _plan_into(self, out: list, start: int, end: int) -> None:
-        """Append symbols start .. end-1, straight from the plan, to `out`.
-
-        Charges nothing and records nothing on the stream.
-        """
+    def word(self, a: int, b: int) -> Word:
+        """Symbols a .. b-1, straight from the plan; charges nothing."""
         head = self.head
-        out.extend(head[start:end])
-        lo = max(start, len(head))
-        if end <= lo:
-            return
-        if self.tail[0] == "zeros":
-            out.extend(repeat(0, end - lo))
-            return
-        cyc = self.tail[1]
+        if b <= len(head):
+            return head[a:b]
+        lo = max(a, len(head))
+        cyc = self._cycle
+        if len(cyc) == 1:
+            return head[a:] + cyc * (b - lo)
         shift = (lo - len(head)) % len(cyc)
         turn = cyc[shift:] + cyc[:shift]
-        out.extend((turn * ((end - lo) // len(cyc) + 1))[: end - lo])
-
-    def _compute(self, n, fuel):
-        if n < len(self.head):
-            return self.head[n]
-        if self.tail[0] == "zeros":
-            return 0
-        cyc = self.tail[1]
-        return cyc[(n - len(self.head)) % len(cyc)]
+        return head[a:] + (turn * ((b - lo) // len(cyc) + 1))[: b - lo]
 
     def spec_text(self) -> str:
         head = " ".join(str(s) for s in self.head) if self.head else "eps"
@@ -446,9 +439,9 @@ WORD_EDGE = Fuel(0)
 def charge_run(source, n: Union[int, float], fuel: Fuel) -> None:
     """Charge the next n queued symbols of a dense stream and commit them.
 
-    One `Fuel.take` charges what the headroom grants, and those symbols go
-    to `_buf`.  After a short grant the next tick raises, for the tank that
-    reading the symbols one step at a time would have named.
+    One `Fuel.take` charges what the headroom grants, and those symbols
+    are committed as paid.  After a short grant the next tick raises, for
+    the tank that reading the symbols one step at a time would have named.
     """
     granted = fuel.take(n)
     if granted:
@@ -470,8 +463,9 @@ def read_prefix(source, k: Optional[int], fuel: Fuel, stop: Optional[tuple]) -> 
     """
     if isinstance(source, tuple):
         return source[:k]
-    if isinstance(source, (PlanStream, BufferedStream)):
-        # on a signal `_buf` holds exactly the determined prefix
+    if isinstance(source, BufferedStream):
+        # on a signal `_buf` holds exactly the determined prefix; its length
+        # is read inline: a method call for it slowed `transform`'s p50 by 3 %
         buf = source._buf
         want = math.inf if k is None else k
         try:
@@ -485,6 +479,16 @@ def read_prefix(source, k: Optional[int], fuel: Fuel, stop: Optional[tuple]) -> 
             if stop is not None and blocked.tank not in stop:
                 raise
         return tuple(buf[:k])
+    if isinstance(source, PlanStream):
+        # likewise the paid symbols; each queued run ends at a memoized index
+        want = math.inf if k is None else k
+        try:
+            while (paid := source.paid()) < want:
+                charge_run(source, min(want - paid, source.queued()), fuel)
+        except NeedMoreFuel as blocked:
+            if stop is not None and blocked.tank not in stop:
+                raise
+        return source.word(0, min(want, source.paid()))
     out = []
     for i in range(k) if k is not None else count():
         try:

@@ -6,6 +6,7 @@ paths they check.
 """
 
 import gc
+import math
 import random
 from typing import Callable
 
@@ -21,7 +22,16 @@ from baire.machine import (
     encode_entry_block,
     eval_stream,
 )
-from baire.streams import WORD_EDGE, Fuel, NeedMoreFuel, PlanStream, interleave_word, is_prefix
+from baire.streams import (
+    WORD_EDGE,
+    Fuel,
+    NeedMoreFuel,
+    PlanStream,
+    Stream,
+    as_fuel,
+    interleave_word,
+    is_prefix,
+)
 from baire.transform import (
     InjectionOutput,
     PairFunctional,
@@ -142,6 +152,89 @@ class PerSymbolRawEval(RawEvalStream):
                     buf.extend(value.best[len(buf) :])
                     return
             fuel.tick()
+
+
+class BufferedPlanStream(PlanStream):
+    """A plan stream that keeps the symbols it has paid for in a list.
+
+    This is `PlanStream` as it was before a plan kept only the count of its
+    paid symbols: `_buf` holds symbols 0 .. len-1, each already charged,
+    `commit` copies the plan's next symbols into it and folds in the memo
+    at its new end, and a run's queued symbols are copied from the plan
+    after the list's.  It is kept as the reference the counting plan must
+    match symbol for symbol, step for step and memo for memo.
+    """
+
+    def __init__(self, head=(), tail=("zeros",), label=""):
+        super().__init__(head, tail, label)
+        self._buf = []
+
+    def at(self, n, fuel=None):
+        buf = self._buf
+        if n < len(buf):
+            return buf[n]
+        cache = self._cache
+        got = cache.get(n)
+        if got is not None:
+            return got
+        as_fuel(fuel).tick()
+        value = self._compute(n, fuel)
+        if n == len(buf):
+            buf.append(value)
+            while len(buf) in cache:  # the memo past the dense end folds in
+                buf.append(cache.pop(len(buf)))
+        else:
+            cache[n] = value
+        return value
+
+    def paid(self):
+        return len(self._buf)
+
+    def word(self, a, b):
+        return tuple(self._buf[a:b])
+
+    def queued(self):
+        return min(self._cache, default=math.inf) - len(self._buf)
+
+    def commit(self, n):
+        buf = self._buf
+        self._plan_into(buf, len(buf), len(buf) + n)
+        cache = self._cache
+        while len(buf) in cache:
+            buf.append(cache.pop(len(buf)))
+
+    def read_run(self, pos, end, fuel):
+        buf = self._buf
+        dense = len(buf)
+        if pos > dense:
+            return Stream.read_run(self, pos, end, fuel)
+        run = buf[pos:end]
+        paid = len(run)
+        if dense < end:
+            self._plan_into(run, dense, min(end, dense + self.queued()))
+        return run, paid
+
+    def _plan_into(self, out, start, end):
+        head = self.head
+        out.extend(head[start:end])
+        lo = max(start, len(head))
+        if end <= lo:
+            return
+        if self.tail[0] == "zeros":
+            out.extend([0] * (end - lo))
+            return
+        cyc = self.tail[1]
+        shift = (lo - len(head)) % len(cyc)
+        turn = cyc[shift:] + cyc[:shift]
+        out.extend((turn * ((end - lo) // len(cyc) + 1))[: end - lo])
+
+    def _compute(self, n, fuel):
+        if n < len(self.head):
+            return self.head[n]
+        if self.tail[0] == "zeros":
+            return 0
+        cyc = self.tail[1]
+        return cyc[(n - len(self.head)) % len(cyc)]
 
 
 class PerSymbolInjectionOutput(InjectionOutput):

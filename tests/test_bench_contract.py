@@ -230,7 +230,7 @@ def test_dense_streams_charge_through_one_charger():
         "RawEvalStream._extend",
         "MachineName.read_rounds",
     }
-    gone = ("_prefix", "fill", "record_run")
+    gone = ("_prefix", "fill", "record_run", "_plan_into")
     assert [m for m in gone if hasattr(Stream, m)] == []
     assert _stream_classes_defining(gone) == []
 
@@ -254,6 +254,12 @@ def _names(path):
 def test_only_the_codec_names_the_block_format():
     files = {path.name for path in LIBRARY.glob("*.py") if _names(path) & BLOCK_FORMAT}
     assert files == {"machine.py"}
+
+
+def test_only_the_streams_read_a_plan_s_paid_count():
+    # other modules ask a plan for `paid()` and `word(a, b)`
+    files = {path.name for path in LIBRARY.glob("*.py") if "_paid" in _names(path)}
+    assert files == {"streams.py"}
 
 
 def test_only_the_operators_know_the_loop_kinds():

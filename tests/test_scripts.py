@@ -4,6 +4,7 @@ benchmark-pairs script summarizes result lines as it says."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -353,3 +354,24 @@ def test_bench_pairs_reads_setup_apart_only_beyond_the_probe_spread(monkeypatch,
     assert apart == {"loose": False, "tight": True, "none": True}
     assert spread["loose"] == pytest.approx(0.082 * 0.02 / 0.11)
     assert spread["tight"] == spread["none"] == 0
+
+
+@pytest.mark.parametrize("lines", [False, True], ids=["functions", "lines"])
+def test_sample_profile_prints_a_count_and_a_share_per_row(lines):
+    # the shape of the report only: the shares depend on the host
+    argv = ["--workload", "codec", "--kinds", "raw_open", "--ops", "60", "--seed", "1"]
+    argv += ["--lines"] if lines else []
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sample_profile.py"), *argv],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    head, columns, *rows = done.stdout.splitlines()
+    assert re.fullmatch(r"samples [1-9]\d*", head)
+    assert columns.split() == (["self%", "line"] if lines else ["self%", "cum%", "function"])
+    row = r" *\d+\.\d  +\S+:\d+ \S+" if lines else r" *\d+\.\d +\d+\.\d  +\S+:\d+ \S+"
+    assert rows and all(re.fullmatch(row, line) for line in rows)
+    assert any("src/baire/" in line for line in rows)

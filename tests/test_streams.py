@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from baire.streams import (
     ZEROS,
     cantor_pair,
     cantor_unpair,
+    charge_run,
     constant_stream,
     interleave_word,
     odd_part,
@@ -67,6 +69,7 @@ from baire.transform import (
     smn,
 )
 from helpers import (
+    BufferedPlanStream,
     LastSplitReferencingFunctional,
     PerSymbolInjectionOutput,
     PerSymbolRawEval,
@@ -383,8 +386,8 @@ def test_short_take_then_tick_names_the_per_step_tank(inner_steps, outer_steps, 
 # Bulk reads (prefix, determined_prefix, read_prefix) must charge every tank
 # exactly what reading index by index through `at` charges, stop at the same
 # index, name the same tank, and leave the stream resumable in the same
-# state; the "buffer" op compares a dense stream's whole `_buf` after a
-# strict read.  Each factory returns a fresh stream sharing no cache with
+# state; the "buffer" op compares a dense stream's whole paid prefix after
+# a strict read.  Each factory returns a fresh stream sharing no cache with
 # another.
 
 
@@ -480,6 +483,13 @@ def _per_index(stream, k, fuel):
     return tuple(out), None
 
 
+def _paid_symbols(stream):
+    """The symbols a dense stream has paid for, from index 0 on."""
+    if isinstance(stream, BufferedStream):
+        return tuple(stream._buf)
+    return stream.word(0, stream.paid())
+
+
 def _reference(op, stream, k, tanks):
     got, signal = _per_index(stream, k, tanks[0])
     if op == "prefix" and signal is not None:
@@ -487,7 +497,7 @@ def _reference(op, stream, k, tanks):
     if op == "stop-inner" and signal is not None and signal is not tanks[0]:
         return None, signal
     if op == "buffer":
-        return tuple(stream._buf), signal
+        return _paid_symbols(stream), signal
     return got, signal
 
 
@@ -501,9 +511,9 @@ def _bulk(op, stream, k, tanks):
         if op == "stop-inner":
             return read_prefix(stream, k, fuel, (fuel,)), None
         read_prefix(stream, k, fuel, ())
-        return tuple(stream._buf), None
+        return _paid_symbols(stream), None
     except NeedMoreFuel as blocked:
-        return (tuple(stream._buf) if op == "buffer" else None), blocked.tank
+        return (_paid_symbols(stream) if op == "buffer" else None), blocked.tank
 
 
 def _ops(stream):
@@ -537,7 +547,10 @@ def _check_bulk_matches_per_index(build, k, op, shape, budget, pre_reads=()):
         assert bulk_stream._buf == ref_stream._buf
         assert list(bulk_stream._pending) == list(ref_stream._pending)
     if isinstance(bulk_stream, PlanStream):
-        assert (bulk_stream._buf, bulk_stream._cache) == (ref_stream._buf, ref_stream._cache)
+        assert (_paid_symbols(bulk_stream), bulk_stream._cache) == (
+            _paid_symbols(ref_stream),
+            ref_stream._cache,
+        )
     # resuming with a larger tank gives the same symbols at the same cost
     big_bulk, big_ref = Fuel(10**5), Fuel(10**5)
     assert bulk_stream.prefix(k, big_bulk) == _per_index(ref_stream, k, big_ref)[0]
@@ -707,7 +720,7 @@ RAW_NAMES = {
 def _charged(name):
     """What the name has paid for: its dense or produced prefix and memo."""
     if isinstance(name, PlanStream):
-        return list(name._buf), dict(name._cache)
+        return list(_paid_symbols(name)), dict(name._cache)
     return list(name._buf), list(name._pending)
 
 
@@ -1259,8 +1272,93 @@ def test_plan_prefix_folds_a_memo_at_its_new_dense_end():
     plan.at(30, tank)
     for k in (30, 60, 80):
         assert plan.prefix(k, tank) == tuple(range(k))
-    assert len(plan._buf) == 80 and plan._cache == {}
+    assert plan.paid() == 80 and plan._cache == {}
     ref, ref_tank = PlanStream(tuple(range(100)), ("zeros",)), Fuel(10**5)
     for i in (30, *range(80)):
         ref.at(i, ref_tank)
     assert tank.spent == ref_tank.spent == 80
+
+
+def test_a_plan_keeps_none_of_the_symbols_it_has_paid_for():
+    plan, tank = PlanStream((3, 1, 4)), Fuel(10**6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        charge_run(plan, 200_000, tank)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert plan.paid() == tank.spent == 200_000
+    assert kept < 1024
+
+
+# A plan counts the symbols it has paid for and takes them from its head and
+# tail; helpers.BufferedPlanStream, the plan that kept them in a list, is the
+# reference.  Random plans take random reads, each on a child tank or on its
+# root: both must return the same symbols, charge both tanks alike, name the
+# same tank and keep the same paid symbols and memo after every read.
+
+plan_tails = st.one_of(
+    st.just(("zeros",)),
+    st.lists(st.integers(0, 9), min_size=1, max_size=4).map(lambda w: ("cycle", tuple(w))),
+)
+plan_reads = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(("at", "prefix", "determined")), st.booleans(), st.integers(0, 60)
+        ),
+        st.tuples(st.just("sparse"), st.booleans(), st.integers(1, 20)),
+        st.tuples(
+            st.just("run"),
+            st.booleans(),
+            st.integers(0, 60),
+            st.integers(1, 30),
+            st.integers(0, 30),
+        ),
+    ),
+    max_size=12,
+)
+
+
+def _plan_reads(stream, reads, root_steps, child_steps):
+    root = Fuel(root_steps)
+    child = Fuel(child_steps, parent=root)
+    tanks = [child, root]
+    rows = []
+    for op, on_child, *args in reads:
+        fuel = child if on_child else root
+        try:
+            if op == "at":
+                got = stream.at(args[0], fuel)
+            elif op == "prefix":
+                got = stream.prefix(args[0], fuel)
+            elif op == "determined":
+                got = stream.determined_prefix(args[0], fuel)
+            elif op == "sparse":
+                got = stream.at(stream.paid() + args[0], fuel)
+            else:  # a run reader keeps the free symbols and `keep` queued ones
+                pos, length, keep = args
+                run, paid = stream.read_run(pos, pos + length, fuel)
+                got = tuple(run), paid
+                used = min(len(run), paid + keep)
+                if used > paid:
+                    charge_run(stream, used - paid, fuel)
+            signal = None
+        except NeedMoreFuel as blocked:
+            got, signal = None, _role(blocked.tank, tanks)
+        spent = [t.spent for t in tanks]
+        rows.append((got, signal, spent, _paid_symbols(stream), dict(stream._cache)))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(0, 9), max_size=40).map(tuple),
+    plan_tails,
+    plan_reads,
+    st.integers(0, 120),
+    st.integers(0, 120),
+)
+def test_a_counting_plan_reads_as_the_plan_that_kept_its_symbols(head, tail, reads, root, child):
+    got = _plan_reads(PlanStream(head, tail), reads, root, child)
+    assert got == _plan_reads(BufferedPlanStream(head, tail), reads, root, child)

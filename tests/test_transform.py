@@ -418,7 +418,7 @@ def test_referencing_slice_memo_never_keeps_a_signalled_read():
         with pytest.raises(NeedMoreFuel) as cut:
             apply(p, Fuel(10**5, parent=outer))
         assert cut.value.tank is outer
-        assert len(q._buf) == 3  # the signal came inside the q read
+        assert q.paid() == 3  # the signal came inside the q read
         if fresh:
             apply = _referencing_apply(route, sq, len(p))
         retry = Fuel(10**5)
