@@ -3,7 +3,8 @@
     python scripts/check_all_witnesses.py [seeds]
 
 Negative controls are expected to report refutations; everything else must
-come back clean.
+come back clean.  Each line ends with the suite's fuel: every step its judges
+took.
 """
 
 import sys
@@ -22,7 +23,7 @@ def main(seeds: int = 30) -> int:
             failures += 1
         print(
             f"{name:24s} kind={entry.kind:18s} refuted={report.refutations:3d} "
-            f"consistent={report.count('consistent'):3d} -> {verdict}"
+            f"consistent={report.count('consistent'):3d} fuel={report.fuel_spent} -> {verdict}"
         )
     return 1 if failures else 0
 

@@ -74,6 +74,7 @@ from .streams import (
     Stream,
     Word,
     ZEROS,
+    as_fuel,
     as_stream,
     cantor_pair,
     cantor_unpair,
@@ -323,36 +324,35 @@ def _provably_stalled(state: Stream, budget: int) -> bool:
     return True
 
 
-def check_step(
-    got: Stream, want: Stream, depth: int, got_fuel: Fuel, want_fuel: Fuel
-) -> tuple:
+def check_step(got: Stream, want: Stream, depth: int, fuel: Fuel) -> tuple:
     """The one step validator: a state against its re-derivation.
 
     Compares the prefixes of `got` and `want` determined within `depth`
-    symbols under the given tanks (which may be one shared tank) and
-    returns (verdict, number of symbols compared).  Disagreement on the
-    common part refutes; agreement on nothing leaves the step undetermined.
+    symbols on the one tank and returns (verdict, number of symbols
+    compared).  Disagreement on the common part refutes; agreement on
+    nothing leaves the step undetermined.
     """
-    a = got.determined_prefix(depth, got_fuel)
-    b = want.determined_prefix(depth, want_fuel)
+    a = got.determined_prefix(depth, fuel)
+    b = want.determined_prefix(depth, fuel)
     short = min(len(a), len(b))
     if a[:short] != b[:short]:
         return REFUTED, short
     return (CONSISTENT if short else UNDETERMINED), short
 
 
-def rederive_step(run: Run, i: int, answer: Stream, depth: int, budget: int) -> str:
+def rederive_step(run: Run, i: int, answer: Stream, depth: int, fuel: Fuel) -> str:
     """State i+1 against state i's program on `answer` through the generic
-    universal face, each read under a fresh `budget`-step tank."""
+    universal face, both read on the caller's tank."""
     program, _ = unpair_stream(run.states[i])
     expected = generic_universal(program, answer)
-    return check_step(run.states[i + 1], expected, depth, Fuel(budget), Fuel(budget))[0]
+    return check_step(run.states[i + 1], expected, depth, fuel)[0]
 
 
 def validate_run(run: Run, oracle: StepOracle, depth: int = 8) -> List[str]:
-    """Step-wise verdicts: does each state match a generic re-derivation?"""
+    """Step-wise verdicts on one default tank: does each state match a generic re-derivation?"""
+    fuel = as_fuel(None)
     return [
-        rederive_step(run, i, oracle.answer(unpair_stream(run.states[i])[1], i), depth, 400_000)
+        rederive_step(run, i, oracle.answer(unpair_stream(run.states[i])[1], i), depth, fuel)
         for i in range(len(run.states) - 1)
     ]
 

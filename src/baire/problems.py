@@ -55,7 +55,7 @@ class Instance:
 class Problem:
     name: str
     generate: Callable[[int], Instance]
-    check_solution: Callable[[Instance, Word, int], str]
+    check_solution: Callable[..., str]  # (instance, output, depth, fuel): reads go on fuel
 
 
 @dataclass
@@ -83,9 +83,9 @@ def _rng(problem: str, seed: int) -> random.Random:
 # negative information
 
 
-def exclusions_upto(name: Stream, depth: int) -> set:
+def exclusions_upto(name: Stream, depth: int, fuel: FuelLike = None) -> set:
     """Codes excluded by a negative-information name within a depth."""
-    return {sym - 1 for sym in name.prefix(depth) if sym > 0}
+    return {sym - 1 for sym in name.prefix(depth, fuel) if sym > 0}
 
 
 def cylinder_code(bits: Word) -> int:
@@ -118,10 +118,10 @@ def problem_id() -> Problem:
         head = tuple(rng.randrange(4) for _ in range(12))
         return Instance("id", seed, PlanStream(head, ("zeros",)), ("copy",))
 
-    def check(instance, output, depth):
+    def check(instance, output, depth, fuel=None):
         if not output:
             return UNDETERMINED
-        want = instance.public_name.prefix(min(depth, len(output)))
+        want = instance.public_name.prefix(min(depth, len(output)), fuel)
         if output[: len(want)] != want:
             return REFUTED
         return CONSISTENT
@@ -149,13 +149,13 @@ def problem_lpo() -> Problem:
         head = (0,) * k + (v,) + tuple(rng.randrange(3) for _ in range(4))
         return Instance("lpo", seed, PlanStream(head, ("zeros",)), ("nonzero", k, v))
 
-    def check(instance, output, depth):
+    def check(instance, output, depth, fuel=None):
         if not output:
             return UNDETERMINED
         claim = output[0]
         if claim > 1:
             return REFUTED
-        seen = sierpinski_value(instance.public_name, depth)
+        seen = sierpinski_value(instance.public_name, depth, fuel)
         if claim == 1:
             return REFUTED if seen[0] == "nonzero-at" else CONSISTENT
         # claim 0 is only ever confirmed, never refuted at finite depth
@@ -186,13 +186,13 @@ def problem_llpo() -> Problem:
             head[1 + rng.randrange(8)] = (1 - witness) + 1  # exclude the other
         return Instance("llpo", seed, PlanStream(tuple(head), ("zeros",)), ("choice", witness))
 
-    def check(instance, output, depth):
+    def check(instance, output, depth, fuel=None):
         if not output:
             return UNDETERMINED
         point = output[0]
         if point > 1:
             return REFUTED
-        if point in exclusions_upto(instance.public_name, depth):
+        if point in exclusions_upto(instance.public_name, depth, fuel):
             return REFUTED
         return CONSISTENT
 
@@ -215,10 +215,10 @@ def problem_cn() -> Problem:
             head[2 * i + 1] = e + 1
         return Instance("cn", seed, PlanStream(tuple(head), ("zeros",)), ("choice", witness))
 
-    def check(instance, output, depth):
+    def check(instance, output, depth, fuel=None):
         if not output:
             return UNDETERMINED
-        if output[0] in exclusions_upto(instance.public_name, depth):
+        if output[0] in exclusions_upto(instance.public_name, depth, fuel):
             return REFUTED
         return CONSISTENT
 
@@ -268,7 +268,7 @@ def problem_lim() -> Problem:
         hidden = ("limit", limit_head)
         return Instance("lim", seed, public, hidden, {"commits": commits})
 
-    def check(instance, output, depth):
+    def check(instance, output, depth, fuel=None):
         if not output:
             return UNDETERMINED
         commits = {k: (v, s) for k, v, s in instance.public_spec["commits"]}
@@ -305,7 +305,7 @@ def problem_lim_nat() -> Problem:
         spec = {"commits": [(0, value, stable_from)]}
         return Instance("limnat", seed, plan, ("value", value, stable_from), spec)
 
-    def check(instance, output, depth):
+    def check(instance, output, depth, fuel=None):
         if not output:
             return UNDETERMINED
         (k0, v, s) = instance.public_spec["commits"][0]
@@ -340,12 +340,12 @@ def problem_path_choice() -> Problem:
         plan = PlanStream(tuple(head), ("zeros",))
         return Instance("wkl", seed, plan, ("path", path_head, path_cycle))
 
-    def check(instance, output, depth):
+    def check(instance, output, depth, fuel=None):
         if not output:
             return UNDETERMINED
         if any(b > 1 for b in output):
             return REFUTED
-        for code in exclusions_upto(instance.public_name, depth):
+        for code in exclusions_upto(instance.public_name, depth, fuel):
             if is_prefix(cylinder_word(code), output):
                 return REFUTED
         return CONSISTENT

@@ -12,8 +12,9 @@ solver plus a Sierpinski-valued advice checker), their lift from one step
 to whole loops, and the mind-change simulation that computes eventual-value
 loops on a guess-and-restart machine.  Every suite runs on one seeded-suite
 driver, `run_suite`: a fresh tank per seed, a per-seed judge, and the tank's
-spending added to the report whatever the verdict.  A problem with advice
-and its lift to loops share one judge, `advice_judge`.
+spending added to the report whatever the verdict.  Every read a judge makes
+draws on that tank, so a report's fuel counts every step its judges took and
+the budget bounds them all.  The advice suites share one judge, `advice_judge`.
 """
 
 from __future__ import annotations
@@ -129,10 +130,10 @@ def run_suite(
 ) -> CheckReport:
     """The one seeded-suite driver.
 
-    Each seed gets a fresh tank of `budget` steps; `judge(seed, tank)`
-    returns (verdict, detail), and the tank's spending is added to the
-    report whatever the verdict, so refuted seeds count their fuel too.  A
-    judge that runs its tank dry leaves the seed undetermined.
+    Each seed gets a fresh tank of `budget` steps; `judge(seed, tank)` makes
+    every read on it and returns (verdict, detail).  The report adds the
+    tank's spending whatever the verdict, so its fuel is every step the
+    judges took.  A judge that runs its tank dry leaves the seed undetermined.
     """
     report = CheckReport(label, depth, disclaimer=disclaimer)
     for seed in range(seeds):
@@ -190,17 +191,16 @@ def check_reduction(
         answer = g_realizer.solve(target)
         h_in = answer if witness.strong else pair_stream(inst.public_name, answer)
         got = MachineStream(witness.H, h_in).determined_prefix(8, tank)
-        verdict = f_problem.check_solution(inst, got, depth)
+        verdict = f_problem.check_solution(inst, got, depth, tank)
         if verdict == UNDETERMINED and len(got) < 8 and not tank.remaining:
             # the read ended quietly on the empty seed tank; say so
             raise NeedMoreFuel(tank)
         if verdict == REFUTED:
             return verdict, f"output {list(got)}"
         # the realizer answers from the hidden witness, so only the g-checker
-        # reads K: an answer it refutes means K(x) is no valid g-instance.
-        # Read under its own tank, as check_lifted_reduction does
-        g_answer = answer.determined_prefix(8, Fuel(600_000))
-        if g_problem.check_solution(target, g_answer, depth) == REFUTED:
+        # reads K: an answer it refutes means K(x) is no valid g-instance
+        g_answer = answer.determined_prefix(8, tank)
+        if g_problem.check_solution(target, g_answer, depth, tank) == REFUTED:
             return REFUTED, f"target answer {list(g_answer)}"
         return verdict, ""
 
@@ -212,19 +212,22 @@ def check_reduction(
 
 
 def check_loop_run(
-    run: Run, instances: Callable[[int], Instance], base_problem, depth: int
+    run: Run, instances: Callable[[int], Instance], base_problem, depth: int, fuel: Fuel
 ) -> str:
-    """Membership test for a run: answers pass the base checker and every
-    state follows from its predecessor through the generic universal face."""
+    """Membership test for a run, read on `fuel`: states hold their steps' instances, answers
+    pass the base checker, and states follow through the generic universal face."""
     any_checked = False
     for i, record in enumerate(run.records):
         if record.answer is None:
             return UNDETERMINED
-        answer = record.answer.determined_prefix(4, Fuel(600_000))
-        verdict = base_problem.check_solution(instances(i), answer, depth)
-        if verdict == REFUTED:
+        instance = instances(i)
+        _, data = unpair_stream(run.states[i])
+        if check_step(data, instance.public_name, depth, fuel)[0] == REFUTED:
             return REFUTED
-        verdict = rederive_step(run, i, record.answer, depth, 600_000)
+        answer = record.answer.determined_prefix(4, fuel)
+        if base_problem.check_solution(instance, answer, depth, fuel) == REFUTED:
+            return REFUTED
+        verdict = rederive_step(run, i, record.answer, depth, fuel)
         if verdict == REFUTED:
             return REFUTED
         if verdict == CONSISTENT:
@@ -260,19 +263,19 @@ def check_lifted_reduction(
         compared = 0
         for i in range(steps + 1):
             extracted = lift.h1(unpair_stream(translated.states[i])[0])
-            verdict, short = check_step(extracted, reference.states[i], depth, tank, tank)
+            verdict, short = check_step(extracted, reference.states[i], depth, tank)
             if verdict == REFUTED:
                 return REFUTED, ""
             compared += short
         if not compared and not tank.remaining:
             # check_step's reads end quietly on the empty seed tank; say so
             raise NeedMoreFuel(tank)
-        # the states never depend on the answers, so judge those too, each
-        # under its own tank as in check_loop_run
+        # the states never depend on the answers, so judge those too
         problem = get_problem(loop.base_problem)
         for record in translated.records:
-            answer = record.answer.determined_prefix(4, Fuel(600_000))
-            if problem.check_solution(loop.step_instance(record.index), answer, depth) == REFUTED:
+            answer = record.answer.determined_prefix(4, tank)
+            inst = loop.step_instance(record.index)
+            if problem.check_solution(inst, answer, depth, tank) == REFUTED:
                 return REFUTED, ""
         return (CONSISTENT if compared else UNDETERMINED), ""
 
@@ -365,7 +368,7 @@ def check_nondet(
 
         def outcome(advice):
             got = witness.F1(inst.public_name, advice).determined_prefix(6, tank)
-            return problem.check_solution(inst, got, depth)
+            return problem.check_solution(inst, got, depth, tank)
 
         return advice_judge(witness, inst, outcome, range(31 * seed, 31 * seed + 3), depth, tank)
 
@@ -538,7 +541,7 @@ def check_loop_nondet(
 
         def outcome(advice):
             run = LoopStates(loop.q0, lifted.advice_oracle(advice)).run(steps)
-            return check_loop_run(run, loop.step_instance, base_problem, 5)
+            return check_loop_run(run, loop.step_instance, base_problem, 5, tank)
 
         return advice_judge(lifted, loop, outcome, range(13 * seed, 13 * seed + k), depth, tank)
 
@@ -578,47 +581,48 @@ def simulate_limit_machine(
     level changes its mind the loop `forget`s the states after it, which are
     rebuilt from the new guess on demand.  With finitely many changes the
     guesses stabilize and the final run validates like an oracle run.
-    `budget` is a step count or the tank to run under.
+    `budget` is a step count or the tank every read goes on, the final
+    judging's too; a dry tank leaves the states built so far, unstabilized.
     """
     steps = loop.steps if steps is None else steps
     fuel = as_fuel(budget)
     problem = get_problem(loop.base_problem)
     guesses: List[list] = []  # per level: [value, scanned-upto]
-    handle = LoopStates(loop.q0, StepOracle("guess", lambda data, i: value_stream(guesses[i][0])))
     trace = []
     restarts = 0
+
+    def guess(data, i):
+        answer = value_stream(guesses[i][0])
+        answer.at(0, fuel)  # the head the next program reads, paid on the tank
+        return answer
 
     def data_at(i):
         return unpair_stream(handle.state(i))[1]
 
+    handle = LoopStates(loop.q0, StepOracle("guess", guess))
     try:
         while True:
             while len(guesses) < steps:
                 guesses.append([data_at(len(guesses)).at(0, fuel), 1])
-            progressed = False
-            for i in range(steps):
+            open_levels = [i for i in range(steps) if guesses[i][1] < scan_depth]
+            if not open_levels:
+                break
+            for i in open_levels:
                 pos = guesses[i][1]
-                if pos >= scan_depth:
-                    continue
-                progressed = True
                 v = data_at(i).at(pos, fuel)
                 guesses[i][1] = pos + 1
                 if v != guesses[i][0]:
                     trace.append((i, guesses[i][0], v, pos))
                     restarts += 1
                     guesses[i][0] = v
-                    # the other guesses and scan positions stay, because the
-                    # loop's `data_for` ignores the answer: the data parts it
-                    # hands out are the same streams whatever answers its
-                    # programs are fed
+                    # the other guesses and scan positions stay: `data_for` ignores
+                    # the answer, and the final judging reads each state's data
                     handle.forget(i)
                     break
-            if not progressed:
-                break
+        run = handle.run(steps)
+        verdict = check_loop_run(run, loop.step_instance, problem, scan_depth, fuel)
     except NeedMoreFuel:
-        return SimulationResult(handle.run(len(guesses)), trace, restarts, False, UNDETERMINED)
-    run = handle.run(steps)
-    verdict = check_loop_run(run, loop.step_instance, problem, scan_depth)
+        return SimulationResult(handle.run(len(handle.records)), trace, restarts, False, UNDETERMINED)
     return SimulationResult(run, trace, restarts, True, verdict)
 
 

@@ -356,10 +356,6 @@ class PlanStream(_IndexedStream):
         return f"{head} cycle " + " ".join(str(s) for s in self.tail[1])
 
 
-def constant_stream(value: int) -> PlanStream:
-    return PlanStream((), ("zeros",)) if value == 0 else PlanStream((), ("cycle", (value,)))
-
-
 ZEROS = PlanStream((), ("zeros",), label="0^w")
 
 

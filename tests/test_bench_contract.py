@@ -32,6 +32,9 @@ its argument parser on its first call only.
 
 Loop kinds are decided in one place, `operators.LOOP_KINDS`: `cli` imports
 no loop constructor and names no kind of its own.
+
+A check has one budget, the seed's tank: `reductions` opens a `Fuel` only
+in `run_suite`, and no library module keeps a private per-read budget.
 """
 
 import ast
@@ -254,6 +257,25 @@ def _names(path):
 def test_only_the_codec_names_the_block_format():
     files = {path.name for path in LIBRARY.glob("*.py") if _names(path) & BLOCK_FORMAT}
     assert files == {"machine.py"}
+
+
+def test_the_seed_tank_is_the_judges_one_budget():
+    # judges read on the tank run_suite hands them: reductions opens no
+    # other, and no private per-read budget of the old kind is left
+    def fuel_calls(root):
+        return {
+            id(node)
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fuel"
+        }
+
+    tree = ast.parse((LIBRARY / "reductions.py").read_text())
+    suite = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_suite")
+    assert fuel_calls(tree) == fuel_calls(suite) != set()
+    for path in LIBRARY.glob("*.py"):
+        nodes = ast.walk(ast.parse(path.read_text()))
+        constants = {node.value for node in nodes if isinstance(node, ast.Constant)}
+        assert not constants & {400_000, 600_000}, path.name
 
 
 def test_only_the_streams_read_a_plan_s_paid_count():

@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 from baire.machine import MachineStream, pure_machine
-from baire.operators import inverse_limit, limnat_loop, problem_loop
+from baire.operators import chain_program, inverse_limit, limnat_loop, problem_loop, run_loop
 from baire.problems import CONSISTENT, REFUTED, UNDETERMINED, get_problem
 from baire.reductions import (
     broken_c2_nondet_witness,
@@ -12,6 +12,7 @@ from baire.reductions import (
     c2_nondet_witness,
     c2_to_cn_witness,
     check_loop_nondet,
+    check_loop_run,
     check_lifted_reduction,
     check_nondet,
     check_reduction,
@@ -73,9 +74,23 @@ def test_reduction_refutes_a_K_whose_instance_has_no_valid_answer():
     import dataclasses
 
     K = pure_machine(lambda w: tuple(t + 1 for t in range(len(w))), "K-over")
-    report = check_reduction(dataclasses.replace(c2_to_cn_witness(), K=K), seeds=5)
+    sound = c2_to_cn_witness()
+    report = check_reduction(dataclasses.replace(sound, K=K), seeds=5)
     assert report.refutations == 5
-    assert report.fuel_spent == check_reduction(c2_to_cn_witness(), seeds=5).fuel_spent
+
+    def k_steps(machine, seed):
+        # the g-checker reads 32 symbols of K's output once the f-checker
+        # has read the instance that far
+        inst = get_problem("llpo").generate(seed)
+        tank = Fuel(10**6)
+        inst.public_name.prefix(32, tank)
+        MachineStream(machine, inst.public_name).prefix(32, tank)
+        return tank.spent
+
+    # each seed's tank pays for reading K, so the fuel differs from the sound
+    # witness's by exactly what reading the other K costs
+    extra = sum(k_steps(K, s) - k_steps(sound.K, s) for s in range(5))
+    assert report.fuel_spent == check_reduction(sound, seeds=5).fuel_spent + extra
 
 
 def test_report_format_lines():
@@ -326,6 +341,60 @@ def test_lifted_reduction_refutes_answers_outside_the_problem():
     assert report.refutations == 6
 
 
+# --- a loop run is judged on the data its states hold ---------------------------------
+
+WRONG_DATA_SEEDS, WRONG_DATA_STEPS, WRONG_DATA_DEPTH = range(20), 5, 16
+
+
+def _llpo_run_on(seed, data_at):
+    """An llpo loop run whose state i holds `data_at(oracle, i)` as its data
+    part, answered by the loop's oracle, with the loop's step instances."""
+    loop = problem_loop("llpo", seed, WRONG_DATA_STEPS)
+    program = chain_program([1], lambda i, answer: data_at(loop.oracle, i + 1))
+    q0 = pair_stream(program, data_at(loop.oracle, 0))
+    return run_loop(q0, loop.oracle, WRONG_DATA_STEPS), loop.step_instance
+
+
+def _wrong_data_refutations(data_at) -> set:
+    refuted = set()
+    llpo = get_problem("llpo")
+    for seed in WRONG_DATA_SEEDS:
+        run, instances = _llpo_run_on(seed, data_at)
+        if check_loop_run(run, instances, llpo, WRONG_DATA_DEPTH, Fuel(10**6)) == REFUTED:
+            refuted.add(seed)
+    return refuted
+
+
+def _instance_prefixes(seed, count):
+    loop = problem_loop("llpo", seed, WRONG_DATA_STEPS)
+    return [loop.step_instance(i).public_name.prefix(WRONG_DATA_DEPTH) for i in range(count)]
+
+
+def test_loop_run_on_all_zero_data_is_refuted_where_an_instance_is_nonzero():
+    # the check used to judge each answer on the instance chosen by index and
+    # never read the data the state held: this loop was consistent everywhere
+    sound = lambda oracle, i: oracle.instance_at(i).public_name
+    assert _wrong_data_refutations(sound) == set()
+    nonzero = {
+        seed
+        for seed in WRONG_DATA_SEEDS
+        if any(any(word) for word in _instance_prefixes(seed, WRONG_DATA_STEPS))
+    }
+    assert nonzero
+    assert _wrong_data_refutations(lambda oracle, i: ZEROS) == nonzero
+
+
+def test_loop_run_on_the_instance_two_steps_ahead_is_refuted_where_they_differ():
+    ahead = lambda oracle, i: oracle.instance_at(i + 2).public_name
+    differ = set()
+    for seed in WRONG_DATA_SEEDS:
+        words = _instance_prefixes(seed, WRONG_DATA_STEPS + 2)
+        if any(words[i] != words[i + 2] for i in range(WRONG_DATA_STEPS)):
+            differ.add(seed)
+    assert differ
+    assert _wrong_data_refutations(ahead) == differ
+
+
 # --- the mind-change simulation -------------------------------------------------------
 
 
@@ -422,18 +491,39 @@ def test_registry_entries_run_small():
     assert not report.ok()
 
 
-@pytest.mark.parametrize(
-    "name", ["llpo-id", "c2-loop-lift", "c2-loop-lift-unique", "c2-cn-loop-lift", "cn-loop-limsim"]
-)
+@pytest.mark.parametrize("name", sorted(witness_library()))
 def test_registry_budget_is_the_seed_tank_and_never_refutes(name):
-    # a seed whose tank runs dry is undetermined; c2-loop-lift used to treat
-    # a sample scan cut short by the budget as unflagged and refute the seed
+    # a seed whose tank runs dry is undetermined, and running dry never
+    # refutes: c2-loop-lift used to treat a sample scan cut short by the
+    # budget as unflagged and refute the seed.  A short budget moves a seed
+    # from its verdict to undetermined only, so only negative controls refute
     entry = witness_library()[name]
+    full = [verdict for _, verdict, _ in entry.run_check(seeds=3).records]
     for budget in (1, 100, 5000):
         report = entry.run_check(seeds=3, budget=budget)
-        assert report.refutations == 0
+        if entry.kind != "negative-control":
+            assert report.refutations == 0
+        for (_, verdict, _), want in zip(report.records, full):
+            assert verdict in (want, UNDETERMINED)
         assert report.fuel_spent <= 3 * budget
     assert entry.run_check(seeds=3, budget=1).undetermined == 3
+
+
+@pytest.mark.parametrize("name", sorted(witness_library()))
+def test_report_fuel_is_every_step_the_judges_took(name, monkeypatch):
+    # judges used to read on root tanks of their own that the report left
+    # out: at three seeds llpo-id reported 111 of the 183 steps it spent
+    roots = []
+    init = Fuel.__init__
+
+    def recording(tank, steps, parent=None):
+        init(tank, steps, parent)
+        if parent is None:
+            roots.append(tank)
+
+    monkeypatch.setattr(Fuel, "__init__", recording)
+    report = witness_library()[name].run_check(seeds=3)
+    assert report.fuel_spent == sum(tank.spent for tank in roots)
 
 
 def test_lifted_reduction_dry_seed_tank_says_budget_exhausted():
@@ -505,5 +595,10 @@ def test_reduction_dry_seed_tank_says_budget_exhausted(name):
 
 
 def test_reduction_refuted_on_a_short_prefix_stays_refuted():
-    report = witness_library()["broken-lpo"].run_check(seeds=4, budget=3)
-    assert report.count(REFUTED) == 4
+    # H's output ends short on the seed's tank; seed 1's instance is nonzero
+    # at position 1, which that read has paid for, so the claim "all zero"
+    # is still refuted.  The others are nonzero at position 7, past what the
+    # tank can read, and stay undetermined
+    report = witness_library()["broken-lpo"].run_check(seeds=4, budget=12)
+    dry = (UNDETERMINED, "budget exhausted")
+    assert report.records == [(0, *dry), (1, REFUTED, "output [1, 0, 0, 0]"), (2, *dry), (3, *dry)]

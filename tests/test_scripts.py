@@ -31,6 +31,19 @@ def test_script_runs(argv):
     assert done.stdout
 
 
+def test_check_all_witnesses_prints_each_entry_s_fuel(capsys):
+    from baire.reductions import witness_library
+
+    path = ROOT / "scripts" / "check_all_witnesses.py"
+    spec = importlib.util.spec_from_file_location("check_all_witnesses", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(1) == 0
+    fuel = dict(re.findall(r"^(\S+) .* fuel=(\d+) -> ok$", capsys.readouterr().out, re.M))
+    library = witness_library().items()
+    assert fuel == {name: str(entry.run_check(seeds=1).fuel_spent) for name, entry in library}
+
+
 def _bench_pairs():
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)

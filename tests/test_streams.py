@@ -45,7 +45,6 @@ from baire.streams import (
     cantor_pair,
     cantor_unpair,
     charge_run,
-    constant_stream,
     interleave_word,
     odd_part,
     pair_stream,
@@ -89,7 +88,7 @@ def seeded_stream(seed, bound=10):
 
 def test_pair_interleaves():
     q = FunctionStream(lambda n: n + 1)
-    p = constant_stream(9)
+    p = PlanStream((), ("cycle", (9,)))
     r = pair_stream(q, p)
     assert r.prefix(6) == (1, 9, 2, 9, 3, 9)
 
@@ -148,7 +147,7 @@ def test_cantor_pair_injective_on_grid():
 
 
 def test_tuple_of_constant_components():
-    t = tuple_countable(lambda i: constant_stream(i))
+    t = tuple_countable(lambda i: PlanStream((), ("cycle", (i,))))
     assert t.at(0) == 0  # component 0, position 0
     assert t.at(1) == 1  # component 1, position 0
     assert t.at(2) == 0  # component 0, position 1
@@ -178,7 +177,7 @@ def test_project_through_raw_stream():
 
 
 def test_project_constant_tuple():
-    t = tuple_countable(lambda i: constant_stream(i))
+    t = tuple_countable(lambda i: PlanStream((), ("cycle", (i,))))
     assert project(t, 3).prefix(5) == (3, 3, 3, 3, 3)
     assert project(ZEROS, 7).prefix(5) == (0,) * 5
 
