@@ -30,12 +30,14 @@ prints each side's median end-of-run cache figures from the same line (the
 `word_pool_len`, which show a growth that `peak_rss_mb`, read at operation
 140, does not.  Before the pairs, `bench/run.py --replay 140` runs once on
 each side, and the script prints whether the two replays give identical
-answer digests and identical per-operation fuel; with `--pairs 0` and no
-`--aa` it stops there.  With --json it also writes that summary to PATH,
-with the per-kind rows under `kinds`, the cache figures under `caches`,
-the A/A pairs and spread under `aa`, the replay comparison, REF's commit,
-the workload, the seed and the number of pairs (`BENCH_<label>.json`
-records a claimed gain).  The temporary
+answer digests and identical per-operation fuel, and, when the fuel
+differs, on how many operations it fell and on how many it rose, with the
+first few indices of each; with `--pairs 0` and no `--aa` it stops
+there.  With --json it also writes that summary to PATH, with the per-kind
+rows under `kinds`, the cache figures under `caches`, the A/A pairs and
+spread under `aa`, the replay comparison (the fuel moves under
+`fuel_fell` and `fuel_rose`), REF's commit, the workload, the seed and the
+number of pairs (`BENCH_<label>.json` records a claimed gain).  The temporary
 directory is deleted at the end.  The exit status is 1 when the replays
 differ in an answer digest or a per-operation fuel count, and 0 otherwise.
 """
@@ -56,6 +58,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPLAY_OPS = 140  # bench/run.py's PREFIX_OPS: the operations fuel_per_op covers
+FUEL_MOVES_SHOWN = 5  # indices shown of the operations whose replay fuel fell, and rose
 
 
 def quartiles(values):
@@ -225,22 +228,39 @@ def summary_record(ref, commit, workload, seed, seconds, rows, n_pairs):
 
 def compare_replays(ref, tree):
     """Whether two `bench/run.py --replay` results give the same answers
-    (digests) and the same fuel, operation by operation."""
-    return {
+    (digests) and the same fuel, operation by operation.  When the fuel
+    differs, `fuel_fell` and `fuel_rose` count the operations whose fuel
+    the tree lowers and raises, with the first indices of each."""
+    replay = {
         "ops": len(ref["digests"]),
         "digests_identical": ref["digests"] == tree["digests"],
         "fuel_identical": ref["fuel"] == tree["fuel"],
     }
+    if not replay["fuel_identical"]:
+        pairs = list(enumerate(zip(ref["fuel"], tree["fuel"])))
+        for key, moved in (("fuel_fell", lambda a, b: b < a), ("fuel_rose", lambda a, b: b > a)):
+            ops = [i for i, (a, b) in pairs if moved(a, b)]
+            replay[key] = {"ops": len(ops), "first": ops[:FUEL_MOVES_SHOWN]}
+    return replay
 
 
 def format_replay(replay):
     def same(flag):
         return "identical" if flag else "DIFFERENT"
 
-    return (
+    def moves(word, moved):
+        first = " ".join(map(str, moved["first"]))
+        if moved["ops"] > len(moved["first"]):
+            first += " ..."
+        return f"{word} on {moved['ops']} ops" + (f" ({first})" if moved["ops"] else "")
+
+    line = (
         f"replay {replay['ops']} ops: digests {same(replay['digests_identical'])},"
         f" per-op fuel {same(replay['fuel_identical'])}"
     )
+    if replay["fuel_identical"]:
+        return line
+    return f"{line}: {moves('fell', replay['fuel_fell'])}, {moves('rose', replay['fuel_rose'])}"
 
 
 def commit_of(ref: str) -> str:

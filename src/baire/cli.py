@@ -331,7 +331,7 @@ def cmd_loop(args, out) -> int:
             emit(out, line)
         emit(out, f"class {classify_run(run, args.fuel)}")
         if args.validate:
-            verdicts = validate_run(run, loop.oracle, depth=min(args.depth, 8))
+            verdicts = validate_run(run, loop.oracle, min(args.depth, 8), args.fuel)
             for i, v in enumerate(verdicts):
                 emit(out, f"validate step {i} {v}")
             if REFUTED in verdicts:

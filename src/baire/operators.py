@@ -348,9 +348,10 @@ def rederive_step(run: Run, i: int, answer: Stream, depth: int, fuel: Fuel) -> s
     return check_step(run.states[i + 1], expected, depth, fuel)[0]
 
 
-def validate_run(run: Run, oracle: StepOracle, depth: int = 8) -> List[str]:
-    """Step-wise verdicts on one default tank: does each state match a generic re-derivation?"""
-    fuel = as_fuel(None)
+def validate_run(run: Run, oracle: StepOracle, depth: int = 8, fuel: FuelLike = None) -> List[str]:
+    """Step-wise verdicts on one tank (a default one when none is given):
+    does each state match a generic re-derivation?"""
+    fuel = as_fuel(fuel)
     return [
         rederive_step(run, i, oracle.answer(unpair_stream(run.states[i])[1], i), depth, fuel)
         for i in range(len(run.states) - 1)

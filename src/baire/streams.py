@@ -22,9 +22,10 @@ signals.  `read_prefix` reads dense streams with it.  A specialized name
 whose rounds are certified empty (`transform._SilentName`) charges them
 with it too: its `commit(n)` counts n paid round steps, two per round, and
 queues nothing.  A reader that consumes a stream in runs (the decode
-route, `RawEvalStream`, and the injected output, `InjectionOutput`) gets
-the symbols up to a boundary from `Stream.read_run`, paid ones first, and
-charges and commits the unpaid ones it keeps.  Two hot paths also call
+route, `RawEvalStream`, the injected output, `InjectionOutput`, and its
+extractor, `transform.Extraction`) gets the symbols up to a boundary from
+`Stream.read_run`, paid ones first, and charges and commits the unpaid
+ones it keeps.  Two hot paths also call
 `take` themselves: the decode route pays a run's symbols and its rounds'
 steps with one, and a `MachineName` drained by an injected output runs its
 rounds in one loop, `read_rounds`, that pays so for each block that fits

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 from .machine import (
     MachineName,
-    MachineStream,
     WordMachine,
     apply_name,
     apply_name_structured,
@@ -405,6 +404,9 @@ class InjectionOutput(BufferedStream):
     not fit, or whose round spent the stage, comes back queued on the inner
     name and is charged from there as any queued run is.  The charges thus
     keep their order, round by round: tick, apply, block symbols.
+
+    The extractor (`Extraction`) reads this output only up to the 1 that
+    closes the marker block it needs, so no stage past that block runs.
     """
 
     def __init__(self, s_source, p_source, label: str = ""):
@@ -500,32 +502,98 @@ class _InjectionFunctional(PairFunctional):
         return InjectionOutput(s, p, label="inj")
 
 
-def extractor_machine() -> WordMachine:
-    """The fixed machine recovering p from any injected output.
+def _close_marker(seq, i: int, zeros: Optional[int]) -> tuple:
+    """The extractor's pairing rule, one marker block at a time.
 
-    Pairs up the 1s in order, each pair delimiting a marker block, and
-    emits the number of 0s between the two; everything else (rewritten
-    inner symbols, decoded content, a last unpaired 1) is skipped.  The
-    scans for 1s and the counts of 0s run in C.
+    The 1s pair up in order, each pair delimiting a marker block whose
+    value is the number of 0s between its two 1s; every other symbol is
+    skipped.  The scan reads seq from index i; `zeros` is None between
+    blocks and otherwise the 0s the open block has held so far.  Returns
+    (j, value) with j just past the 1 that closes the block, or, when seq
+    holds no such 1, (None, the state at its end).  The scans for 1s and
+    the counts of 0s run in C.
+    """
+    if zeros is None:
+        try:
+            i = seq.index(1, i) + 1
+        except ValueError:
+            return None, None
+        zeros = 0
+    try:
+        j = seq.index(1, i)
+    except ValueError:
+        return None, zeros + seq[i:].count(0)
+    return j + 1, zeros + seq[i:j].count(0)
+
+
+def extractor_machine() -> WordMachine:
+    """The fixed machine L recovering p from any injected output, on words.
+
+    Emits the value of every marker block the word closes (`_close_marker`);
+    a last unpaired 1 opens a block that yields nothing.  `Extraction`
+    applies the same rule to a stream, one block per symbol.
     """
 
     def apply(w, fuel):
-        ones = []
-        i = -1
-        try:
-            while True:
-                i = w.index(1, i + 1)
-                ones.append(i)
-        except ValueError:
-            pass
-        return tuple(w[a + 1 : b].count(0) for a, b in zip(ones[::2], ones[1::2]))
+        out = []
+        i = 0
+        while True:
+            i, value = _close_marker(w, i, None)
+            if i is None:
+                return tuple(out)
+            out.append(value)
 
     return WordMachine(apply, "extract")
 
 
+class Extraction(BufferedStream):
+    """L applied to a stream: symbol j is the value of its j-th marker block.
+
+    A round determines one symbol and reads the source only up to the 1
+    that closes that symbol's block, so an injected output runs no stage
+    past the marker block read last.  It reads runs of doubling width
+    (`Stream.read_run`) and charges them as reading each symbol by `at`
+    would: paid symbols are free, queued ones cost a step each and are
+    charged by `charge_run` up to that 1, and a producer round that
+    `read_run` runs costs a step.  The round itself is one step, taken by
+    `at` as for any buffered stream.  A charge cut short leaves the source
+    position and the scan state as they were; the symbols it granted are
+    paid, so the next round reads them again for free.
+    """
+
+    def __init__(self, source: Stream, label: str = "extract"):
+        super().__init__()
+        self.source = source
+        self.label = label
+        self._pos = 0  # source symbols read
+        self._zeros = None  # the open block's 0s; None between blocks
+
+    def _extend(self, fuel: Fuel) -> None:
+        source = self.source
+        width = 64
+        while True:
+            pos = self._pos
+            run, paid = source.read_run(pos, pos + width, fuel)
+            end, found = _close_marker(run, 0, self._zeros)
+            used = len(run) if end is None else end
+            if used > paid:
+                charge_run(source, used - paid, fuel)
+            self._pos = pos + used
+            if end is not None:
+                self._zeros = None
+                self._buf.append(found)  # the block's value
+                return
+            self._zeros = found  # the scan state at the run's end
+            width *= 2
+
+
 @dataclass
 class Injection:
-    """The injection transformer I together with its fixed extractor L."""
+    """The injection transformer I together with its fixed extractor L.
+
+    `extractor` is L as a machine on words; `extract` applies it to a
+    stream as an `Extraction`.
+    """
 
     transformer: NameTransformer
     extractor: WordMachine
@@ -534,7 +602,7 @@ class Injection:
         return self.transformer.apply(s)
 
     def extract(self, stream: Stream) -> Stream:
-        return MachineStream(self.extractor, stream, label="extract")
+        return Extraction(stream)
 
 
 def injection() -> Injection:

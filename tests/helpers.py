@@ -24,6 +24,7 @@ from baire.machine import (
 )
 from baire.streams import (
     WORD_EDGE,
+    BufferedStream,
     Fuel,
     NeedMoreFuel,
     PlanStream,
@@ -347,6 +348,34 @@ def scanning_extract(w):
             counting = True
             count = 0
     return tuple(out)
+
+
+class PerSymbolExtraction(BufferedStream):
+    """`transform.Extraction` reading its source one `at` call per symbol,
+    with `scanning_extract`'s loop: the reference whose symbols, charges
+    and signals the run reads must equal."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+        self._pos = 0
+        self._counting = False
+        self._count = 0
+
+    def _extend(self, fuel):
+        while True:
+            sym = self.source.at(self._pos, fuel)
+            self._pos += 1
+            if self._counting:
+                if sym == 0:
+                    self._count += 1
+                elif sym == 1:
+                    self._buf.append(self._count)
+                    self._counting = False
+                    return
+            elif sym == 1:
+                self._counting = True
+                self._count = 0
 
 
 def generator_entry_block(entry):

@@ -6,10 +6,13 @@ this test pins them: `codec` operations 0-29 and the first three `inject`
 and `injrec_extract` operations of `transform`, for seed 7, built by
 bench/workloads.py.  Each row is (index, kind, fuel on the benchmark's root
 tanks, digest of the answer); the digest is the first 16 hex digits of the
-SHA-256 of the answer's repr.  The `codec` and `inject` rows were captured
-before the decode route read its names in runs, the `injrec_extract` rows
-before the injected output drained its inner name in runs.  Those run on
-one `R_drop`, built as bench/run.py's `build_shared` builds it, in index
+SHA-256 of the answer's repr.  The `codec` and `inject` answers were
+captured before the decode route read its names in runs, the
+`injrec_extract` answers before the injected output drained its inner name
+in runs.  The `inject` and `injrec_extract` fuel was captured again when
+extraction came to read an injected output only up to the marker block it
+needs (`transform.Extraction`).  The `injrec_extract` rows run on one
+`R_drop`, built as bench/run.py's `build_shared` builds it, in index
 order.  bench/workloads.py is imported with bytecode writing off, so
 nothing under bench/ is written.
 """
@@ -59,15 +62,15 @@ CODEC = (
 )
 
 INJECT = (
-    (7, 'inject', 201558, '645168124aa481db'),
-    (10, 'inject', 201558, '17d22fffb47dbf15'),
-    (13, 'inject', 208785, '673da96234e11fff'),
+    (7, 'inject', 81769, '645168124aa481db'),
+    (10, 'inject', 81769, '17d22fffb47dbf15'),
+    (13, 'inject', 81767, '673da96234e11fff'),
 )
 
 INJREC_EXTRACT = (
-    (8, 'injrec_extract', 274768, '6179536ccfc1a6a1'),
-    (11, 'injrec_extract', 274768, '3edf9a100fc3f5a1'),
-    (14, 'injrec_extract', 274768, '19add985d0a186ce'),
+    (8, 'injrec_extract', 156048, '6179536ccfc1a6a1'),
+    (11, 'injrec_extract', 155987, '3edf9a100fc3f5a1'),
+    (14, 'injrec_extract', 156015, '19add985d0a186ce'),
 )
 
 

@@ -313,6 +313,20 @@ def test_loop_infty_validates(llpo_loop_file):
     assert "refuted" not in text
 
 
+def test_loop_infty_validates_under_the_fuel_flag():
+    # one step cannot determine head 0 of any state, so no step can be
+    # validated either; the validator reads on the --fuel tank
+    loop = str(Path(__file__).parent / "golden" / "llpo.loop")
+    argv = ("--fuel", "1", "--depth", "8", "--steps", "3", "loop", "infty", loop, "--validate")
+    code, text = run_cli(*argv)
+    assert code == 0
+    assert "class undetermined" in text
+    assert [line for line in text.splitlines() if line.startswith("validate")] == [
+        f"validate step {i} undetermined" for i in range(3)
+    ]
+    assert run_cli("--strict", *argv)[0] == 3
+
+
 def test_loop_star_counts_calls(llpo_loop_file):
     code, text = run_cli("loop", "star", llpo_loop_file, "--n", "4")
     assert code == 0

@@ -141,11 +141,41 @@ def test_bench_pairs_compares_replay_answers_and_fuel():
     assert bench_pairs.format_replay(same) == "replay 3 ops: digests identical, per-op fuel identical"
     # the same total fuel, spent by different operations
     moved = bench_pairs.compare_replays(ref, json.loads(_replay_line(["a1", "b2", "c3"], [9, 1, 7])))
-    assert moved == {"ops": 3, "digests_identical": True, "fuel_identical": False}
+    assert moved == {
+        "ops": 3,
+        "digests_identical": True,
+        "fuel_identical": False,
+        "fuel_fell": {"ops": 1, "first": [0]},
+        "fuel_rose": {"ops": 1, "first": [1]},
+    }
     answer = bench_pairs.compare_replays(ref, json.loads(_replay_line(["a1", "xx", "c3"], [10, 0, 7])))
     assert bench_pairs.format_replay(answer) == (
         "replay 3 ops: digests DIFFERENT, per-op fuel identical"
     )
+
+
+def test_bench_pairs_shows_which_way_the_replay_fuel_moved(monkeypatch, capsys, tmp_path):
+    bench_pairs = _bench_pairs()
+    fuel = [10, 20, 30, 40, 50, 60, 70, 80]
+    tree = [9, 19, 29, 41, 49, 48, 70, 79]  # 6 fell, 1 rose, 1 kept
+    ref_line, tree_line = _replay_line(["d"] * 8, fuel), _replay_line(["d"] * 8, tree)
+    replay = bench_pairs.compare_replays(json.loads(ref_line), json.loads(tree_line))
+    assert replay["fuel_fell"] == {"ops": 6, "first": [0, 1, 2, 4, 5]}
+    assert replay["fuel_rose"] == {"ops": 1, "first": [3]}
+    assert bench_pairs.format_replay(replay) == (
+        "replay 8 ops: digests identical, per-op fuel DIFFERENT:"
+        " fell on 6 ops (0 1 2 4 5 ...), rose on 1 ops (3)"
+    )
+    only_fell = bench_pairs.compare_replays(
+        json.loads(ref_line), json.loads(_replay_line(["d"] * 8, fuel[:7] + [1]))
+    )
+    assert bench_pairs.format_replay(only_fell).endswith("fell on 1 ops (7), rose on 0 ops")
+    # the exit status is still 1, and --json records the moves with the replay
+    out = tmp_path / "pairs.json"
+    status, runs = _main_on_canned_runs(monkeypatch, ref_line, tree_line, 0, extra=["--json", str(out)])
+    assert (status, runs) == (1, [])
+    assert capsys.readouterr().out.splitlines()[0] == bench_pairs.format_replay(replay)
+    assert json.loads(out.read_text())["replay"] == replay
 
 
 def _kinds_line(medians):

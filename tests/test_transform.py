@@ -27,6 +27,7 @@ from baire.streams import (
     Fuel,
     NeedMoreFuel,
     PlanStream,
+    WordStream,
     ZEROS,
     even_part,
     halves,
@@ -35,6 +36,7 @@ from baire.streams import (
     pair_stream,
 )
 from baire.transform import (
+    Extraction,
     InjectionOutput,
     PairFunctional,
     SliceSource,
@@ -51,7 +53,7 @@ from baire.transform import (
     smn,
 )
 
-from helpers import ChainPlan, scanning_extract, seeded_plan_stream
+from helpers import ChainPlan, PerSymbolExtraction, scanning_extract, seeded_plan_stream
 
 
 def determined(stream, depth, budget=400_000):
@@ -305,11 +307,149 @@ def test_extractor_equals_the_symbol_by_symbol_scan(w):
     extract = injection().extractor.apply
     for word in (tuple(w), tuple(w) + (1,), (1, 2, 0, 5, 0, 1) + tuple(w)):
         assert extract(word, Fuel(0)) == scanning_extract(word)
+        # the stream applies the same rule, and reads the word to its edge
+        got = injection().extract(WordStream(word)).determined_prefix(len(word), Fuel(10**4))
+        assert got == scanning_extract(word)
 
 
 def test_extractor_skips_stray_symbols_and_a_last_unpaired_one():
     extract = injection().extractor.apply
     assert extract((2, 1, 0, 3, 0, 1, 7, 1, 1, 0, 1, 0, 0), Fuel(0)) == (2, 0)
+
+
+# `Injection.extract` is `transform.Extraction`, which reads its source only
+# up to the 1 that closes the marker block of the symbol it needs.  Two
+# references: `MachineStream(inj.extractor, out)`, the route it replaced,
+# which applies the word machine to doubling prefixes, for its symbols and
+# what they cost; and helpers.PerSymbolExtraction, which reads one source
+# symbol per `at`, for its exact charges.  The sources are injected outputs
+# of `ChainPlan` names, an injective-recursion output, and a stream that is
+# not buffered: a plan whose head is a frozen injective-recursion output.
+
+EXTRACT_KS = tuple(range(1, 17)) + (24, 32, 40, 48, 56, 64)
+
+
+@pytest.fixture(scope="module")
+def extraction_sources():
+    """name -> a builder of a fresh source with 64 marker blocks.
+
+    The injective-recursion outputs share one R, whose caches the first
+    read fills; it is read once to 64 doubling-route symbols here, so every
+    later read starts from the same state.
+    """
+    inj = injection()
+    R = injective_recursion(lambda r_name, x, fuel: odd_part(x), "drop")
+
+    def chain(seed):
+        symbols = ChainPlan(seed, blocks=6).name.head
+        return lambda: eval_stream(inj.apply(PlanStream(symbols)), seeded_plan_stream(seed + 7))
+
+    def injrec():
+        return R.apply(seeded_plan_stream(3))
+
+    MachineStream(inj.extractor, injrec()).determined_prefix(64, Fuel(10**7))
+    head = injrec().prefix(80_000, Fuel(10**7))
+    assert len(scanning_extract(head)) >= 64
+    sources = {f"chain{seed}": chain(seed) for seed in (0, 1, 2, 5)}
+    sources["injrec"] = injrec
+    sources["plan"] = lambda: PlanStream(head, ("zeros",))
+    return inj, sources
+
+
+EXTRACTION_SOURCES = ("chain0", "chain1", "chain2", "chain5", "injrec", "plan")
+
+
+def _doubling_route(inj, source):
+    return MachineStream(inj.extractor, source, label="extract")
+
+
+@pytest.mark.parametrize("name", EXTRACTION_SOURCES)
+def test_extraction_agrees_with_the_doubling_route_at_every_budget(extraction_sources, name):
+    inj, sources = extraction_sources
+    want = _doubling_route(inj, sources[name]()).determined_prefix(64, Fuel(10**7))
+    assert len(want) == 64
+    eight, all_64 = Fuel(10**7), Fuel(10**7)
+    assert inj.extract(sources[name]()).prefix(8, eight) == want[:8]
+    assert inj.extract(sources[name]()).prefix(64, all_64) == want
+    # every budget that determines up to 8 symbols, then doubling budgets
+    budgets = list(range(eight.spent + 2))
+    budgets += [2**j for j in range(eight.spent.bit_length(), all_64.spent.bit_length() + 1)]
+    for budget in budgets:
+        got = inj.extract(sources[name]()).determined_prefix(64, Fuel(budget))
+        assert got == want[: len(got)], budget
+        assert len(got) == 64 or budget < all_64.spent
+
+
+@pytest.mark.parametrize("name", EXTRACTION_SOURCES)
+def test_extraction_never_spends_more_than_the_doubling_route(extraction_sources, name):
+    inj, sources = extraction_sources
+    for k in EXTRACT_KS:
+        got, want = Fuel(10**7), Fuel(10**7)
+        assert inj.extract(sources[name]()).prefix(k, got) == (
+            _doubling_route(inj, sources[name]()).prefix(k, want)
+        )
+        assert got.spent <= want.spent, k
+
+
+def _tank_chain(shape, budget):
+    # the budget on the reader's tank alone, on a generous reader's parent,
+    # or on a reader whose parent is generous
+    if shape == "root":
+        return [Fuel(budget)]
+    if shape == "parent":
+        outer = Fuel(budget)
+        return [Fuel(10**7, outer), outer]
+    outer = Fuel(10**7)
+    return [Fuel(budget, outer), outer]
+
+
+def _source_state(source):
+    if isinstance(source, PlanStream):
+        return source.paid(), dict(source._cache)
+    return list(source._buf), list(source._pending)
+
+
+def _extraction_read(cls, source, k, shape, budget):
+    # two reads on fresh tanks of one shape, the second resuming the first
+    stream = cls(source)
+    states = []
+    for _ in range(2):
+        tanks = _tank_chain(shape, budget)
+        try:
+            stream.prefix(k, tanks[0])
+            signal = None
+        except NeedMoreFuel as blocked:
+            signal = tanks.index(blocked.tank)
+        states.append((list(stream._buf), signal, [t.spent for t in tanks], _source_state(source)))
+    return states
+
+
+@pytest.mark.parametrize("name", EXTRACTION_SOURCES)
+def test_extraction_charges_as_reading_each_symbol_by_at(extraction_sources, name):
+    _, sources = extraction_sources
+    full = Fuel(10**7)
+    assert len(Extraction(sources[name]()).prefix(8, full)) == 8
+    for budget in range(full.spent + 2):
+        for shape in ("root", "parent", "child"):
+            got = _extraction_read(Extraction, sources[name](), 8, shape, budget)
+            want = _extraction_read(PerSymbolExtraction, sources[name](), 8, shape, budget)
+            assert got == want, (budget, shape)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extraction_runs_no_stage_past_the_last_marker_it_reads(seed):
+    # an `injrec_extract` benchmark operation: 64 symbols of R(q), whose
+    # stage i holds marker block i, so no stage past 64 need run
+    R = injective_recursion(lambda r_name, x, fuel: odd_part(x), "drop")
+    q = seeded_plan_stream(seed)
+    out = R.apply(q)
+    assert R.extract(out).prefix(64, Fuel(2_000_000)) == q.prefix(64)
+    assert out._stage <= 64
+    # likewise an `inject` operation's injected output
+    inj = injection()
+    out = eval_stream(inj.apply(ChainPlan(seed, blocks=6).name), seeded_plan_stream(seed + 7))
+    assert inj.extract(out).prefix(64, Fuel(800_000)) == seeded_plan_stream(seed + 7).prefix(64)
+    assert out._stage <= 64
 
 
 def test_semantic_preservation_for_constant_identity():
